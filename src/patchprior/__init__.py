@@ -31,12 +31,10 @@ from .gmm import (
     DegeneratePatchError,
     Gmm,
     HyperParams,
-    IllConditionedCovarianceError,
     SufficientStats,
     component_log_densities,
     condition_psd,
     derive_hyperparams,
-    log_gaussian,
     log_posterior_objective,
     responsibilities,
     sample_gmm,
@@ -75,7 +73,6 @@ __all__ = [
     "Gmm",
     "HqsSchedule",
     "HyperParams",
-    "IllConditionedCovarianceError",
     "ImageBuffer",
     "InsufficientDataError",
     "ModelFileError",
@@ -99,7 +96,6 @@ __all__ = [
     "estimate_sigma_tilde_sq",
     "extract_patches",
     "load_model",
-    "log_gaussian",
     "log_posterior_objective",
     "mstep_covariance_direct",
     "mstep_covariance_fast",

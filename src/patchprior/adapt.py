@@ -22,6 +22,7 @@ from .gmm import (
     log_posterior_objective,
     responsibilities,
     sufficient_stats,
+    _log_prior,
     _patch_matrix,
 )
 
@@ -183,22 +184,27 @@ def adapt(generic: Gmm, patches, config: AdaptationConfig | None = None):
     objectives = []
     mstep_seconds = 0.0
     alphas = counts = None
-    for _ in range(config.iterations):
-        gamma, counts = responsibilities(current, x, config.sigma_tilde_sq)
+    for i in range(config.iterations):
+        gamma, counts, loglik = responsibilities(current, x, config.sigma_tilde_sq,
+                                                 with_loglik=True)
+        if i:
+            # The previous iteration's model scored under the same inflation:
+            # its objective's likelihood term is this E-step's normalizer.
+            objectives.append(float(loglik.sum()) + _log_prior(current, hyper))
         stats = sufficient_stats(x, gamma)
         start = time.perf_counter()
         weights, means, covs = adaptation_mstep(
             generic, stats, n, config.rho, config.sigma_tilde_sq,
             fast=config.fast_covariance, patch_matrix=x, gamma=gamma)
         total = float(weights.sum())
-        assert abs(total - 1.0) <= 1e-12, "weight update drifted off the simplex"
+        if not abs(total - 1.0) <= 1e-12:
+            raise ValueError(f"weight update drifted off the simplex (sum {total!r})")
         weights = weights / total
         covs = np.stack([condition_psd(c, config.psd_floor) for c in covs])
         mstep_seconds += time.perf_counter() - start
         alphas = counts / (counts + config.rho)
         current = Gmm(weights, means, covs)
-        objectives.append(log_posterior_objective(current, x, hyper,
-                                                  config.sigma_tilde_sq))
+    objectives.append(log_posterior_objective(current, x, hyper, config.sigma_tilde_sq))
     report = AdaptationReport(objectives=tuple(objectives), alphas=alphas,
                               counts=counts, mstep_seconds=mstep_seconds)
     return current, report

@@ -131,7 +131,8 @@ def _cmd_adapt(args) -> int:
         timings["prefilter"] = time.perf_counter() - start
         start = time.perf_counter()
         sigma_tilde_sq = estimate_sigma_tilde_sq(
-            image, args.sigma, run, SureConfig(seed=args.seed, probes=args.probes))
+            image, args.sigma, run, SureConfig(seed=args.seed, probes=args.probes),
+            baseline=target)
         timings["sure"] = time.perf_counter() - start
     else:
         try:

@@ -14,12 +14,11 @@ import dataclasses
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .gmm import Gmm, component_log_densities
 from .patches import ImageBuffer, accumulate_patches, extract_patches, psnr
 
-__all__ = ["HqsSchedule", "DenoiseResult", "denoise", "select_modes"]
+__all__ = ["HqsSchedule", "DenoiseResult", "denoise", "select_modes", "wiener_shrink"]
 
 _STAGE_MULTIPLIERS = (1.0, 4.0, 8.0, 16.0, 32.0)
 
@@ -85,9 +84,21 @@ def select_modes(prior: Gmm, patch_matrix, inflation: float) -> np.ndarray:
     ``inflation`` on the diagonal; rescaling all weights by a positive
     constant shifts every score equally and cannot change the argmax.
     """
-    with np.errstate(divide="ignore"):
-        scores = component_log_densities(prior, patch_matrix, inflation) + np.log(prior.weights)
+    scores = component_log_densities(prior, patch_matrix, inflation, weighted=True)
     return scores.argmax(axis=1)
+
+
+def wiener_shrink(prior: Gmm, component: int, patch_matrix, beta: float) -> np.ndarray:
+    """MAP patches under one component given a quadratic coupling beta.
+
+    Solves (beta C + I) v = mu + beta C p for every row p.  In the cached
+    eigenbasis C = U diag(lambda) U^T this is a per-axis shrink of the
+    deviation from the mean by beta lambda / (beta lambda + 1).
+    """
+    basis = prior.eigenvectors[component]
+    lam = beta * prior.eigenvalues[component]
+    mean = prior.means[component]
+    return mean + (((patch_matrix - mean) @ basis) * (lam / (lam + 1.0))) @ basis.T
 
 
 def denoise(noisy: ImageBuffer, sigma: float, prior: Gmm,
@@ -110,9 +121,7 @@ def denoise(noisy: ImageBuffer, sigma: float, prior: Gmm,
         raise ValueError("patch size exceeds the image")
     schedule = schedule if schedule is not None else HqsSchedule.default(sigma)
     k = prior.n_components
-    d = prior.dim
-    eye = np.eye(d)
-    data_weight = d / sigma ** 2
+    data_weight = prior.dim / sigma ** 2
     observed = noisy.pixels
     x = observed.copy()
     trace = [] if reference is not None else None
@@ -124,11 +133,7 @@ def denoise(noisy: ImageBuffer, sigma: float, prior: Gmm,
         values = np.empty_like(patches.data)
         for j in np.unique(modes):
             idx = np.flatnonzero(modes == j)
-            cov = prior.covariances[j]
-            factor = scipy.linalg.cho_factor(beta * cov + eye, lower=True,
-                                             check_finite=False)
-            rhs = prior.means[j] + beta * (patches.data[idx] @ cov)
-            values[idx] = scipy.linalg.cho_solve(factor, rhs.T, check_finite=False).T
+            values[idx] = wiener_shrink(prior, j, patches.data[idx], beta)
         sums, cover = accumulate_patches(patches.with_values(values),
                                          noisy.width, noisy.height)
         x = (data_weight * observed + beta * sums.pixels) / (data_weight + beta * cover.pixels)

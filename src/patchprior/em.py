@@ -6,12 +6,11 @@ import dataclasses
 import logging
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .gmm import (
     Gmm,
-    component_log_densities,
     condition_psd,
+    responsibilities,
     _patch_matrix,
 )
 
@@ -131,15 +130,12 @@ def em_fit_with_inflation(patches, config: EmConfig, sigma_tilde_sq: float):
     weights, means, covs = _initialize(x, config, rng, sigma_tilde_sq)
     trace: list[float] = []
     for _ in range(config.max_iters):
-        model = Gmm(weights, means, covs)
-        with np.errstate(divide="ignore"):
-            scores = component_log_densities(model, x, sigma_tilde_sq) + np.log(weights)
-        norms = logsumexp(scores, axis=1)
-        trace.append(float(norms.mean()))
+        gamma, counts, loglik = responsibilities(Gmm(weights, means, covs), x,
+                                                 sigma_tilde_sq, with_loglik=True)
+        trace.append(float(loglik.mean()))
         if len(trace) > 1 and abs(trace[-1] - trace[-2]) <= config.tol * abs(trace[-2]):
             break
-        gamma = np.exp(scores - norms[:, None])
-        weights, means, covs = _mstep(x, gamma, gamma.sum(axis=0), sigma_tilde_sq,
+        weights, means, covs = _mstep(x, gamma, counts, sigma_tilde_sq,
                                       config.psd_floor, rng)
     return Gmm(weights, means, covs), trace
 

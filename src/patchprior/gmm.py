@@ -2,7 +2,7 @@
 
 Everything likelihood-shaped here lives in log scale.  At patch dimension
 64 a single Gaussian density underflows float64 in linear scale, so the
-building blocks below are triangular factorizations, log-sum-exp
+building blocks below are cached eigendecompositions, log-sum-exp
 reductions, and eigenvalue clamping.
 """
 
@@ -12,15 +12,12 @@ import dataclasses
 
 import numpy as np
 import scipy.linalg
-from scipy.special import logsumexp
 
 __all__ = [
     "Gmm",
     "HyperParams",
     "SufficientStats",
-    "IllConditionedCovarianceError",
     "DegeneratePatchError",
-    "log_gaussian",
     "component_log_densities",
     "responsibilities",
     "condition_psd",
@@ -35,15 +32,6 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 # Construction-time tolerances, absolute.
 WEIGHT_SUM_TOL = 1e-12
 SYMMETRY_TOL = 1e-12
-
-
-class IllConditionedCovarianceError(np.linalg.LinAlgError):
-    """A covariance failed to factorize even after conditioning."""
-
-    def __init__(self, component: int | None = None):
-        self.component = component
-        where = "covariance" if component is None else f"covariance of component {component}"
-        super().__init__(f"{where} is not positive-definite after conditioning")
 
 
 class DegeneratePatchError(ValueError):
@@ -70,11 +58,16 @@ class Gmm:
     """Weighted full-covariance Gaussian mixture over d-dimensional vectors.
 
     Arrays are copied and marked read-only; instances are safe to share.
+    Construction factors every covariance once as C_k = U_k diag(lambda_k) U_k^T
+    and rejects any that is not positive-definite; every density and
+    Wiener step reuses that factorization.
     """
 
     weights: np.ndarray      # (K,) nonnegative, sums to one
     means: np.ndarray        # (K, d)
     covariances: np.ndarray  # (K, d, d) symmetric
+    eigenvalues: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    eigenvectors: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = _frozen(self.weights)
@@ -98,9 +91,15 @@ class Gmm:
         asym = float(np.abs(c - np.transpose(c, (0, 2, 1))).max())
         if asym > SYMMETRY_TOL:
             raise ValueError(f"covariances asymmetric by {asym:g}")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "means", m)
-        object.__setattr__(self, "covariances", c)
+        evals, evecs = np.linalg.eigh(c)
+        bad = np.flatnonzero(evals[:, 0] <= 0.0)
+        if bad.size:
+            raise ValueError(f"covariance of component {int(bad[0])} is not positive-definite "
+                             f"(smallest eigenvalue {evals[bad[0], 0]:g})")
+        evals.flags.writeable = evecs.flags.writeable = False
+        for name, a in (("weights", w), ("means", m), ("covariances", c),
+                        ("eigenvalues", evals), ("eigenvectors", evecs)):
+            object.__setattr__(self, name, a)
 
     @property
     def n_components(self) -> int:
@@ -213,86 +212,61 @@ class SufficientStats:
         return self.means.shape[1]
 
 
-def _factor_spd(matrix, component=None):
-    """Lower Cholesky factor of a symmetric matrix, conditioning once on failure."""
-    sym = 0.5 * (matrix + matrix.T)
-    try:
-        return scipy.linalg.cholesky(sym, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        d = sym.shape[0]
-        jitter = 1e-10 * max(1.0, abs(float(np.trace(sym))) / d)
-        try:
-            return scipy.linalg.cholesky(condition_psd(sym, jitter), lower=True,
-                                         check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise IllConditionedCovarianceError(component) from exc
+def component_log_densities(gmm: Gmm, points, inflation: float = 0.0,
+                            weighted: bool = False) -> np.ndarray:
+    """(n, K) matrix of per-component Gaussian log densities.
 
-
-def _log_det_from_factor(chol) -> float:
-    return 2.0 * float(np.log(np.diag(chol)).sum())
-
-
-def log_gaussian(point, mean, covariance, inflation: float = 0.0) -> float:
-    """Log density of one point under a full-covariance Gaussian.
-
-    ``inflation`` is added to the diagonal before factorization; this is
-    how observation noise of that variance is folded into a clean-signal
-    covariance.
+    ``inflation`` is added to every covariance diagonal, which is how
+    observation noise of that variance is folded into a clean-signal
+    covariance; in the cached eigenbasis it shifts the spectrum.
+    ``weighted`` adds the log mixture weights, giving the joint log score
+    that posteriors and mode selection normalize or maximize.  One GEMM
+    per component projects the points; no (n, K, d) array is formed.
     """
-    p = np.asarray(point, dtype=np.float64).ravel()
-    mu = np.asarray(mean, dtype=np.float64).ravel()
-    cov = np.asarray(covariance, dtype=np.float64)
-    d = p.size
-    if mu.size != d or cov.shape != (d, d):
-        raise ValueError("point, mean and covariance dimensions disagree")
-    if inflation < 0:
-        raise ValueError("inflation must be nonnegative")
-    if inflation:
-        cov = cov + inflation * np.eye(d)
-    chol = _factor_spd(cov)
-    dev = p - mu
-    sol = scipy.linalg.solve_triangular(chol, dev, lower=True, check_finite=False)
-    return float(-0.5 * (d * _LOG_2PI + _log_det_from_factor(chol) + sol @ sol))
-
-
-def component_log_densities(gmm: Gmm, points, inflation: float = 0.0) -> np.ndarray:
-    """(n, K) matrix of per-component Gaussian log densities."""
     x = _patch_matrix(points)
     if x.shape[1] != gmm.dim:
         raise ValueError(f"points have dimension {x.shape[1]}, model has {gmm.dim}")
     if inflation < 0:
         raise ValueError("inflation must be nonnegative")
-    n, d = x.shape
-    out = np.empty((n, gmm.n_components))
-    bump = inflation * np.eye(d) if inflation else None
-    for k in range(gmm.n_components):
-        cov = gmm.covariances[k]
-        if bump is not None:
-            cov = cov + bump
-        chol = _factor_spd(cov, component=k)
-        dev = (x - gmm.means[k]).T
-        sol = scipy.linalg.solve_triangular(chol, dev, lower=True, check_finite=False)
-        maha = np.einsum("ij,ij->j", sol, sol)
-        out[:, k] = -0.5 * (d * _LOG_2PI + _log_det_from_factor(chol) + maha)
+    out = np.empty((x.shape[0], gmm.n_components))
+    spectra = gmm.eigenvalues + inflation
+    consts = gmm.dim * _LOG_2PI + np.log(spectra).sum(axis=1)
+    y = np.empty(x.shape)
+    with np.errstate(over="ignore", divide="ignore"):
+        offsets = np.log(gmm.weights) if weighted else np.zeros(gmm.n_components)
+        for k, basis in enumerate(gmm.eigenvectors):
+            np.matmul(x, basis, out=y)
+            y -= gmm.means[k] @ basis
+            np.square(y, out=y)
+            out[:, k] = offsets[k] - 0.5 * (consts[k] + y @ (1.0 / spectra[k]))
     return out
 
 
-def responsibilities(gmm: Gmm, patches, inflation: float = 0.0):
-    """Posterior component memberships for each patch.
-
-    Returns the (n, K) responsibility matrix (rows sum to one) and the
-    per-component soft counts.  Computed through a shifted softmax so the
-    result is exact up to rounding even when every density underflows.
-    """
-    x = _patch_matrix(patches)
-    with np.errstate(divide="ignore"):
-        scores = component_log_densities(gmm, x, inflation) + np.log(gmm.weights)
+def _normalize(scores):
+    """Posterior rows of a score matrix and each row's log normalizer."""
     top = scores.max(axis=1)
     if not np.isfinite(top).all():
         bad = int(np.flatnonzero(~np.isfinite(top))[0])
         raise DegeneratePatchError(f"patch {bad} has no support under any component")
     z = np.exp(scores - top[:, None])
-    gamma = z / z.sum(axis=1)[:, None]
+    total = z.sum(axis=1)
+    return z / total[:, None], top + np.log(total)
+
+
+def responsibilities(gmm: Gmm, patches, inflation: float = 0.0,
+                     with_loglik: bool = False):
+    """Posterior component memberships for each patch.
+
+    Returns the (n, K) responsibility matrix (rows sum to one) and the
+    per-component soft counts; with ``with_loglik`` also the (n,) log
+    mixture density of each patch, which is the likelihood term of
+    ``log_posterior_objective`` at no extra cost.  Computed through a
+    shifted softmax so the result is exact up to rounding even when every
+    density underflows.
+    """
+    gamma, loglik = _normalize(component_log_densities(gmm, patches, inflation, weighted=True))
+    if with_loglik:
+        return gamma, gamma.sum(axis=0), loglik
     return gamma, gamma.sum(axis=0)
 
 
@@ -328,30 +302,30 @@ def log_posterior_objective(gmm_tilde: Gmm, patches, hyper: HyperParams,
     so differences between parameter settings are exact.  ``flat_prior``
     returns the likelihood term alone.
     """
-    x = _patch_matrix(patches)
-    with np.errstate(divide="ignore"):
-        scores = component_log_densities(gmm_tilde, x, inflation) + np.log(gmm_tilde.weights)
-    ll = float(logsumexp(scores, axis=1).sum())
-    if flat_prior:
-        return ll
-    if hyper.n_components != gmm_tilde.n_components or hyper.dim != gmm_tilde.dim:
+    _, loglik = _normalize(component_log_densities(gmm_tilde, patches, inflation,
+                                                  weighted=True))
+    ll = float(loglik.sum())
+    return ll if flat_prior else ll + _log_prior(gmm_tilde, hyper)
+
+
+def _log_prior(gmm: Gmm, hyper: HyperParams) -> float:
+    """Log Dirichlet and normal-inverse-Wishart density of a model, without
+    its normalizer, evaluated in the model's cached eigenbasis."""
+    if hyper.n_components != gmm.n_components or hyper.dim != gmm.dim:
         raise ValueError("hyperparameters do not match the model shape")
-    d = gmm_tilde.dim
+    d = gmm.dim
     prior = 0.0
-    for k in range(gmm_tilde.n_components):
-        chol = _factor_spd(gmm_tilde.covariances[k], component=k)
+    for k, (lam, basis) in enumerate(zip(gmm.eigenvalues, gmm.eigenvectors)):
         v_k = float(hyper.weight_counts[k])
         if v_k != 1.0:
             with np.errstate(divide="ignore"):
-                prior += (v_k - 1.0) * float(np.log(gmm_tilde.weights[k]))
-        dev = gmm_tilde.means[k] - hyper.mean_locs[k]
-        sol = scipy.linalg.solve_triangular(chol, dev, lower=True, check_finite=False)
-        inv_scale = scipy.linalg.cho_solve((chol, True), hyper.scale_mats[k],
-                                           check_finite=False)
-        prior -= 0.5 * (float(hyper.dofs[k]) + d + 2.0) * _log_det_from_factor(chol)
-        prior -= 0.5 * float(hyper.mean_strengths[k]) * float(sol @ sol)
-        prior -= 0.5 * float(np.trace(inv_scale))
-    return ll + prior
+                prior += (v_k - 1.0) * float(np.log(gmm.weights[k]))
+        dev = (gmm.means[k] - hyper.mean_locs[k]) @ basis
+        scale_diag = np.einsum("ij,ij->j", basis, hyper.scale_mats[k] @ basis)
+        prior -= 0.5 * (float(hyper.dofs[k]) + d + 2.0) * float(np.log(lam).sum())
+        prior -= 0.5 * float(hyper.mean_strengths[k]) * float((dev * dev) @ (1.0 / lam))
+        prior -= 0.5 * float(scale_diag @ (1.0 / lam))
+    return prior
 
 
 def derive_hyperparams(gmm: Gmm, rho: float) -> HyperParams:

@@ -91,4 +91,7 @@ def load_model(path) -> Gmm:
     means = np.frombuffer(raw, dtype="<f8", count=k * d, offset=offset).reshape(k, d)
     offset += 8 * k * d
     covs = np.frombuffer(raw, dtype="<f8", count=k * d * d, offset=offset).reshape(k, d, d)
-    return Gmm(weights=weights, means=means, covariances=covs)
+    try:
+        return Gmm(weights=weights, means=means, covariances=covs)
+    except ValueError as exc:
+        raise ModelFileError(f"{path}: {exc}") from exc

@@ -35,8 +35,7 @@ class SureConfig:
             raise ValueError("probes must be at least 1")
 
 
-def _run_denoiser(denoiser, image: ImageBuffer, shape) -> np.ndarray:
-    out = denoiser(image)
+def _pixels(out, shape) -> np.ndarray:
     pixels = out.pixels if isinstance(out, ImageBuffer) else np.asarray(out, dtype=np.float64)
     if pixels.shape != shape:
         raise ValueError(f"denoiser returned shape {pixels.shape}, expected {shape}")
@@ -44,27 +43,28 @@ def _run_denoiser(denoiser, image: ImageBuffer, shape) -> np.ndarray:
 
 
 def estimate_sigma_tilde_sq(noisy: ImageBuffer, sigma: float, denoiser,
-                            config: SureConfig | None = None) -> float:
+                            config: SureConfig | None = None, baseline=None) -> float:
     """Estimate the per-pixel MSE of ``denoiser`` applied to ``noisy``.
 
     ``sigma`` is the noise scale of the observation itself.  ``denoiser``
     maps an ImageBuffer to an ImageBuffer of the same shape and is called
-    once on the noisy image and once per probe on a perturbed copy.  The
-    estimate is floored (default 1.0) because the adaptation step treats
-    it as a variance.
+    once on the noisy image and once per probe on a perturbed copy.  A
+    caller that already holds ``denoiser(noisy)`` passes it as
+    ``baseline`` to skip the first call.  The estimate is floored (default
+    1.0) because the adaptation step treats it as a variance.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     config = config or SureConfig()
     shape = noisy.pixels.shape
     n = noisy.pixels.size
-    baseline = _run_denoiser(denoiser, noisy, shape)
+    baseline = _pixels(denoiser(noisy) if baseline is None else baseline, shape)
     rng = np.random.default_rng(config.seed)
     divergence = 0.0
     for _ in range(config.probes):
         probe = rng.standard_normal(shape)
         perturbed = ImageBuffer(noisy.pixels + config.delta * probe)
-        shifted = _run_denoiser(denoiser, perturbed, shape)
+        shifted = _pixels(denoiser(perturbed), shape)
         divergence += float((probe * (shifted - baseline)).sum()) / config.delta
     divergence /= config.probes
     if not np.isfinite(divergence):

@@ -1,5 +1,7 @@
 """Bayesian adaptation of a generic mixture toward image-specific patches."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from patchprior.gmm import (
     Gmm,
     HyperParams,
     derive_hyperparams,
+    log_posterior_objective,
     responsibilities,
     sample_gmm,
     sufficient_stats,
@@ -327,3 +330,35 @@ class TestAdaptLoop:
         assert np.allclose(fast.weights, direct.weights, atol=1e-12)
         assert np.allclose(fast.means, direct.means, atol=1e-12)
         assert np.allclose(fast.covariances, direct.covariances, atol=1e-9)
+
+    @pytest.mark.parametrize("sigma_tilde_sq", [0.0, 0.3])
+    def test_reused_objectives_match_fresh_passes(self, sigma_tilde_sq):
+        # every objective but the last comes from the next E-step's scores;
+        # each must equal a fresh objective pass over the same model
+        rng = np.random.default_rng(19)
+        generic = random_gmm(rng, 3, 2, mean_scale=3.0)
+        x = sample_gmm(random_gmm(rng, 3, 2, mean_scale=3.0), 300, rng)
+        hyper = derive_hyperparams(generic, 1.5)
+        _, report = adapt(generic, x, AdaptationConfig(
+            rho=1.5, iterations=4, sigma_tilde_sq=sigma_tilde_sq))
+        for i in range(1, 4):
+            model, _ = adapt(generic, x, AdaptationConfig(
+                rho=1.5, iterations=i, sigma_tilde_sq=sigma_tilde_sq))
+            fresh = log_posterior_objective(model, x, hyper, sigma_tilde_sq)
+            assert report.objectives[i - 1] == pytest.approx(fresh, rel=1e-9)
+
+    def test_weight_drift_off_simplex_raises(self, monkeypatch):
+        # a real check, so python -O cannot strip it
+        rng = np.random.default_rng(20)
+        generic = random_gmm(rng, 2, 2)
+        # the package re-exports the function adapt under the submodule's name
+        adapt_module = importlib.import_module("patchprior.adapt")
+        real = adapt_module.adaptation_mstep
+
+        def drifting(*args, **kwargs):
+            weights, means, covs = real(*args, **kwargs)
+            return weights * 1.001, means, covs
+
+        monkeypatch.setattr(adapt_module, "adaptation_mstep", drifting)
+        with pytest.raises(ValueError, match="simplex"):
+            adapt(generic, rng.normal(0.0, 1.0, (40, 2)))

@@ -1,6 +1,5 @@
 """Command-line surface: exit codes, outputs, manifests, determinism."""
 
-import json
 import subprocess
 import sys
 from pathlib import Path
@@ -9,11 +8,11 @@ import numpy as np
 import pytest
 
 from patchprior import ImageBuffer, load_model, read_pgm, write_pgm
+import patchprior.cli as cli_module
 from patchprior.cli import cli_dispatch
 
 from synthimages import make_piecewise_image, make_smoke_image
-
-BASELINES = Path(__file__).parent / "baselines.json"
+from test_denoise import check_baseline
 
 
 def read_manifest(path):
@@ -138,11 +137,18 @@ class TestAdapt:
         manifest = manifest_params(str(out) + ".manifest")
         assert manifest["sigma_tilde_sq"] == "0.0"
 
-    def test_sure_mode_runs_prefilter(self, workspace, tmp_path):
+    def test_sure_mode_runs_prefilter(self, workspace, tmp_path, monkeypatch):
         noisy = tmp_path / "noisy.pgm"
         cli_dispatch(["noise", str(workspace / "clean.pgm"), "--sigma", "20",
                       "--seed", "1", "--out", str(noisy)])
         out = tmp_path / "adapted.gmmp"
+        runs = []
+        real_denoise = cli_module.denoise
+
+        def counted_denoise(*args, **kwargs):
+            runs.append(args)
+            return real_denoise(*args, **kwargs)
+        monkeypatch.setattr(cli_module, "denoise", counted_denoise)
         rc = cli_dispatch(["adapt", str(workspace / "generic.gmmp"), str(noisy),
                            "--out", str(out), "--sigma-tilde", "sure",
                            "--sigma", "20"])
@@ -151,6 +157,8 @@ class TestAdapt:
         assert float(manifest["sigma_tilde_sq"]) > 0.0
         assert "time_prefilter_seconds" in manifest
         assert "time_sure_seconds" in manifest
+        # the prefilter doubles as SURE's baseline: prefilter + one probe
+        assert len(runs) == 2
 
     def test_sure_without_sigma_is_usage_error(self, workspace, tmp_path):
         rc = cli_dispatch(["adapt", str(workspace / "generic.gmmp"),
@@ -328,13 +336,5 @@ class TestFullPipeline:
                              str(tmp_path / "dada.pgm")]) == 0
         p_adapted = float(capsys.readouterr().out.strip())
         assert p_adapted >= p_generic - 0.05
-        # pin the exact numbers on first run, then guard them
-        data = json.loads(BASELINES.read_text()) if BASELINES.exists() else {}
-        key = "cli_pipeline_smoke96_sigma20"
-        value = {"generic": round(p_generic, 4), "adapted": round(p_adapted, 4)}
-        if key not in data:
-            data[key] = value
-            BASELINES.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-        else:
-            assert value["generic"] == pytest.approx(data[key]["generic"], abs=1e-3)
-            assert value["adapted"] == pytest.approx(data[key]["adapted"], abs=1e-3)
+        check_baseline("cli_pipeline_smoke96_sigma20",
+                       {"generic": round(p_generic, 4), "adapted": round(p_adapted, 4)})

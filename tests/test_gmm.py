@@ -2,6 +2,7 @@
 posterior objective, hyperparameter derivation, sufficient statistics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from patchprior.gmm import (
     component_log_densities,
     condition_psd,
     derive_hyperparams,
-    log_gaussian,
     log_posterior_objective,
     responsibilities,
     sample_gmm,
@@ -32,6 +32,13 @@ def random_gmm(rng, k, d, mean_scale=1.0):
     means = rng.normal(0.0, mean_scale, (k, d))
     covs = np.array([0.5 * (c + c.T) for c in (random_spd(rng, d) for _ in range(k))])
     return Gmm(weights=w, means=means, covariances=covs)
+
+
+def log_gaussian(point, mean, covariance, inflation=0.0):
+    """One point under one Gaussian, through the mixture scoring kernel."""
+    gmm = Gmm(weights=np.array([1.0]), means=np.atleast_2d(mean),
+              covariances=np.asarray(covariance)[None])
+    return float(component_log_densities(gmm, np.atleast_2d(point), inflation)[0, 0])
 
 
 class TestLogGaussian:
@@ -149,8 +156,10 @@ class TestResponsibilities:
     def test_degenerate_patch_raises(self):
         gmm = Gmm(weights=np.array([1.0]), means=np.zeros((1, 1)),
                   covariances=np.ones((1, 1, 1)))
-        with pytest.raises(DegeneratePatchError):
-            responsibilities(gmm, np.array([[1e300]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflow is expected, not reported
+            with pytest.raises(DegeneratePatchError):
+                responsibilities(gmm, np.array([[1e300]]))
 
 
 class TestConditionPsd:
@@ -210,6 +219,24 @@ class TestGmmValidation:
         with pytest.raises(ValueError):
             Gmm(weights=np.array([1.0]), means=np.array([[np.nan]]),
                 covariances=np.ones((1, 1, 1)))
+
+    def test_rejects_indefinite_covariance_naming_component(self):
+        covs = np.stack([np.eye(2), np.diag([1.0, -1e-3])])
+        with pytest.raises(ValueError, match="component 1 is not positive-definite"):
+            Gmm(weights=np.array([0.5, 0.5]), means=np.zeros((2, 2)), covariances=covs)
+
+    def test_rejects_singular_covariance(self):
+        with pytest.raises(ValueError, match="component 0"):
+            Gmm(weights=np.array([1.0]), means=np.zeros((1, 2)),
+                covariances=np.ones((1, 2, 2)))
+
+    def test_eigenbasis_reconstructs_covariances(self):
+        gmm = random_gmm(np.random.default_rng(20), 3, 5)
+        rebuilt = np.einsum("kij,kj,klj->kil", gmm.eigenvectors, gmm.eigenvalues,
+                            gmm.eigenvectors)
+        assert np.allclose(rebuilt, gmm.covariances, atol=1e-12)
+        assert not gmm.eigenvalues.flags.writeable
+        assert not gmm.eigenvectors.flags.writeable
 
     def test_arrays_frozen(self):
         gmm = Gmm(weights=np.array([1.0]), means=np.zeros((1, 2)),

@@ -1,5 +1,7 @@
 """Binary model file format: layout, round trips, corruption detection."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,16 @@ class TestCorruption:
         raw[6:10] = (0).to_bytes(4, "little")
         path.write_bytes(bytes(raw))
         with pytest.raises(ModelFileError):
+            load_model(path)
+
+    def test_indefinite_covariance_rejected_at_load(self, tmp_path):
+        path = tmp_path / "m.gmmp"
+        save_model(tiny_model(), path)
+        raw = bytearray(path.read_bytes())
+        raw[30:38] = np.array([-2.0], "<f8").tobytes()  # the one covariance entry
+        raw[38:42] = zlib.crc32(bytes(raw[:38])).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ModelFileError, match="component 0 is not positive-definite"):
             load_model(path)
 
     def test_errors_are_value_errors(self):

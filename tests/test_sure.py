@@ -102,6 +102,22 @@ class TestBehavior:
         b = estimate_sigma_tilde_sq(img, 20.0, blur, cfg)
         assert a == b
 
+    def test_passed_baseline_is_bit_identical(self):
+        rng = np.random.default_rng(11)
+        img = ImageBuffer(rng.uniform(0.0, 255.0, (32, 32)))
+        calls = []
+
+        def blur(im):
+            calls.append(im)
+            return ndimage.uniform_filter(im.pixels, 3, mode="nearest")
+
+        cfg = SureConfig(seed=12, probes=2)
+        fresh = estimate_sigma_tilde_sq(img, 20.0, blur, cfg)
+        assert len(calls) == 3
+        reused = estimate_sigma_tilde_sq(img, 20.0, blur, cfg, baseline=blur(img))
+        assert len(calls) == 3 + 1 + 2
+        assert reused == fresh
+
     def test_floor_applies(self):
         # a constant denoiser fed its own fixed point: residual and
         # divergence both vanish, leaving -sigma^2, clamped to the floor
