@@ -26,7 +26,7 @@ from .adapt import (
     posterior_hyperparams,
 )
 from .denoise import DenoiseResult, HqsSchedule, denoise, select_modes
-from .em import EmConfig, InsufficientDataError, em_fit, em_fit_with_inflation
+from .em import EmConfig, InsufficientDataError, em_fit
 from .gmm import (
     DegeneratePatchError,
     Gmm,
@@ -92,7 +92,6 @@ __all__ = [
     "denoise",
     "derive_hyperparams",
     "em_fit",
-    "em_fit_with_inflation",
     "estimate_sigma_tilde_sq",
     "extract_patches",
     "load_model",

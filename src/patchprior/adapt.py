@@ -44,13 +44,12 @@ class AdaptationConfig:
     sigma_tilde_sq: float = 0.0
     iterations: int = 1
     psd_floor: float = 1e-4
-    fast_covariance: bool = True
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
-        if self.sigma_tilde_sq < 0:
-            raise ValueError("sigma_tilde_sq must be nonnegative")
+        if not 0 < self.rho < np.inf:
+            raise ValueError("rho must be positive and finite")
+        if not 0 <= self.sigma_tilde_sq < np.inf:
+            raise ValueError("sigma_tilde_sq must be nonnegative and finite")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
         if self.psd_floor <= 0:
@@ -115,10 +114,12 @@ def mstep_covariance_direct(patch_matrix, resp, mu_tilde, generic_mean, generic_
         raise ValueError("component has no responsibility mass")
     mu_tilde = np.asarray(mu_tilde, dtype=np.float64)
     d = mu_tilde.size
+    dev = x - mu_tilde
     acc = np.zeros((d, d))
-    for row, g in zip(x, resp):
-        dev = row - mu_tilde
-        acc += g * np.outer(dev, dev)
+    term = np.empty((d, d))
+    for weighted, row in zip(resp[:, None] * dev, dev):
+        np.multiply.outer(weighted, row, out=term)
+        acc += term
     data = acc / count
     if sigma_tilde_sq:
         data = data - sigma_tilde_sq * np.eye(d)
@@ -130,14 +131,13 @@ def mstep_covariance_direct(patch_matrix, resp, mu_tilde, generic_mean, generic_
 
 
 def adaptation_mstep(generic: Gmm, stats: SufficientStats, n: int, rho: float,
-                     sigma_tilde_sq: float = 0.0, fast: bool = True,
-                     patch_matrix=None, gamma=None):
+                     sigma_tilde_sq: float = 0.0):
     """Relevance-blended update of all parameters, before floor and renorm.
 
     The weight update is the exact maximizer of the penalized objective;
-    its components sum to one by construction.  With ``fast`` off the
-    covariances are recomputed by the two-pass reference, which needs the
-    patches and responsibilities back.
+    its components sum to one by construction.  Covariances come from the
+    one-pass formula; for a component with no mass (alpha 0) that is the
+    generic covariance.
     """
     if stats.n_components != generic.n_components or stats.dim != generic.dim:
         raise ValueError("statistics do not match the generic model shape")
@@ -150,16 +150,9 @@ def adaptation_mstep(generic: Gmm, stats: SufficientStats, n: int, rho: float,
     means = alphas[:, None] * stats.means + (1.0 - alphas)[:, None] * generic.means
     covs = np.empty_like(generic.covariances)
     for j in range(k):
-        if fast:
-            covs[j] = mstep_covariance_fast(stats.second_moments[j], means[j],
-                                            generic.means[j], generic.covariances[j],
-                                            float(alphas[j]), sigma_tilde_sq)
-        elif counts[j] <= 0.0:
-            covs[j] = generic.covariances[j]
-        else:
-            covs[j] = mstep_covariance_direct(patch_matrix, gamma[:, j], means[j],
-                                              generic.means[j], generic.covariances[j],
-                                              float(alphas[j]), sigma_tilde_sq)
+        covs[j] = mstep_covariance_fast(stats.second_moments[j], means[j],
+                                        generic.means[j], generic.covariances[j],
+                                        float(alphas[j]), sigma_tilde_sq)
     return weights, means, covs
 
 
@@ -193,9 +186,8 @@ def adapt(generic: Gmm, patches, config: AdaptationConfig | None = None):
             objectives.append(float(loglik.sum()) + _log_prior(current, hyper))
         stats = sufficient_stats(x, gamma)
         start = time.perf_counter()
-        weights, means, covs = adaptation_mstep(
-            generic, stats, n, config.rho, config.sigma_tilde_sq,
-            fast=config.fast_covariance, patch_matrix=x, gamma=gamma)
+        weights, means, covs = adaptation_mstep(generic, stats, n, config.rho,
+                                                config.sigma_tilde_sq)
         total = float(weights.sum())
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"weight update drifted off the simplex (sum {total!r})")

@@ -70,12 +70,20 @@ def _manifest_path(command: str, out: Path | None, first_input: Path) -> Path:
 def _parse_betas(text: str, sigma: float):
     try:
         multipliers = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise UsageError(f"--betas expects a comma list of numbers, got {text!r}") from None
-    if not multipliers:
-        raise UsageError("--betas list is empty")
-    betas = tuple(m / sigma ** 2 for m in multipliers)
-    return HqsSchedule(betas=betas, mode_inflations=tuple(1.0 / b for b in betas))
+        return HqsSchedule.default(sigma, multipliers)
+    except ValueError as exc:
+        raise UsageError(f"--betas {text!r}: {exc}") from None
+
+
+def _hqs_denoiser(prior, sigma: float):
+    """The default-schedule HQS denoiser as an image -> image function, the
+    prefilter that SURE probes."""
+    schedule = HqsSchedule.default(sigma)
+
+    def run(img):
+        return denoise(img, sigma, prior, schedule).image
+
+    return run
 
 
 def _corpus_paths(corpus: Path):
@@ -116,23 +124,20 @@ def _cmd_train(args) -> int:
 
 def _cmd_adapt(args) -> int:
     timings = {}
+    config = AdaptationConfig(rho=args.rho, iterations=args.iters)
     generic = load_model(args.model)
     image = read_pgm(args.image)
     if args.sigma_tilde == "sure":
         if args.sigma is None:
             raise UsageError("--sigma-tilde sure requires --sigma")
-        schedule = HqsSchedule.default(args.sigma)
-
-        def run(img):
-            return denoise(img, args.sigma, generic, schedule).image
-
+        sure_config = SureConfig(seed=args.seed, probes=args.probes)
+        run = _hqs_denoiser(generic, args.sigma)
         start = time.perf_counter()
         target = run(image)
         timings["prefilter"] = time.perf_counter() - start
         start = time.perf_counter()
         sigma_tilde_sq = estimate_sigma_tilde_sq(
-            image, args.sigma, run, SureConfig(seed=args.seed, probes=args.probes),
-            baseline=target)
+            image, args.sigma, run, sure_config, baseline=target)
         timings["sure"] = time.perf_counter() - start
     else:
         try:
@@ -140,14 +145,13 @@ def _cmd_adapt(args) -> int:
         except ValueError:
             raise UsageError(f"--sigma-tilde expects a number or 'sure', got "
                              f"{args.sigma_tilde!r}") from None
-        if sigma_tilde < 0:
-            raise UsageError("--sigma-tilde must be nonnegative")
+        if not 0 <= sigma_tilde < np.inf:
+            raise UsageError("--sigma-tilde must be nonnegative and finite")
         sigma_tilde_sq = sigma_tilde ** 2
         target = image
     start = time.perf_counter()
     patches = extract_patches(target, int(np.sqrt(generic.dim)), args.stride)
-    config = AdaptationConfig(rho=args.rho, sigma_tilde_sq=sigma_tilde_sq,
-                              iterations=args.iters)
+    config = dataclasses.replace(config, sigma_tilde_sq=sigma_tilde_sq)
     adapted, report = adapt(generic, patches, config)
     timings["adapt"] = time.perf_counter() - start
     out = Path(args.out)
@@ -196,14 +200,9 @@ def _cmd_sure(args) -> int:
     timings = {}
     prior = load_model(args.model)
     noisy = read_pgm(args.input)
-    schedule = HqsSchedule.default(args.sigma)
-
-    def run(img):
-        return denoise(img, args.sigma, prior, schedule).image
-
     start = time.perf_counter()
     estimate = estimate_sigma_tilde_sq(
-        noisy, args.sigma, run,
+        noisy, args.sigma, _hqs_denoiser(prior, args.sigma),
         SureConfig(delta=args.delta, seed=args.seed, probes=args.probes))
     timings["sure"] = time.perf_counter() - start
     print(f"sigma_tilde_sq {estimate:.6f}")

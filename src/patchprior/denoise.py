@@ -25,36 +25,30 @@ _STAGE_MULTIPLIERS = (1.0, 4.0, 8.0, 16.0, 32.0)
 
 @dataclasses.dataclass(frozen=True)
 class HqsSchedule:
-    """Per-stage coupling weights and mode-selection inflations."""
+    """Per-stage coupling weights beta."""
 
     betas: tuple
-    mode_inflations: tuple
 
     def __post_init__(self):
         betas = tuple(float(b) for b in self.betas)
-        inflations = tuple(float(g) for g in self.mode_inflations)
         if not betas:
             raise ValueError("schedule must have at least one stage")
-        if len(betas) != len(inflations):
-            raise ValueError("betas and mode_inflations must have equal length")
-        if any(b <= 0 for b in betas):
-            raise ValueError("betas must be positive")
-        if any(g < 0 for g in inflations):
-            raise ValueError("mode_inflations must be nonnegative")
+        if not all(0 < b < math.inf for b in betas):
+            raise ValueError("betas must be positive and finite")
         object.__setattr__(self, "betas", betas)
-        object.__setattr__(self, "mode_inflations", inflations)
 
     @classmethod
-    def default(cls, sigma: float) -> "HqsSchedule":
-        """Five stages with beta = m / sigma^2 and inflation 1 / beta.
+    def default(cls, sigma: float, multipliers=_STAGE_MULTIPLIERS) -> "HqsSchedule":
+        """One stage per multiplier m, with beta = m / sigma^2."""
+        if not 0 < sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
+        return cls(betas=tuple(m / sigma ** 2 for m in multipliers))
 
-        The inflation matches the residual variance the stage assumes on
-        patches of the running estimate.
-        """
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
-        betas = tuple(m / sigma ** 2 for m in _STAGE_MULTIPLIERS)
-        return cls(betas=betas, mode_inflations=tuple(1.0 / b for b in betas))
+    @property
+    def mode_inflations(self) -> tuple:
+        """Mode-selection inflation 1 / beta per stage: the residual variance
+        each stage assumes on patches of the running estimate (EPLL)."""
+        return tuple(1.0 / b for b in self.betas)
 
     def __len__(self) -> int:
         return len(self.betas)
@@ -112,8 +106,8 @@ def denoise(noisy: ImageBuffer, sigma: float, prior: Gmm,
     default beta schedule so that the first stage mixes observation and
     patch estimates evenly.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < math.inf:
+        raise ValueError("sigma must be positive and finite")
     side = math.isqrt(prior.dim)
     if side * side != prior.dim:
         raise ValueError(f"prior dimension {prior.dim} is not a square patch")

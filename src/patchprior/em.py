@@ -14,7 +14,7 @@ from .gmm import (
     _patch_matrix,
 )
 
-__all__ = ["EmConfig", "InsufficientDataError", "em_fit", "em_fit_with_inflation"]
+__all__ = ["EmConfig", "InsufficientDataError", "em_fit"]
 
 log = logging.getLogger(__name__)
 
@@ -110,22 +110,23 @@ def _initialize(x, config, rng, sigma_tilde_sq):
     return weights, means, covs
 
 
-def em_fit_with_inflation(patches, config: EmConfig, sigma_tilde_sq: float):
-    """Fit a clean-signal mixture to noisy patches.
+def em_fit(patches, config: EmConfig, sigma_tilde_sq: float = 0.0):
+    """Fit a mixture to patches; returns the model and the trace.
 
-    The E-step scores patches under each covariance inflated by
-    ``sigma_tilde_sq``; the M-step subtracts the same amount from the
-    sample scatter and clamps the result to the PSD floor.  The returned
-    trace holds the mean per-patch log-likelihood of the inflated model
-    at the start of every iteration.
+    For patches that carry residual noise of variance ``sigma_tilde_sq``
+    the fit is of the clean signal: the E-step scores patches under each
+    covariance inflated by that amount, and the M-step subtracts it from
+    the sample scatter and clamps the result to the PSD floor.  The trace
+    holds the mean per-patch log-likelihood of the (inflated) model at the
+    start of every iteration.
     """
     x = _patch_matrix(patches)
     n = x.shape[0]
     if n < config.n_components:
         raise InsufficientDataError(
             f"{n} patches cannot support {config.n_components} components")
-    if sigma_tilde_sq < 0:
-        raise ValueError("sigma_tilde_sq must be nonnegative")
+    if not 0 <= sigma_tilde_sq < np.inf:
+        raise ValueError("sigma_tilde_sq must be nonnegative and finite")
     rng = np.random.default_rng(config.seed)
     weights, means, covs = _initialize(x, config, rng, sigma_tilde_sq)
     trace: list[float] = []
@@ -138,9 +139,3 @@ def em_fit_with_inflation(patches, config: EmConfig, sigma_tilde_sq: float):
         weights, means, covs = _mstep(x, gamma, counts, sigma_tilde_sq,
                                       config.psd_floor, rng)
     return Gmm(weights, means, covs), trace
-
-
-def em_fit(patches, config: EmConfig):
-    """Fit a mixture to clean patches; returns the model and the
-    per-iteration mean log-likelihood trace."""
-    return em_fit_with_inflation(patches, config, 0.0)

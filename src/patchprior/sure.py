@@ -27,8 +27,8 @@ class SureConfig:
     probes: int = 1
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not 0 < self.delta < np.inf:
+            raise ValueError("delta must be positive and finite")
         if self.floor < 0:
             raise ValueError("floor must be nonnegative")
         if self.probes < 1:

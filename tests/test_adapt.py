@@ -17,6 +17,7 @@ from patchprior.adapt import (
 from patchprior.gmm import (
     Gmm,
     HyperParams,
+    condition_psd,
     derive_hyperparams,
     log_posterior_objective,
     responsibilities,
@@ -143,12 +144,12 @@ class TestCovarianceUpdatePaths:
 
     def test_adaptation_mstep_paths_agree(self):
         rng, generic, x, gamma, stats = self._setup(5)
-        fw, fm, fc = adaptation_mstep(generic, stats, x.shape[0], rho=2.0)
-        dw, dm, dc = adaptation_mstep(generic, stats, x.shape[0], rho=2.0,
-                                      fast=False, patch_matrix=x, gamma=gamma)
-        assert np.allclose(fw, dw, atol=1e-12)
-        assert np.allclose(fm, dm, atol=1e-12)
-        assert np.allclose(fc, dc, atol=1e-9)
+        _, means, covs = adaptation_mstep(generic, stats, x.shape[0], rho=2.0)
+        alphas = stats.counts / (stats.counts + 2.0)
+        for k in range(generic.n_components):
+            ref = mstep_covariance_direct(x, gamma[:, k], means[k], generic.means[k],
+                                          generic.covariances[k], float(alphas[k]))
+            assert np.allclose(covs[k], ref, atol=1e-9)
 
 
 class TestMstepBlends:
@@ -325,11 +326,21 @@ class TestAdaptLoop:
         rng = np.random.default_rng(18)
         generic = random_gmm(rng, 3, 2)
         x = sample_gmm(generic, 150, rng)
-        fast, _ = adapt(generic, x, AdaptationConfig(rho=1.5))
-        direct, _ = adapt(generic, x, AdaptationConfig(rho=1.5, fast_covariance=False))
-        assert np.allclose(fast.weights, direct.weights, atol=1e-12)
-        assert np.allclose(fast.means, direct.means, atol=1e-12)
-        assert np.allclose(fast.covariances, direct.covariances, atol=1e-9)
+        config = AdaptationConfig(rho=1.5)
+        fast, _ = adapt(generic, x, config)
+        # one iteration rebuilt by hand on the two-pass reference
+        gamma, counts = responsibilities(generic, x)
+        alphas = counts / (counts + config.rho)
+        weights = (counts + config.rho * 3 * generic.weights) / (150 + config.rho * 3)
+        means = (alphas[:, None] * (gamma.T @ x) / counts[:, None]
+                 + (1.0 - alphas)[:, None] * generic.means)
+        covs = [condition_psd(mstep_covariance_direct(
+                    x, gamma[:, k], means[k], generic.means[k],
+                    generic.covariances[k], float(alphas[k])), config.psd_floor)
+                for k in range(3)]
+        assert np.allclose(fast.weights, weights / weights.sum(), atol=1e-12)
+        assert np.allclose(fast.means, means, atol=1e-12)
+        assert np.allclose(fast.covariances, covs, atol=1e-9)
 
     @pytest.mark.parametrize("sigma_tilde_sq", [0.0, 0.3])
     def test_reused_objectives_match_fresh_passes(self, sigma_tilde_sq):

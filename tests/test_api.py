@@ -1,0 +1,51 @@
+"""Public surface: exported names and where invalid parameters are rejected."""
+
+import importlib
+import pkgutil
+
+import numpy as np
+import pytest
+
+import patchprior
+from patchprior import (
+    AdaptationConfig,
+    EmConfig,
+    Gmm,
+    HqsSchedule,
+    ImageBuffer,
+    SureConfig,
+    denoise,
+    em_fit,
+)
+
+MODULES = ["patchprior"] + [f"patchprior.{m.name}"
+                            for m in pkgutil.iter_modules(patchprior.__path__)]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []
+
+
+def _denoise(sigma):
+    prior = Gmm(np.ones(1), np.zeros((1, 4)), np.eye(4)[None])
+    return denoise(ImageBuffer(np.zeros((4, 4))), sigma, prior)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("build", [
+    lambda v: HqsSchedule(betas=(1.0, v)),
+    lambda v: HqsSchedule.default(v),
+    lambda v: HqsSchedule.default(20.0, (1.0, v)),
+    _denoise,
+    lambda v: SureConfig(delta=v),
+    lambda v: AdaptationConfig(rho=v),
+    lambda v: AdaptationConfig(sigma_tilde_sq=v),
+    lambda v: em_fit(np.zeros((4, 2)), EmConfig(n_components=1), v),
+], ids=["schedule-betas", "schedule-sigma", "schedule-multipliers", "denoise-sigma",
+        "sure-delta", "adapt-rho", "adapt-sigma-tilde-sq", "em-sigma-tilde-sq"])
+def test_nonfinite_parameters_rejected(build, value):
+    with pytest.raises(ValueError, match="finite"):
+        build(value)

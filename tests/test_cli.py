@@ -160,6 +160,17 @@ class TestAdapt:
         # the prefilter doubles as SURE's baseline: prefilter + one probe
         assert len(runs) == 2
 
+    @pytest.mark.parametrize("bad", [["--rho", "nan"], ["--probes", "0"]])
+    def test_bad_sure_mode_settings_fail_before_prefilter(self, workspace, tmp_path,
+                                                          monkeypatch, bad):
+        runs = []
+        monkeypatch.setattr(cli_module, "denoise", lambda *a, **k: runs.append(a))
+        rc = cli_dispatch(["adapt", str(workspace / "generic.gmmp"),
+                           str(workspace / "clean.pgm"), "--out", str(tmp_path / "x.gmmp"),
+                           "--sigma-tilde", "sure", "--sigma", "20", *bad])
+        assert rc == 1
+        assert runs == []
+
     def test_sure_without_sigma_is_usage_error(self, workspace, tmp_path):
         rc = cli_dispatch(["adapt", str(workspace / "generic.gmmp"),
                            str(workspace / "clean.pgm"),
@@ -167,11 +178,12 @@ class TestAdapt:
                            "--sigma-tilde", "sure"])
         assert rc == 2
 
-    def test_bad_sigma_tilde_value(self, workspace, tmp_path):
+    @pytest.mark.parametrize("value", ["lots", "nan", "inf"])
+    def test_bad_sigma_tilde_value(self, workspace, tmp_path, value):
         rc = cli_dispatch(["adapt", str(workspace / "generic.gmmp"),
                            str(workspace / "clean.pgm"),
                            "--out", str(tmp_path / "x.gmmp"),
-                           "--sigma-tilde", "lots"])
+                           "--sigma-tilde", value])
         assert rc == 2
 
 
@@ -218,6 +230,13 @@ class TestDenoise:
         assert lines[0] == "stage,beta,psnr"
         assert len(lines) == 6
         assert lines[1].startswith("1,")
+
+    @pytest.mark.parametrize("betas", ["1,nan", "1,inf", "1,-2"])
+    def test_bad_betas_is_usage_error(self, workspace, noisy, tmp_path, betas):
+        rc = cli_dispatch(["denoise", str(noisy), "--sigma", "20",
+                           "--model", str(workspace / "generic.gmmp"),
+                           "--out", str(tmp_path / "d.pgm"), "--betas", betas])
+        assert rc == 2
 
     def test_custom_betas_in_manifest(self, workspace, noisy, tmp_path):
         out = tmp_path / "d.pgm"

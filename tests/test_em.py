@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from patchprior.em import EmConfig, InsufficientDataError, em_fit, em_fit_with_inflation
+from patchprior.em import EmConfig, InsufficientDataError, em_fit
 from patchprior.gmm import Gmm, responsibilities, sample_gmm
 
 
@@ -77,7 +77,7 @@ class TestInflation:
         x = rng.normal(0.0, 2.0, (200, 2))
         cfg = EmConfig(n_components=2, max_iters=20, seed=3)
         plain, trace_a = em_fit(x, cfg)
-        inflated, trace_b = em_fit_with_inflation(x, cfg, 0.0)
+        inflated, trace_b = em_fit(x, cfg, 0.0)
         assert np.array_equal(plain.means, inflated.means)
         assert np.array_equal(plain.covariances, inflated.covariances)
         assert trace_a == trace_b
@@ -89,7 +89,7 @@ class TestInflation:
         clean = rng.normal(0.0, 2.0, (40_000, 1))
         noisy = clean + rng.normal(0.0, np.sqrt(5.0), clean.shape)
         cfg = EmConfig(n_components=1, max_iters=5, seed=0)
-        model, _ = em_fit_with_inflation(noisy, cfg, 5.0)
+        model, _ = em_fit(noisy, cfg, 5.0)
         assert model.covariances[0, 0, 0] == pytest.approx(4.0, abs=0.25)
         plain, _ = em_fit(noisy, cfg)
         assert plain.covariances[0, 0, 0] == pytest.approx(9.0, abs=0.35)
