@@ -192,7 +192,7 @@ def adapt(generic: Gmm, patches, config: AdaptationConfig | None = None):
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"weight update drifted off the simplex (sum {total!r})")
         weights = weights / total
-        covs = np.stack([condition_psd(c, config.psd_floor) for c in covs])
+        covs = condition_psd(covs, config.psd_floor)
         mstep_seconds += time.perf_counter() - start
         alphas = counts / (counts + config.rho)
         current = Gmm(weights, means, covs)
@@ -210,11 +210,13 @@ def posterior_hyperparams(hyper: HyperParams, stats: SufficientStats) -> HyperPa
     tau = hyper.mean_strengths
     new_tau = tau + counts
     locs = (tau[:, None] * hyper.mean_locs + counts[:, None] * stats.means) / new_tau[:, None]
+    outer = stats.means[:, :, None] * stats.means[:, None, :]
+    scatters = counts[:, None, None] * (stats.second_moments - outer)
     scales = np.empty_like(hyper.scale_mats)
     for k in range(hyper.n_components):
         pull = hyper.mean_locs[k] - stats.means[k]
         shrink = tau[k] * counts[k] / new_tau[k]
-        mat = hyper.scale_mats[k] + stats.scatters[k] + shrink * np.outer(pull, pull)
+        mat = hyper.scale_mats[k] + scatters[k] + shrink * np.outer(pull, pull)
         scales[k] = 0.5 * (mat + mat.T)
     return HyperParams(
         weight_counts=hyper.weight_counts + counts,
@@ -243,11 +245,13 @@ def mstep_general(hyper: HyperParams, stats: SufficientStats, n: int) -> Gmm:
     tau = hyper.mean_strengths
     blend = counts / (tau + counts)
     means = blend[:, None] * stats.means + (1.0 - blend)[:, None] * hyper.mean_locs
+    outer = stats.means[:, :, None] * stats.means[:, None, :]
+    scatters = counts[:, None, None] * (stats.second_moments - outer)
     covs = np.empty_like(hyper.scale_mats)
     for k in range(hyper.n_components):
         dev_data = stats.means[k] - means[k]
         dev_loc = hyper.mean_locs[k] - means[k]
-        mat = (stats.scatters[k] + counts[k] * np.outer(dev_data, dev_data)
+        mat = (scatters[k] + counts[k] * np.outer(dev_data, dev_data)
                + hyper.scale_mats[k] + tau[k] * np.outer(dev_loc, dev_loc))
         mat = mat / (float(hyper.dofs[k]) + d + 2.0 + counts[k])
         covs[k] = 0.5 * (mat + mat.T)

@@ -67,6 +67,17 @@ def _manifest_path(command: str, out: Path | None, first_input: Path) -> Path:
     return first_input.with_name(f"{first_input.name}.{command}.manifest")
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_betas(text: str, sigma: float):
     try:
         multipliers = [float(tok) for tok in text.split(",") if tok.strip()]
@@ -175,8 +186,9 @@ def _cmd_denoise(args) -> int:
     prior = load_model(args.model)
     noisy = read_pgm(args.input)
     reference = read_pgm(args.ref) if args.ref else None
-    schedule = (_parse_betas(args.betas, args.sigma) if args.betas
-                else HqsSchedule.default(args.sigma))
+    schedule = HqsSchedule.default(args.sigma)  # a bad --sigma is not a --betas error
+    if args.betas:
+        schedule = _parse_betas(args.betas, args.sigma)
     start = time.perf_counter()
     result = denoise(noisy, args.sigma, prior, schedule, reference=reference)
     timings["denoise"] = time.perf_counter() - start
@@ -305,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-tilde", default="0",
                    help="residual noise scale of the adaptation image, or 'sure' "
                         "to pre-filter the image and estimate it")
-    p.add_argument("--sigma", type=float, default=None,
+    p.add_argument("--sigma", type=_finite_float, default=None,
                    help="observation noise scale, required with --sigma-tilde sure")
     p.add_argument("--iters", type=int, default=1)
     p.add_argument("--stride", type=int, default=1)
@@ -315,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("denoise", help="restore a noisy image")
     p.add_argument("input", help="noisy .pgm image")
-    p.add_argument("--sigma", type=float, required=True)
+    p.add_argument("--sigma", type=_finite_float, required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--betas", default=None,
@@ -329,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sure", help="estimate residual noise variance of the "
                                     "built-in denoiser on a noisy image")
     p.add_argument("input")
-    p.add_argument("--sigma", type=float, required=True)
+    p.add_argument("--sigma", type=_finite_float, required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--delta", type=float, default=0.01)
     p.add_argument("--seed", type=int, default=0)
@@ -338,7 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("noise", help="add seeded Gaussian noise to an image")
     p.add_argument("input")
-    p.add_argument("--sigma", type=float, required=True)
+    p.add_argument("--sigma", type=_finite_float, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_noise)

@@ -1,4 +1,6 @@
-"""Maximum-likelihood EM for full-covariance mixtures at desk scale."""
+"""Maximum-likelihood EM for full-covariance mixtures at desk scale, seeded
+by k-means++; each M-step turns one-pass moments into covariances
+Q - mu mu^T and floors the whole stack in one condition_psd call."""
 
 from __future__ import annotations
 
@@ -11,14 +13,13 @@ from .gmm import (
     Gmm,
     condition_psd,
     responsibilities,
+    sufficient_stats,
     _patch_matrix,
 )
 
 __all__ = ["EmConfig", "InsufficientDataError", "em_fit"]
 
 log = logging.getLogger(__name__)
-
-_INIT_SCHEMES = ("kmeans-plus-plus", "random-responsibility")
 
 # Soft count below which a component is considered starved and reseeded.
 _EMPTY_COUNT = 1e-8
@@ -34,7 +35,6 @@ class EmConfig:
     max_iters: int = 100
     tol: float = 1e-5
     seed: int = 0
-    init: str = "kmeans-plus-plus"
     psd_floor: float = 1e-4
 
     def __post_init__(self):
@@ -46,8 +46,6 @@ class EmConfig:
             raise ValueError("tol must be positive")
         if self.psd_floor <= 0:
             raise ValueError("psd_floor must be positive")
-        if self.init not in _INIT_SCHEMES:
-            raise ValueError(f"init must be one of {_INIT_SCHEMES}")
 
 
 def _kmeanspp_centers(x, k, rng):
@@ -67,47 +65,28 @@ def _kmeanspp_centers(x, k, rng):
     return centers
 
 
-def _mstep(x, gamma, counts, sigma_tilde_sq, floor, rng):
+def _mstep(x, gamma, sigma_tilde_sq, floor, rng):
     """Closed-form ML update with deflation and starved-component reseeds."""
     n, d = x.shape
-    k = gamma.shape[1]
-    weights = counts / n
-    means = np.zeros((k, d))
-    covs = np.empty((k, d, d))
-    starved = counts < _EMPTY_COUNT
-    for j in range(k):
-        if starved[j]:
-            continue
-        means[j] = (gamma[:, j] @ x) / counts[j]
-        dev = x - means[j]
-        scat = (gamma[:, j, None] * dev).T @ dev / counts[j]
-        if sigma_tilde_sq:
-            scat = scat - sigma_tilde_sq * np.eye(d)
-        covs[j] = condition_psd(scat, floor)
-    for j in np.flatnonzero(starved):
+    stats = sufficient_stats(x, gamma)
+    weights = stats.counts / n
+    means = stats.means.copy()
+    covs = (stats.second_moments - means[:, :, None] * means[:, None, :]
+            - sigma_tilde_sq * np.eye(d))
+    for j in np.flatnonzero(stats.counts < _EMPTY_COUNT):
         means[j] = x[rng.integers(n)]
         covs[j] = floor * np.eye(d)
         weights[j] = 1.0 / n
         log.warning("component %d starved, reseeded to a random patch", j)
-    weights = weights / weights.sum()
-    return weights, means, covs
+    return weights / weights.sum(), means, condition_psd(covs, floor)
 
 
 def _initialize(x, config, rng, sigma_tilde_sq):
-    n, d = x.shape
     k = config.n_components
-    if config.init == "random-responsibility":
-        gamma = rng.random((n, k))
-        gamma /= gamma.sum(axis=1)[:, None]
-        return _mstep(x, gamma, gamma.sum(axis=0), sigma_tilde_sq, config.psd_floor, rng)
     means = _kmeanspp_centers(x, k, rng)
-    base = np.atleast_2d(np.cov(x, rowvar=False))
-    if sigma_tilde_sq:
-        base = base - sigma_tilde_sq * np.eye(d)
-    base = condition_psd(base, config.psd_floor)
-    covs = np.repeat(base[None, :, :], k, axis=0)
-    weights = np.full(k, 1.0 / k)
-    return weights, means, covs
+    base = np.atleast_2d(np.cov(x, rowvar=False)) - sigma_tilde_sq * np.eye(x.shape[1])
+    covs = np.repeat(condition_psd(base, config.psd_floor)[None, :, :], k, axis=0)
+    return np.full(k, 1.0 / k), means, covs
 
 
 def em_fit(patches, config: EmConfig, sigma_tilde_sq: float = 0.0):
@@ -131,11 +110,10 @@ def em_fit(patches, config: EmConfig, sigma_tilde_sq: float = 0.0):
     weights, means, covs = _initialize(x, config, rng, sigma_tilde_sq)
     trace: list[float] = []
     for _ in range(config.max_iters):
-        gamma, counts, loglik = responsibilities(Gmm(weights, means, covs), x,
-                                                 sigma_tilde_sq, with_loglik=True)
+        gamma, _, loglik = responsibilities(Gmm(weights, means, covs), x,
+                                            sigma_tilde_sq, with_loglik=True)
         trace.append(float(loglik.mean()))
         if len(trace) > 1 and abs(trace[-1] - trace[-2]) <= config.tol * abs(trace[-2]):
             break
-        weights, means, covs = _mstep(x, gamma, counts, sigma_tilde_sq,
-                                      config.psd_floor, rng)
+        weights, means, covs = _mstep(x, gamma, sigma_tilde_sq, config.psd_floor, rng)
     return Gmm(weights, means, covs), trace

@@ -180,27 +180,25 @@ class HyperParams:
 
 @dataclasses.dataclass(frozen=True)
 class SufficientStats:
-    """Responsibility-weighted first and second moments of a patch set."""
+    """Responsibility-weighted first and second moments of a patch set; the
+    centered scatter of component k is counts[k] * (Q_k - mu_k mu_k^T)."""
 
     counts: np.ndarray          # (K,) soft sample counts, sum to n
     means: np.ndarray           # (K, d) weighted sample means (zero where count is zero)
-    scatters: np.ndarray        # (K, d, d) centered second moments, unnormalized
     second_moments: np.ndarray  # (K, d, d) raw second moments divided by counts
 
     def __post_init__(self):
         c = _frozen(self.counts)
         m = _frozen(self.means)
-        s = _frozen(self.scatters)
         q = _frozen(self.second_moments)
         if c.ndim != 1 or (c < 0).any():
             raise ValueError("counts must be nonnegative")
         k = c.size
         d = m.shape[1] if m.ndim == 2 else -1
-        if m.shape != (k, d) or s.shape != (k, d, d) or q.shape != (k, d, d):
+        if m.shape != (k, d) or q.shape != (k, d, d):
             raise ValueError("statistic shapes are inconsistent")
         object.__setattr__(self, "counts", c)
         object.__setattr__(self, "means", m)
-        object.__setattr__(self, "scatters", s)
         object.__setattr__(self, "second_moments", q)
 
     @property
@@ -271,41 +269,42 @@ def responsibilities(gmm: Gmm, patches, inflation: float = 0.0,
 
 
 def condition_psd(sigma, floor: float) -> np.ndarray:
-    """Project a symmetric matrix onto the cone with eigenvalues >= floor.
+    """Project a symmetric matrix, or each of a (K, d, d) stack, onto the
+    cone with eigenvalues >= floor.
 
     Symmetrizes, clamps the spectrum, and reconstructs; this is the
-    closest such matrix in Frobenius norm.  Inputs that already satisfy
-    the floor are returned symmetrized but otherwise untouched, so the
-    operation is idempotent.
+    closest such matrix in Frobenius norm, from one batched eigh for a
+    stack.  Inputs that already satisfy the floor are returned symmetrized
+    but otherwise untouched, so the operation is idempotent.
     """
     if floor <= 0:
         raise ValueError("floor must be positive")
     a = np.asarray(sigma, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix")
-    sym = 0.5 * (a + a.T)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ValueError("expected a square matrix or a stack of them")
+    sym = 0.5 * (a + np.swapaxes(a, -1, -2))
     evals, evecs = np.linalg.eigh(sym)
-    if evals[0] >= floor:
+    low = evals[..., 0] < floor
+    if not low.any():
         return sym
-    clipped = np.maximum(evals, floor)
-    out = (evecs * clipped) @ evecs.T
-    return 0.5 * (out + out.T)
+    u = evecs[low]
+    out = (u * np.maximum(evals[low], floor)[..., None, :]) @ np.swapaxes(u, -1, -2)
+    sym[low] = 0.5 * (out + np.swapaxes(out, -1, -2))
+    return sym
 
 
 def log_posterior_objective(gmm_tilde: Gmm, patches, hyper: HyperParams,
-                            inflation: float = 0.0, flat_prior: bool = False) -> float:
+                            inflation: float = 0.0) -> float:
     """Data log-likelihood plus the log conjugate prior, up to a constant.
 
     The likelihood term sums log mixture densities with each covariance
     inflated by ``inflation``.  The prior term drops its normalizer but is
     otherwise the full Dirichlet and normal-inverse-Wishart log density,
-    so differences between parameter settings are exact.  ``flat_prior``
-    returns the likelihood term alone.
+    so differences between parameter settings are exact.
     """
     _, loglik = _normalize(component_log_densities(gmm_tilde, patches, inflation,
                                                   weighted=True))
-    ll = float(loglik.sum())
-    return ll if flat_prior else ll + _log_prior(gmm_tilde, hyper)
+    return float(loglik.sum()) + _log_prior(gmm_tilde, hyper)
 
 
 def _log_prior(gmm: Gmm, hyper: HyperParams) -> float:
@@ -350,11 +349,8 @@ def derive_hyperparams(gmm: Gmm, rho: float) -> HyperParams:
 
 
 def sufficient_stats(patches, gamma) -> SufficientStats:
-    """Accumulate soft counts, means, scatters and raw second moments.
-
-    One pass over the patches; the centered scatter is recovered from the
-    raw second moment rather than recomputed.
-    """
+    """Accumulate soft counts, means and raw second moments in one pass
+    over the patches."""
     x = _patch_matrix(patches)
     g = np.asarray(gamma, dtype=np.float64)
     n, d = x.shape
@@ -363,7 +359,6 @@ def sufficient_stats(patches, gamma) -> SufficientStats:
     k = g.shape[1]
     counts = g.sum(axis=0)
     means = np.zeros((k, d))
-    scatters = np.zeros((k, d, d))
     seconds = np.zeros((k, d, d))
     for j in range(k):
         c = float(counts[j])
@@ -371,12 +366,8 @@ def sufficient_stats(patches, gamma) -> SufficientStats:
             continue
         means[j] = (g[:, j] @ x) / c
         raw = (x * g[:, j, None]).T @ x / c
-        raw = 0.5 * (raw + raw.T)
-        seconds[j] = raw
-        scat = c * (raw - np.outer(means[j], means[j]))
-        scatters[j] = 0.5 * (scat + scat.T)
-    return SufficientStats(counts=counts, means=means, scatters=scatters,
-                           second_moments=seconds)
+        seconds[j] = 0.5 * (raw + raw.T)
+    return SufficientStats(counts=counts, means=means, second_moments=seconds)
 
 
 def sample_gmm(gmm: Gmm, n: int, rng) -> np.ndarray:

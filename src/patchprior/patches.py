@@ -156,8 +156,8 @@ def accumulate_patches(patches: PatchSet, width: int, height: int):
 
 def add_gaussian_noise(image: ImageBuffer, sigma: float, seed: int) -> ImageBuffer:
     """Add seeded white Gaussian noise; values are not clipped."""
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not 0 <= sigma < np.inf:
+        raise ValueError("sigma must be nonnegative and finite")
     if sigma == 0:
         return ImageBuffer(image.pixels.copy())
     rng = np.random.default_rng(seed)

@@ -53,8 +53,8 @@ def estimate_sigma_tilde_sq(noisy: ImageBuffer, sigma: float, denoiser,
     ``baseline`` to skip the first call.  The estimate is floored (default
     1.0) because the adaptation step treats it as a variance.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < np.inf:
+        raise ValueError("sigma must be positive and finite")
     config = config or SureConfig()
     shape = noisy.pixels.shape
     n = noisy.pixels.size

@@ -25,7 +25,14 @@ from patchprior.gmm import (
     sufficient_stats,
 )
 
+from test_em import trace_condition_psd
 from test_gmm import random_gmm, random_spd
+
+
+def centred_scatter(x, resp, mean):
+    """Two-pass responsibility-weighted scatter about ``mean``, unnormalized."""
+    dev = x - mean
+    return (resp[:, None] * dev).T @ dev
 
 
 def blended_mean(stats, generic, k, rho):
@@ -63,7 +70,7 @@ class TestAnchoringLimits:
         assert np.allclose(adapted.weights, counts / 1000.0, atol=1e-9)
         assert np.allclose(adapted.means, stats.means, atol=1e-6)
         for k in range(3):
-            ml_cov = stats.scatters[k] / counts[k]
+            ml_cov = centred_scatter(x, gamma[:, k], stats.means[k]) / counts[k]
             assert np.allclose(adapted.covariances[k], ml_cov, atol=1e-5)
 
 
@@ -83,7 +90,7 @@ class TestCovarianceUpdatePaths:
         fast = mstep_covariance_fast(stats.second_moments[k], mu_tilde,
                                      generic.means[k], generic.covariances[k],
                                      alpha=1.0)
-        ml = stats.scatters[k] / stats.counts[k]
+        ml = centred_scatter(x, gamma[:, k], mu_tilde) / stats.counts[k]
         assert np.allclose(fast, ml, atol=1e-10)
 
     def test_alpha_zero_gives_generic(self):
@@ -233,7 +240,7 @@ class TestConjugatePosterior:
         post = posterior_hyperparams(hyper, stats)
         tau = hyper.mean_strengths[0]
         dev = hyper.mean_locs[0] - stats.means[0]
-        want = (hyper.scale_mats[0] + stats.scatters[0]
+        want = (hyper.scale_mats[0] + centred_scatter(x, gamma[:, 0], stats.means[0])
                 + (tau * 40.0 / (tau + 40.0)) * np.outer(dev, dev))
         assert np.allclose(post.scale_mats[0], want, atol=1e-10)
 
@@ -255,8 +262,8 @@ class TestGeneralMstep:
         assert np.allclose(model.weights, stats.counts / 90.0, atol=1e-9)
         assert np.allclose(model.means, stats.means, atol=1e-9)
         for k in range(3):
-            assert np.allclose(model.covariances[k],
-                               stats.scatters[k] / stats.counts[k], atol=1e-8)
+            ml_cov = centred_scatter(x, gamma[:, k], stats.means[k]) / stats.counts[k]
+            assert np.allclose(model.covariances[k], ml_cov, atol=1e-8)
 
     def test_matches_simplified_update_via_derived_hyper(self):
         rng = np.random.default_rng(13)
@@ -321,6 +328,14 @@ class TestAdaptLoop:
         err_comp = abs(comp.covariances[0, 0, 0] - 4.0)
         err_plain = abs(plain.covariances[0, 0, 0] - 4.0)
         assert err_comp < err_plain
+
+    def test_mstep_projects_all_components_with_one_eigh(self, monkeypatch):
+        calls = trace_condition_psd(monkeypatch,
+                                    importlib.import_module("patchprior.adapt"))
+        rng = np.random.default_rng(21)
+        generic = random_gmm(rng, 4, 3)
+        adapt(generic, rng.normal(0.0, 1.0, (60, 3)), AdaptationConfig(iterations=2))
+        assert calls == [[(4, 3, 3), 1], [(4, 3, 3), 1]]
 
     def test_fast_and_direct_loops_agree(self):
         rng = np.random.default_rng(18)

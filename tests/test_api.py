@@ -14,8 +14,10 @@ from patchprior import (
     HqsSchedule,
     ImageBuffer,
     SureConfig,
+    add_gaussian_noise,
     denoise,
     em_fit,
+    estimate_sigma_tilde_sq,
 )
 
 MODULES = ["patchprior"] + [f"patchprior.{m.name}"
@@ -41,11 +43,13 @@ def _denoise(sigma):
     lambda v: HqsSchedule.default(20.0, (1.0, v)),
     _denoise,
     lambda v: SureConfig(delta=v),
+    lambda v: estimate_sigma_tilde_sq(ImageBuffer(np.zeros((4, 4))), v, lambda img: img),
+    lambda v: add_gaussian_noise(ImageBuffer(np.zeros((4, 4))), v, seed=0),
     lambda v: AdaptationConfig(rho=v),
     lambda v: AdaptationConfig(sigma_tilde_sq=v),
     lambda v: em_fit(np.zeros((4, 2)), EmConfig(n_components=1), v),
 ], ids=["schedule-betas", "schedule-sigma", "schedule-multipliers", "denoise-sigma",
-        "sure-delta", "adapt-rho", "adapt-sigma-tilde-sq", "em-sigma-tilde-sq"])
+        "sure-delta", "sure-sigma", "noise-sigma", "adapt-rho", "adapt-sigma-tilde-sq", "em-sigma-tilde-sq"])
 def test_nonfinite_parameters_rejected(build, value):
     with pytest.raises(ValueError, match="finite"):
         build(value)

@@ -308,6 +308,33 @@ class TestUsageErrors:
         assert cli_dispatch(["--help"]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command, sigma, extra, code", [
+        ("noise", "nan", [], 2),
+        ("adapt", "inf", [], 2),
+        ("sure", "nan", [], 2),
+        ("denoise", "nan", [], 2),
+        ("denoise", "-inf", ["--betas", "1,4"], 2),
+        ("denoise", "0", [], 1),
+        ("denoise", "0", ["--betas", "1,4"], 1),
+    ], ids=["noise-nan", "adapt-inf", "sure-nan", "denoise-nan", "denoise-betas-inf",
+            "denoise-zero", "denoise-betas-zero"])
+    def test_bad_sigma_is_reported_as_sigma(self, workspace, tmp_path, capsys,
+                                            command, sigma, extra, code):
+        # non-finite is a usage error in every command; a finite bad value
+        # fails the same way with or without --betas, and never blames it
+        model, clean = str(workspace / "generic.gmmp"), str(workspace / "clean.pgm")
+        argv = {
+            "noise": ["noise", clean, "--out", str(tmp_path / "o.pgm")],
+            "adapt": ["adapt", model, clean, "--out", str(tmp_path / "o.gmmp")],
+            "sure": ["sure", clean, "--model", model],
+            "denoise": ["denoise", clean, "--model", model, "--out", str(tmp_path / "o.pgm")],
+        }[command]
+        rc = cli_dispatch([*argv, f"--sigma={sigma}", *extra])
+        message = capsys.readouterr().err.strip().splitlines()[-1]
+        assert rc == code
+        assert ("--sigma" if code == 2 else "sigma") in message
+        assert "--betas" not in message
+
     def test_missing_input_file_is_runtime_error(self, workspace, tmp_path, capsys):
         rc = cli_dispatch(["psnr", str(tmp_path / "absent.pgm"),
                            str(workspace / "clean.pgm")])
