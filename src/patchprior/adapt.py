@@ -52,8 +52,8 @@ class AdaptationConfig:
             raise ValueError("sigma_tilde_sq must be nonnegative and finite")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
-        if self.psd_floor <= 0:
-            raise ValueError("psd_floor must be positive")
+        if not 0 < self.psd_floor < np.inf:
+            raise ValueError("psd_floor must be positive and finite")
 
 
 @dataclasses.dataclass(frozen=True)

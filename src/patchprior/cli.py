@@ -305,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iters", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-5)
+    p.add_argument("--tol", type=_finite_float, default=1e-5)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("adapt", help="adapt a generic prior to one image")
@@ -313,7 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("image", help="adaptation image; the noisy image when "
                                  "--sigma-tilde is 'sure'")
     p.add_argument("--out", required=True, help="output model file")
-    p.add_argument("--rho", type=float, default=1.0, help="relevance factor")
+    p.add_argument("--rho", type=_finite_float, default=1.0, help="relevance factor")
     p.add_argument("--sigma-tilde", default="0",
                    help="residual noise scale of the adaptation image, or 'sure' "
                         "to pre-filter the image and estimate it")
@@ -343,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--sigma", type=_finite_float, required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--delta", type=float, default=0.01)
+    p.add_argument("--delta", type=_finite_float, default=0.01)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--probes", type=int, default=1)
     p.set_defaults(func=_cmd_sure)
@@ -363,7 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("toy", help="run the two-component 2-D adaptation demo")
     p.add_argument("--out-dir", default=".")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rho", type=float, default=1.0)
+    p.add_argument("--rho", type=_finite_float, default=1.0)
     p.set_defaults(func=_cmd_toy)
 
     return parser

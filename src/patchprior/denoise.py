@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .gmm import Gmm, component_log_densities
+from .gmm import Gmm, _patch_matrix, _screen_modes, component_log_densities
 from .patches import ImageBuffer, accumulate_patches, extract_patches, psnr
 
 __all__ = ["HqsSchedule", "DenoiseResult", "denoise", "select_modes", "wiener_shrink"]
@@ -77,9 +77,36 @@ def select_modes(prior: Gmm, patch_matrix, inflation: float) -> np.ndarray:
     Scores are weight times density under the component covariance plus
     ``inflation`` on the diagonal; rescaling all weights by a positive
     constant shifts every score equally and cannot change the argmax.
+
+    The result is the argmax of the float64 ``component_log_densities``,
+    found mostly in float32.  Patches and means are centred on the mean
+    of the means c, and the quadratic form q of every patch x under every
+    component k is computed in float32.  With u = 2^-24, the float64 unit
+    roundoff v = 2^-53, gamma_n(u) = n u / (1 - n u) and L_k =
+    sum_j 1 / (lambda_kj + inflation), each eigen-coordinate of x - mu_k
+    is off by at most
+        E = gamma_{d+4}(u) (|x - c| + |mu_k - c|) + gamma_{d+4}(v) (|x| + |mu_k|)
+    (Cauchy-Schwarz on each unit eigenvector; the second term is the
+    float64 kernel's own error), so the float32 form q' satisfies
+        |q' - q| <= B = gamma_{d+4}(u) q' + 2 E sqrt(q' L_k) + 3 E^2 L_k.
+    The score -q/2 is then off by at most B / 2; the screen doubles that,
+    which also covers the second-order terms, and adds 1e-6 for underflow
+    and the float64 rounding of the constants.  A patch is certified when
+    its float32 winner, lowered by B + 1e-6, still beats every other
+    component raised by its own B + 1e-6: then the float64 scores order
+    the same way.  Every other patch, including any with a non-finite
+    float32 value, is rescored by ``component_log_densities`` (about 1% of
+    the patches on natural scenes).  So the modes equal the float64 argmax
+    wherever its top two scores differ by more than that kernel's own
+    rounding; only such rounding-level ties, which the BLAS blocking of a
+    float64 call can already flip, may fall either way.
     """
-    scores = component_log_densities(prior, patch_matrix, inflation, weighted=True)
-    return scores.argmax(axis=1)
+    x = _patch_matrix(patch_matrix)
+    modes, unsure = _screen_modes(prior, x, inflation)
+    if unsure.size:
+        scores = component_log_densities(prior, x[unsure], inflation, weighted=True)
+        modes[unsure] = scores.argmax(axis=1)
+    return modes
 
 
 def wiener_shrink(prior: Gmm, component: int, patch_matrix, beta: float) -> np.ndarray:

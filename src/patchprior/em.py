@@ -42,10 +42,10 @@ class EmConfig:
             raise ValueError("n_components must be at least 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.psd_floor <= 0:
-            raise ValueError("psd_floor must be positive")
+        if not 0 < self.tol < np.inf:
+            raise ValueError("tol must be positive and finite")
+        if not 0 < self.psd_floor < np.inf:
+            raise ValueError("psd_floor must be positive and finite")
 
 
 def _kmeanspp_centers(x, k, rng):

@@ -33,6 +33,13 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 WEIGHT_SUM_TOL = 1e-12
 SYMMETRY_TOL = 1e-12
 
+# Float32 mode screen: unit roundoffs, the float32 values one row block
+# holds (2 MiB, 409 rows at K = 20 and d = 64), and the absolute score
+# slack that covers underflow and the float64 rounding of the constants.
+_U32, _U64 = 2.0 ** -24, 2.0 ** -53
+_SCREEN_VALUES = 2 ** 19
+_SCREEN_SLACK = 1e-6
+
 
 class DegeneratePatchError(ValueError):
     """A patch has zero likelihood under every mixture component."""
@@ -221,11 +228,7 @@ def component_log_densities(gmm: Gmm, points, inflation: float = 0.0,
     that posteriors and mode selection normalize or maximize.  One GEMM
     per component projects the points; no (n, K, d) array is formed.
     """
-    x = _patch_matrix(points)
-    if x.shape[1] != gmm.dim:
-        raise ValueError(f"points have dimension {x.shape[1]}, model has {gmm.dim}")
-    if inflation < 0:
-        raise ValueError("inflation must be nonnegative")
+    x = _checked_points(gmm, points, inflation)
     out = np.empty((x.shape[0], gmm.n_components))
     spectra = gmm.eigenvalues + inflation
     consts = gmm.dim * _LOG_2PI + np.log(spectra).sum(axis=1)
@@ -238,6 +241,80 @@ def component_log_densities(gmm: Gmm, points, inflation: float = 0.0,
             np.square(y, out=y)
             out[:, k] = offsets[k] - 0.5 * (consts[k] + y @ (1.0 / spectra[k]))
     return out
+
+
+def _checked_points(gmm: Gmm, points, inflation: float) -> np.ndarray:
+    x = _patch_matrix(points)
+    if x.shape[1] != gmm.dim:
+        raise ValueError(f"points have dimension {x.shape[1]}, model has {gmm.dim}")
+    if not 0 <= inflation < np.inf:
+        raise ValueError("inflation must be nonnegative and finite")
+    return x
+
+
+def _gamma(n: int, u: float) -> float:
+    """Higham's gamma_n = n u / (1 - n u), the relative error bound of an
+    n-term dot product at unit roundoff u."""
+    return n * u / (1.0 - n * u)
+
+
+def _screen_modes(gmm: Gmm, points, inflation: float):
+    """Float32 argmax of the weighted scores, and the rows it cannot certify.
+
+    Returns ``(modes, unsure)``.  For every row not in ``unsure``,
+    ``modes`` equals the float64 argmax of ``component_log_densities(gmm,
+    points, inflation, weighted=True)``; ``denoise.select_modes`` states
+    the bound that certifies it.  Rows are scored _SCREEN_VALUES // (K d)
+    at a time against the whitened bases U_k diag(lambda_k + inflation)^-1/2
+    of all K components side by side; the centred mean projections ride
+    along as one more row of the basis against a column of ones.
+    """
+    x = _checked_points(gmm, points, inflation)
+    n, d = x.shape
+    k = gmm.n_components
+    spectra = gmm.eigenvalues + inflation
+    root_l = np.sqrt((1.0 / spectra).sum(axis=1))
+    with np.errstate(divide="ignore"):
+        base = np.log(gmm.weights) - 0.5 * (d * _LOG_2PI + np.log(spectra).sum(axis=1))
+    centre = gmm.means.mean(axis=0)
+    dev = gmm.means - centre
+    white = gmm.eigenvectors / np.sqrt(spectra)[:, None, :]
+    basis = np.empty((d + 1, k, d), dtype=np.float32)
+    basis[:d] = white.transpose(1, 0, 2)
+    basis[d] = -np.einsum("kd,kde->ke", dev, white)
+    basis = basis.reshape(d + 1, k * d)
+    g32, g64 = _gamma(d + 4, _U32), _gamma(d + 4, _U64)
+    # E = g32 (|x - c| + |mu - c|) + g64 (|x| + |mu|), with |x| <= |x - c| + |c|
+    mean_err = g32 * _row_norms(dev) + g64 * (_row_norms(gmm.means) + np.linalg.norm(centre))
+    rows = max(1, _SCREEN_VALUES // (k * d))
+    lhs = np.ones((min(rows, n), d + 1), dtype=np.float32)
+    buf = np.empty((min(rows, n), k * d), dtype=np.float32)
+    modes = np.empty(n, dtype=np.intp)
+    unsure = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, rows):
+            centred = x[lo:lo + rows] - centre
+            b = centred.shape[0]
+            lhs[:b, :d] = centred
+            y = np.matmul(lhs[:b], basis, out=buf[:b]).reshape(b, k, d)
+            q = np.einsum("bkd,bkd->bk", y, y).astype(np.float64)
+            # each score is within g32 q + t + slack of its float64 value,
+            # with e = E sqrt(L_k) and t = 2 e sqrt(q) + 3 e^2
+            e = ((g32 + g64) * _row_norms(centred)[:, None] + mean_err) * root_l
+            t = e * (2.0 * np.sqrt(q) + 3.0 * e)
+            upper = base + (g32 - 0.5) * q + t + _SCREEN_SLACK
+            win = upper.argmax(axis=1)
+            at = np.arange(b), win
+            lower = upper[at] - 2.0 * (g32 * q[at] + t[at] + _SCREEN_SLACK)
+            upper[at] = -np.inf
+            sure = (lower > upper.max(axis=1)) & np.isfinite(q).all(axis=1)
+            modes[lo:lo + b] = win
+            unsure.append(lo + np.flatnonzero(~sure))
+    return modes, np.concatenate(unsure)
+
+
+def _row_norms(a) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->i", a, a))
 
 
 def _normalize(scores):
@@ -277,8 +354,8 @@ def condition_psd(sigma, floor: float) -> np.ndarray:
     stack.  Inputs that already satisfy the floor are returned symmetrized
     but otherwise untouched, so the operation is idempotent.
     """
-    if floor <= 0:
-        raise ValueError("floor must be positive")
+    if not 0 < floor < np.inf:
+        raise ValueError("floor must be positive and finite")
     a = np.asarray(sigma, dtype=np.float64)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError("expected a square matrix or a stack of them")

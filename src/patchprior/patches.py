@@ -2,8 +2,9 @@
 
 Patch origins form a regular grid: every stride-th offset plus a final
 origin flush with each border, so the whole image is always covered.
-Both extraction and accumulation exploit the grid and run as patch-pixel
-sized batches of fancy indexing instead of per-patch loops.
+Both extraction and accumulation exploit the grid instead of looping over
+patches: extraction gathers one strided window view, and accumulation adds
+one strided slice per patch pixel (plus one for the flush origin).
 """
 
 from __future__ import annotations
@@ -77,6 +78,9 @@ class PatchSet:
             raise ValueError("patch_size and stride must be positive")
         if data.ndim != 2 or data.shape != (rows.size * cols.size, s * s):
             raise ValueError("patch data does not match the origin grid")
+        for arr in (rows, cols):
+            if arr.size == 0 or arr[0] < 0 or (np.diff(arr) <= 0).any():
+                raise ValueError("origins must be nonnegative and strictly increasing")
         for arr in (data, rows, cols):
             arr.flags.writeable = False
         object.__setattr__(self, "data", data)
@@ -90,11 +94,6 @@ class PatchSet:
     @property
     def d(self) -> int:
         return self.data.shape[1]
-
-    @property
-    def origins(self) -> np.ndarray:
-        rr, cc = np.meshgrid(self.row_starts, self.col_starts, indexing="ij")
-        return np.stack([rr.ravel(), cc.ravel()], axis=1)
 
     def with_values(self, values) -> "PatchSet":
         return dataclasses.replace(self, data=values)
@@ -131,26 +130,43 @@ def extract_patches(image: ImageBuffer, patch_size: int, stride: int = 1) -> Pat
                     row_starts=rows, col_starts=cols)
 
 
+def _runs(starts: np.ndarray, stride: int):
+    """Split increasing origins into runs spaced ``stride`` apart, as
+    (index slice, first origin, last origin + 1): one run on a grid that
+    ends flush, two when the flush origin is off the stride."""
+    cuts = [0, *(np.flatnonzero(np.diff(starts) != stride) + 1).tolist(), starts.size]
+    return [(slice(i, j), int(starts[i]), int(starts[j - 1]) + 1)
+            for i, j in zip(cuts[:-1], cuts[1:])]
+
+
+def _cover(starts: np.ndarray, patch_size: int, extent: int) -> np.ndarray:
+    """How many patches along one axis cover each pixel."""
+    return np.bincount((starts[:, None] + np.arange(patch_size)).ravel(), minlength=extent)
+
+
 def accumulate_patches(patches: PatchSet, width: int, height: int):
     """Scatter patch values back onto the pixel grid.
 
     Returns the per-pixel sum of all covering patch entries and the
     per-pixel cover count.  Dividing the two reproduces an image exactly
-    where the patch values are consistent.
+    where the patch values are consistent.  Each patch pixel (a, b) adds
+    one strided slice per run of origins, so every pixel sums its terms
+    in (a, b) order; the cover is the outer product of the row and column
+    covers.
     """
-    s = patches.patch_size
+    s, stride = patches.patch_size, patches.stride
     rows, cols = patches.row_starts, patches.col_starts
     if rows[-1] + s > height or cols[-1] + s > width:
         raise ValueError("patch origins fall outside the target image")
     sums = np.zeros((height, width))
-    count = np.zeros((height, width))
     grid = patches.data.reshape(rows.size, cols.size, s, s)
+    row_runs, col_runs = _runs(rows, stride), _runs(cols, stride)
     for a in range(s):
-        ridx = rows + a
         for b in range(s):
-            sel = np.ix_(ridx, cols + b)
-            sums[sel] += grid[:, :, a, b]
-            count[sel] += 1.0
+            for ri, r0, r1 in row_runs:
+                for ci, c0, c1 in col_runs:
+                    sums[r0 + a:r1 + a:stride, c0 + b:c1 + b:stride] += grid[ri, ci, a, b]
+    count = np.outer(_cover(rows, s, height), _cover(cols, s, width)).astype(np.float64)
     return ImageBuffer(sums), ImageBuffer(count)
 
 

@@ -29,8 +29,8 @@ class SureConfig:
     def __post_init__(self):
         if not 0 < self.delta < np.inf:
             raise ValueError("delta must be positive and finite")
-        if self.floor < 0:
-            raise ValueError("floor must be nonnegative")
+        if not 0 <= self.floor < np.inf:
+            raise ValueError("floor must be nonnegative and finite")
         if self.probes < 1:
             raise ValueError("probes must be at least 1")
 

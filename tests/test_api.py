@@ -15,6 +15,8 @@ from patchprior import (
     ImageBuffer,
     SureConfig,
     add_gaussian_noise,
+    component_log_densities,
+    condition_psd,
     denoise,
     em_fit,
     estimate_sigma_tilde_sq,
@@ -48,8 +50,17 @@ def _denoise(sigma):
     lambda v: AdaptationConfig(rho=v),
     lambda v: AdaptationConfig(sigma_tilde_sq=v),
     lambda v: em_fit(np.zeros((4, 2)), EmConfig(n_components=1), v),
+    lambda v: EmConfig(n_components=1, tol=v),
+    lambda v: EmConfig(n_components=1, psd_floor=v),
+    lambda v: AdaptationConfig(psd_floor=v),
+    lambda v: SureConfig(floor=v),
+    lambda v: condition_psd(-np.eye(2), v),
+    lambda v: component_log_densities(Gmm(np.ones(1), np.zeros((1, 2)), np.eye(2)[None]),
+                                      np.zeros((3, 2)), v),
 ], ids=["schedule-betas", "schedule-sigma", "schedule-multipliers", "denoise-sigma",
-        "sure-delta", "sure-sigma", "noise-sigma", "adapt-rho", "adapt-sigma-tilde-sq", "em-sigma-tilde-sq"])
+        "sure-delta", "sure-sigma", "noise-sigma", "adapt-rho", "adapt-sigma-tilde-sq",
+        "em-sigma-tilde-sq", "em-tol", "em-psd-floor", "adapt-psd-floor", "sure-floor",
+        "condition-psd-floor", "score-inflation"])
 def test_nonfinite_parameters_rejected(build, value):
     with pytest.raises(ValueError, match="finite"):
         build(value)

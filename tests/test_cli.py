@@ -168,7 +168,8 @@ class TestAdapt:
         rc = cli_dispatch(["adapt", str(workspace / "generic.gmmp"),
                            str(workspace / "clean.pgm"), "--out", str(tmp_path / "x.gmmp"),
                            "--sigma-tilde", "sure", "--sigma", "20", *bad])
-        assert rc == 1
+        # a non-finite --rho is a usage error; --probes 0 fails the SureConfig
+        assert rc == (2 if bad[0] == "--rho" else 1)
         assert runs == []
 
     def test_sure_without_sigma_is_usage_error(self, workspace, tmp_path):
@@ -334,6 +335,26 @@ class TestUsageErrors:
         assert rc == code
         assert ("--sigma" if code == 2 else "sigma") in message
         assert "--betas" not in message
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("train", "--tol", "nan"),
+        ("adapt", "--rho", "inf"),
+        ("sure", "--delta", "nan"),
+        ("toy", "--rho", "-inf"),
+    ], ids=["train-tol", "adapt-rho", "sure-delta", "toy-rho"])
+    def test_nonfinite_setting_is_usage_error(self, workspace, tmp_path, capsys,
+                                              command, flag, value):
+        model, clean = str(workspace / "generic.gmmp"), str(workspace / "clean.pgm")
+        argv = {
+            "train": ["train", str(tmp_path), "--out", str(tmp_path / "o.gmmp")],
+            "adapt": ["adapt", model, clean, "--out", str(tmp_path / "o.gmmp")],
+            "sure": ["sure", clean, "--model", model, "--sigma", "20"],
+            "toy": ["toy", "--out-dir", str(tmp_path)],
+        }[command]
+        rc = cli_dispatch([*argv, f"{flag}={value}"])
+        message = capsys.readouterr().err.strip().splitlines()[-1]
+        assert rc == 2
+        assert flag in message and "finite" in message
 
     def test_missing_input_file_is_runtime_error(self, workspace, tmp_path, capsys):
         rc = cli_dispatch(["psnr", str(tmp_path / "absent.pgm"),

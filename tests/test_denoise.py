@@ -2,6 +2,7 @@
 
 import json
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from patchprior import (
     ImageBuffer,
     accumulate_patches,
     add_gaussian_noise,
+    component_log_densities,
     denoise,
     extract_patches,
     psnr,
@@ -21,8 +23,9 @@ from patchprior import (
 )
 from patchprior.denoise import wiener_shrink
 from patchprior.em import EmConfig, em_fit
+from patchprior.gmm import _screen_modes
 
-from synthimages import make_piecewise_image
+from synthimages import make_piecewise_image, make_smoke_image
 
 BASELINES = Path(__file__).parent / "baselines.json"
 
@@ -86,6 +89,86 @@ class TestModeSelection:
         patches = rng.uniform(0, 255, (100, d))
         assert np.array_equal(select_modes(prior, patches, 4.0),
                               select_modes(scaled, patches, 4.0))
+
+
+def float64_modes(prior, patches, inflation):
+    return component_log_densities(prior, patches, inflation, weighted=True).argmax(axis=1)
+
+
+@pytest.fixture
+def rechecked(monkeypatch):
+    """Rows that select_modes sends back to the float64 kernel, per call."""
+    calls = []
+    module = sys.modules["patchprior.denoise"]
+    original = module.component_log_densities
+
+    def counted(gmm, points, *args, **kwargs):
+        calls.append(len(points))
+        return original(gmm, points, *args, **kwargs)
+    monkeypatch.setattr(module, "component_log_densities", counted)
+    return calls
+
+
+class TestFloat32Screen:
+    """select_modes equals the float64 argmax; float32 only decides the
+    rows its rounding bound certifies."""
+
+    def test_realistic_patches_recheck_a_few_rows(self, rechecked):
+        clean = make_smoke_image(64)
+        prior, _ = em_fit(extract_patches(clean, 8, 1).data,
+                          EmConfig(n_components=8, max_iters=5, seed=0))
+        patches = extract_patches(add_gaussian_noise(clean, 20.0, seed=0), 8, 1).data
+        for inflation in (400.0, 100.0, 25.0, 12.5):
+            assert np.array_equal(select_modes(prior, patches, inflation),
+                                  float64_modes(prior, patches, inflation))
+        fraction = sum(rechecked) / (4 * len(patches))
+        assert 0.0 < fraction < 0.05
+
+    def test_near_ties_are_decided_in_float64(self, rechecked):
+        # two components whose scores differ by 1e-8 to 1e-5 nats on every
+        # patch: below the float32 bound, far above float64 rounding
+        d = 16
+        means = np.stack([np.full(d, 1000.0), np.full(d, 1000.0), np.full(d, -4000.0)])
+        means[1, 0] += 40.0
+        prior = Gmm(weights=np.array([0.45, 0.45, 0.1]), means=means,
+                    covariances=np.stack([30.0 * np.eye(d)] * 3))
+        rng = np.random.default_rng(3)
+        patches = 0.5 * (means[0] + means[1]) + rng.normal(0.0, 3.0, (2000, d))
+        patches[:, 0] = 1020.0 + rng.uniform(-1e-5, 1e-5, 2000)
+        expect = float64_modes(prior, patches, 5.0)
+        assert set(expect) == {0, 1}
+        float32_winners, _ = _screen_modes(prior, patches, 5.0)
+        assert (float32_winners != expect).any()
+        assert np.array_equal(select_modes(prior, patches, 5.0), expect)
+        assert rechecked == [2000]
+
+    def test_floored_spectra_without_inflation(self):
+        clean = extract_patches(make_piecewise_image(48), 8, 1).data
+        prior, _ = em_fit(clean, EmConfig(n_components=6, max_iters=5, seed=0))
+        assert prior.eigenvalues.min() < 1.001e-4   # flat regions sit at psd_floor
+        rng = np.random.default_rng(5)
+        for patches in (clean, clean + rng.normal(0.0, 0.01, clean.shape)):
+            assert np.array_equal(select_modes(prior, patches, 0.0),
+                                  float64_modes(prior, patches, 0.0))
+
+    def test_float32_overflow_is_rechecked(self, rechecked):
+        # squared forms past 3.4e38, and patches past float32 range entirely
+        prior = flat_prior(k=3, d=16)
+        rng = np.random.default_rng(6)
+        patches = rng.uniform(0.0, 255.0, (40, 16))
+        patches[:10] *= 1e18
+        patches[10:20] = -patches[10:20] * 1e37
+        assert np.array_equal(select_modes(prior, patches, 10.0),
+                              float64_modes(prior, patches, 10.0))
+        assert rechecked == [20]
+
+    def test_nan_rows_never_certified(self, rechecked):
+        prior = flat_prior(k=3, d=16)
+        patches = np.random.default_rng(7).uniform(0.0, 255.0, (12, 16))
+        patches[4, 3] = np.nan
+        assert np.array_equal(select_modes(prior, patches, 10.0),
+                              float64_modes(prior, patches, 10.0))
+        assert rechecked == [1]
 
 
 class TestWienerShrink:

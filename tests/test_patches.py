@@ -6,6 +6,7 @@ import pytest
 from patchprior import (
     PSNR_CAP,
     ImageBuffer,
+    PatchSet,
     PgmError,
     accumulate_patches,
     add_gaussian_noise,
@@ -79,6 +80,32 @@ class TestAccumulation:
         ps = extract_patches(img, 5, stride=4)
         _, counts = accumulate_patches(ps, 23, 11)
         assert counts.pixels.min() >= 1.0
+
+    @pytest.mark.parametrize("height,width,size,stride", [
+        (19, 13, 5, 1), (23, 11, 4, 3), (20, 12, 4, 4), (17, 23, 4, 4),
+    ], ids=["stride-1", "stride-3-flush", "stride-is-size", "stride-is-size-flush"])
+    def test_matches_per_patch_loop_bit_for_bit(self, height, width, size, stride):
+        rng = np.random.default_rng(height * width + stride)
+        ps = extract_patches(ImageBuffer(np.zeros((height, width))), size, stride)
+        values = rng.uniform(-300.0, 300.0, ps.data.shape)
+        sums, counts = accumulate_patches(ps.with_values(values), width, height)
+        # each pixel adds its terms in patch-pixel order, i.e. from the
+        # last covering origin to the first, so walk the origins backwards
+        expect_sums = np.zeros((height, width))
+        expect_counts = np.zeros((height, width))
+        grid = values.reshape(ps.row_starts.size, ps.col_starts.size, size, size)
+        for i in reversed(range(ps.row_starts.size)):
+            for j in reversed(range(ps.col_starts.size)):
+                r, c = ps.row_starts[i], ps.col_starts[j]
+                expect_sums[r:r + size, c:c + size] += grid[i, j]
+                expect_counts[r:r + size, c:c + size] += 1.0
+        assert np.array_equal(sums.pixels, expect_sums)
+        assert np.array_equal(counts.pixels, expect_counts)
+
+    def test_patch_set_rejects_unordered_origins(self):
+        with pytest.raises(ValueError, match="increasing"):
+            PatchSet(data=np.zeros((4, 4)), patch_size=2, stride=1,
+                     row_starts=[0, 0], col_starts=[0, 1])
 
 
 class TestNoise:
