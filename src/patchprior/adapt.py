@@ -148,12 +148,23 @@ def adaptation_mstep(generic: Gmm, stats: SufficientStats, n: int, rho: float,
     alphas = counts / (counts + rho)
     weights = (counts + rho * k * generic.weights) / (n + rho * k)
     means = alphas[:, None] * stats.means + (1.0 - alphas)[:, None] * generic.means
-    covs = np.empty_like(generic.covariances)
-    for j in range(k):
-        covs[j] = mstep_covariance_fast(stats.second_moments[j], means[j],
-                                        generic.means[j], generic.covariances[j],
-                                        float(alphas[j]), sigma_tilde_sq)
-    return weights, means, covs
+    # mstep_covariance_fast over the stack, in the same operation order
+    data = stats.second_moments
+    if sigma_tilde_sq:
+        data = data - sigma_tilde_sq * np.eye(generic.dim)
+    covs = (alphas[:, None, None] * data - _outers(means, means)
+            + (1.0 - alphas)[:, None, None] * (generic.covariances
+                                               + _outers(generic.means, generic.means)))
+    return weights, means, _symmetrized(covs)
+
+
+def _outers(a, b) -> np.ndarray:
+    """Row-wise outer products, (K, d) x (K, d) -> (K, d, d)."""
+    return a[:, :, None] * b[:, None, :]
+
+
+def _symmetrized(stack) -> np.ndarray:
+    return 0.5 * (stack + np.swapaxes(stack, 1, 2))
 
 
 def adapt(generic: Gmm, patches, config: AdaptationConfig | None = None):
@@ -210,19 +221,16 @@ def posterior_hyperparams(hyper: HyperParams, stats: SufficientStats) -> HyperPa
     tau = hyper.mean_strengths
     new_tau = tau + counts
     locs = (tau[:, None] * hyper.mean_locs + counts[:, None] * stats.means) / new_tau[:, None]
-    outer = stats.means[:, :, None] * stats.means[:, None, :]
-    scatters = counts[:, None, None] * (stats.second_moments - outer)
-    scales = np.empty_like(hyper.scale_mats)
-    for k in range(hyper.n_components):
-        pull = hyper.mean_locs[k] - stats.means[k]
-        shrink = tau[k] * counts[k] / new_tau[k]
-        mat = hyper.scale_mats[k] + scatters[k] + shrink * np.outer(pull, pull)
-        scales[k] = 0.5 * (mat + mat.T)
+    scatters = counts[:, None, None] * (stats.second_moments
+                                        - _outers(stats.means, stats.means))
+    pull = hyper.mean_locs - stats.means
+    shrink = tau * counts / new_tau
+    scales = hyper.scale_mats + scatters + shrink[:, None, None] * _outers(pull, pull)
     return HyperParams(
         weight_counts=hyper.weight_counts + counts,
         mean_locs=locs,
         mean_strengths=new_tau,
-        scale_mats=scales,
+        scale_mats=_symmetrized(scales),
         dofs=hyper.dofs + counts,
     )
 
@@ -245,14 +253,11 @@ def mstep_general(hyper: HyperParams, stats: SufficientStats, n: int) -> Gmm:
     tau = hyper.mean_strengths
     blend = counts / (tau + counts)
     means = blend[:, None] * stats.means + (1.0 - blend)[:, None] * hyper.mean_locs
-    outer = stats.means[:, :, None] * stats.means[:, None, :]
-    scatters = counts[:, None, None] * (stats.second_moments - outer)
-    covs = np.empty_like(hyper.scale_mats)
-    for k in range(hyper.n_components):
-        dev_data = stats.means[k] - means[k]
-        dev_loc = hyper.mean_locs[k] - means[k]
-        mat = (scatters[k] + counts[k] * np.outer(dev_data, dev_data)
-               + hyper.scale_mats[k] + tau[k] * np.outer(dev_loc, dev_loc))
-        mat = mat / (float(hyper.dofs[k]) + d + 2.0 + counts[k])
-        covs[k] = 0.5 * (mat + mat.T)
-    return Gmm(weights / weights.sum(), means, covs)
+    scatters = counts[:, None, None] * (stats.second_moments
+                                        - _outers(stats.means, stats.means))
+    dev_data = stats.means - means
+    dev_loc = hyper.mean_locs - means
+    covs = (scatters + counts[:, None, None] * _outers(dev_data, dev_data)
+            + hyper.scale_mats + tau[:, None, None] * _outers(dev_loc, dev_loc))
+    covs = covs / (hyper.dofs + d + 2.0 + counts)[:, None, None]
+    return Gmm(weights / weights.sum(), means, _symmetrized(covs))

@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "Gmm",
@@ -28,6 +27,7 @@ __all__ = [
 ]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+_TINY = np.finfo(np.float64).tiny  # smallest normal float64, 2**-1022
 
 # Construction-time tolerances, absolute.
 WEIGHT_SUM_TOL = 1e-12
@@ -123,8 +123,7 @@ class HyperParams:
 
     ``dofs`` may sit below the proper-density threshold d - 1.  Small
     relevance factors land there on purpose; the closed-form updates stay
-    well defined, and ``is_proper`` reports whether the parameters also
-    describe a normalizable density.
+    well defined.
     """
 
     weight_counts: np.ndarray   # (K,) Dirichlet pseudo-counts, > 0
@@ -171,18 +170,6 @@ class HyperParams:
     @property
     def dim(self) -> int:
         return self.mean_locs.shape[1]
-
-    @property
-    def is_proper(self) -> bool:
-        d = self.dim
-        if (self.dofs <= d - 1).any():
-            return False
-        try:
-            for k in range(self.n_components):
-                scipy.linalg.cholesky(self.scale_mats[k], lower=True, check_finite=False)
-        except np.linalg.LinAlgError:
-            return False
-        return True
 
 
 @dataclasses.dataclass(frozen=True)
@@ -318,14 +305,26 @@ def _row_norms(a) -> np.ndarray:
 
 
 def _normalize(scores):
-    """Posterior rows of a score matrix and each row's log normalizer."""
+    """Posterior rows of a score matrix and each row's log normalizer.
+
+    Posteriors below the smallest normal float64, 2**-1022 (about
+    2.2e-308), are set to exactly 0.0 after the division; a subnormal
+    operand slows every product it enters on x86, and the moments are
+    built from such products.  Each flushed entry moves by less than
+    2**-1022, so over n rows a count moves by less than n * 2**-1022 and
+    a moment sum by less than that times max x**2: below one ulp of any
+    component with mass above about 1e-280.  The log normalizer comes
+    from the unflushed row sum.
+    """
     top = scores.max(axis=1)
     if not np.isfinite(top).all():
         bad = int(np.flatnonzero(~np.isfinite(top))[0])
         raise DegeneratePatchError(f"patch {bad} has no support under any component")
     z = np.exp(scores - top[:, None])
     total = z.sum(axis=1)
-    return z / total[:, None], top + np.log(total)
+    gamma = z / total[:, None]
+    gamma[gamma < _TINY] = 0.0
+    return gamma, top + np.log(total)
 
 
 def responsibilities(gmm: Gmm, patches, inflation: float = 0.0,
@@ -337,7 +336,9 @@ def responsibilities(gmm: Gmm, patches, inflation: float = 0.0,
     mixture density of each patch, which is the likelihood term of
     ``log_posterior_objective`` at no extra cost.  Computed through a
     shifted softmax so the result is exact up to rounding even when every
-    density underflows.
+    density underflows.  Every entry is either 0.0 or at least 2**-1022:
+    subnormal posteriors are flushed to zero, which moves a count by less
+    than n * 2**-1022 (see ``_normalize``).
     """
     gamma, loglik = _normalize(component_log_densities(gmm, patches, inflation, weighted=True))
     if with_loglik:
@@ -427,13 +428,25 @@ def derive_hyperparams(gmm: Gmm, rho: float) -> HyperParams:
 
 def sufficient_stats(patches, gamma) -> SufficientStats:
     """Accumulate soft counts, means and raw second moments in one pass
-    over the patches."""
+    over the patches.
+
+    ``gamma`` must be finite and nonnegative; a NaN, infinite or negative
+    entry raises ``ValueError``.  Subnormal entries give the same moments
+    as zeros, to within n * 2**-1022 per count (times max x**2 per moment
+    sum), but cost a microcode assist per product on x86;
+    ``responsibilities`` never returns them.
+    """
     x = _patch_matrix(patches)
     g = np.asarray(gamma, dtype=np.float64)
     n, d = x.shape
     if g.shape[0] != n or g.ndim != 2:
         raise ValueError("responsibility matrix does not match the patch matrix")
     k = g.shape[1]
+    bad = np.flatnonzero(~(g >= 0.0) | (g == np.inf))
+    if bad.size:
+        i, j = divmod(int(bad[0]), k)
+        raise ValueError(f"responsibility [{i}, {j}] is {float(g[i, j])}; "
+                         "responsibilities must be finite and nonnegative")
     counts = g.sum(axis=0)
     means = np.zeros((k, d))
     seconds = np.zeros((k, d, d))

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from patchprior import add_gaussian_noise, extract_patches
+from patchprior.em import EmConfig, em_fit
 from patchprior.gmm import (
     DegeneratePatchError,
     Gmm,
@@ -20,6 +22,10 @@ from patchprior.gmm import (
     sample_gmm,
     sufficient_stats,
 )
+
+from synthimages import make_smoke_image
+
+TINY = np.finfo(np.float64).tiny
 
 
 def random_spd(rng, d, lo=0.5, hi=3.0):
@@ -162,6 +168,52 @@ class TestResponsibilities:
                 responsibilities(gmm, np.array([[1e300]]))
 
 
+@pytest.fixture(scope="module")
+def noisy_scene():
+    """A K=8 prior fitted to a clean 64x64 smoke scene, and the stride-1
+    patches of that scene plus N(0, 10^2) noise."""
+    clean = make_smoke_image(64)
+    prior, _ = em_fit(extract_patches(clean, 8, 1).data,
+                      EmConfig(n_components=8, max_iters=5, seed=0))
+    return prior, extract_patches(add_gaussian_noise(clean, 10.0, seed=0), 8, 1).data
+
+
+class TestSubnormalFlush:
+    """Posteriors below 2**-1022 are exactly zero, and nothing built from
+    them moves."""
+
+    def _unflushed(self, prior, patches):
+        scores = component_log_densities(prior, patches, 100.0, weighted=True)
+        top = scores.max(axis=1)
+        z = np.exp(scores - top[:, None])
+        total = z.sum(axis=1)
+        return z / total[:, None], top + np.log(total)
+
+    def test_subnormal_posteriors_flushed_to_zero(self, noisy_scene):
+        prior, patches = noisy_scene
+        raw, _ = self._unflushed(prior, patches)
+        assert ((raw > 0.0) & (raw < TINY)).any()
+        gamma, _ = responsibilities(prior, patches, 100.0)
+        assert ((gamma == 0.0) | (gamma >= TINY)).all()
+        assert np.array_equal(gamma, np.where(raw < TINY, 0.0, raw))
+        assert np.allclose(gamma.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+
+    def test_counts_and_moments_unchanged(self, noisy_scene):
+        prior, patches = noisy_scene
+        raw, _ = self._unflushed(prior, patches)
+        gamma, counts = responsibilities(prior, patches, 100.0)
+        assert np.array_equal(counts, raw.sum(axis=0))
+        flushed, unflushed = sufficient_stats(patches, gamma), sufficient_stats(patches, raw)
+        for field in ("counts", "means", "second_moments"):
+            assert np.array_equal(getattr(flushed, field), getattr(unflushed, field))
+
+    def test_loglik_unchanged(self, noisy_scene):
+        prior, patches = noisy_scene
+        _, loglik = self._unflushed(prior, patches)
+        assert np.array_equal(responsibilities(prior, patches, 100.0, with_loglik=True)[2],
+                              loglik)
+
+
 class TestConditionPsd:
     def test_identity_unchanged(self):
         out = condition_psd(np.eye(3), 1e-4)
@@ -254,23 +306,6 @@ class TestGmmValidation:
                   covariances=np.eye(2)[None])
         with pytest.raises(ValueError):
             gmm.weights[0] = 0.5
-
-
-class TestHyperParams:
-    def test_propriety_flag(self):
-        d = 2
-        proper = HyperParams(weight_counts=np.array([2.0]),
-                             mean_locs=np.zeros((1, d)),
-                             mean_strengths=np.array([1.0]),
-                             scale_mats=np.eye(d)[None] * 2.0,
-                             dofs=np.array([d + 0.5]))
-        assert proper.is_proper
-        improper = HyperParams(weight_counts=np.array([2.0]),
-                               mean_locs=np.zeros((1, d)),
-                               mean_strengths=np.array([1.0]),
-                               scale_mats=np.eye(d)[None] * 2.0,
-                               dofs=np.array([d - 1.5]))
-        assert not improper.is_proper
 
 
 class TestDeriveHyperparams:
@@ -417,6 +452,13 @@ class TestSufficientStats:
         assert stats.counts[1] == 0.0
         assert np.all(stats.means[1] == 0.0)
         assert np.all(stats.second_moments[1] == 0.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-3])
+    def test_bad_responsibilities_rejected(self, value):
+        gamma = np.full((5, 2), 0.5)
+        gamma[3, 1] = value
+        with pytest.raises(ValueError, match=r"responsibility \[3, 1\] .* finite and nonnegative"):
+            sufficient_stats(np.ones((5, 2)), gamma)
 
 
 class TestSampleGmm:
