@@ -52,7 +52,6 @@ from .model_io import (
 from .patches import (
     PSNR_CAP,
     ImageBuffer,
-    PatchSet,
     accumulate_patches,
     add_gaussian_noise,
     extract_patches,
@@ -77,7 +76,6 @@ __all__ = [
     "InsufficientDataError",
     "ModelFileError",
     "PSNR_CAP",
-    "PatchSet",
     "PgmError",
     "SufficientStats",
     "SureConfig",

@@ -82,30 +82,33 @@ class AdaptationReport:
 
 
 def mstep_covariance_fast(second_moment, mu_tilde, generic_mean, generic_cov,
-                          alpha: float, sigma_tilde_sq: float = 0.0) -> np.ndarray:
+                          alpha, sigma_tilde_sq: float = 0.0) -> np.ndarray:
     """Covariance update from the precomputed raw second moment.
 
-    Algebraically identical to the two-pass form whenever ``mu_tilde`` is
-    the blended mean update for the same ``alpha``; never touches
-    individual patches, so its cost is independent of the patch count.
+    Takes one component, (d, d) and (d,) arrays with a scalar ``alpha``,
+    or all K, (K, d, d) and (K, d) stacks with (K,) alphas.  Algebraically
+    identical to the two-pass form whenever ``mu_tilde`` is the blended
+    mean update for the same ``alpha``; never touches individual patches,
+    so its cost is independent of the patch count.
     """
     mu_tilde = np.asarray(mu_tilde, dtype=np.float64)
-    d = mu_tilde.size
+    generic_mean = np.asarray(generic_mean, dtype=np.float64)
+    alpha = np.asarray(alpha, dtype=np.float64)[..., None, None]
     data = np.asarray(second_moment, dtype=np.float64)
     if sigma_tilde_sq:
-        data = data - sigma_tilde_sq * np.eye(d)
-    out = (alpha * data - np.outer(mu_tilde, mu_tilde)
+        data = data - sigma_tilde_sq * np.eye(mu_tilde.shape[-1])
+    out = (alpha * data - _outers(mu_tilde, mu_tilde)
            + (1.0 - alpha) * (np.asarray(generic_cov, dtype=np.float64)
-                              + np.outer(generic_mean, generic_mean)))
-    return 0.5 * (out + out.T)
+                              + _outers(generic_mean, generic_mean)))
+    return _symmetrized(out)
 
 
 def mstep_covariance_direct(patch_matrix, resp, mu_tilde, generic_mean, generic_cov,
                             alpha: float, sigma_tilde_sq: float = 0.0) -> np.ndarray:
     """Literal two-pass covariance update, kept as reference and benchmark.
 
-    Walks every patch again to build the responsibility-weighted scatter
-    about ``mu_tilde`` one outer product at a time.
+    Walks every patch again to build the scatter about ``mu_tilde``, each
+    patch scaled by its responsibility, one outer product at a time.
     """
     x = _patch_matrix(patch_matrix)
     resp = np.asarray(resp, dtype=np.float64)
@@ -117,8 +120,8 @@ def mstep_covariance_direct(patch_matrix, resp, mu_tilde, generic_mean, generic_
     dev = x - mu_tilde
     acc = np.zeros((d, d))
     term = np.empty((d, d))
-    for weighted, row in zip(resp[:, None] * dev, dev):
-        np.multiply.outer(weighted, row, out=term)
+    for scaled, row in zip(resp[:, None] * dev, dev):
+        np.multiply.outer(scaled, row, out=term)
         acc += term
     data = acc / count
     if sigma_tilde_sq:
@@ -136,8 +139,8 @@ def adaptation_mstep(generic: Gmm, stats: SufficientStats, n: int, rho: float,
 
     The weight update is the exact maximizer of the penalized objective;
     its components sum to one by construction.  Covariances come from the
-    one-pass formula; for a component with no mass (alpha 0) that is the
-    generic covariance.
+    one-pass formula of ``mstep_covariance_fast``; for a component with no
+    mass (alpha 0) that is the generic covariance.
     """
     if stats.n_components != generic.n_components or stats.dim != generic.dim:
         raise ValueError("statistics do not match the generic model shape")
@@ -148,23 +151,18 @@ def adaptation_mstep(generic: Gmm, stats: SufficientStats, n: int, rho: float,
     alphas = counts / (counts + rho)
     weights = (counts + rho * k * generic.weights) / (n + rho * k)
     means = alphas[:, None] * stats.means + (1.0 - alphas)[:, None] * generic.means
-    # mstep_covariance_fast over the stack, in the same operation order
-    data = stats.second_moments
-    if sigma_tilde_sq:
-        data = data - sigma_tilde_sq * np.eye(generic.dim)
-    covs = (alphas[:, None, None] * data - _outers(means, means)
-            + (1.0 - alphas)[:, None, None] * (generic.covariances
-                                               + _outers(generic.means, generic.means)))
-    return weights, means, _symmetrized(covs)
+    covs = mstep_covariance_fast(stats.second_moments, means, generic.means,
+                                 generic.covariances, alphas, sigma_tilde_sq)
+    return weights, means, covs
 
 
 def _outers(a, b) -> np.ndarray:
-    """Row-wise outer products, (K, d) x (K, d) -> (K, d, d)."""
-    return a[:, :, None] * b[:, None, :]
+    """Row-wise outer products, (..., d) x (..., d) -> (..., d, d)."""
+    return a[..., :, None] * b[..., None, :]
 
 
 def _symmetrized(stack) -> np.ndarray:
-    return 0.5 * (stack + np.swapaxes(stack, 1, 2))
+    return 0.5 * (stack + np.swapaxes(stack, -1, -2))
 
 
 def adapt(generic: Gmm, patches, config: AdaptationConfig | None = None):
@@ -180,8 +178,6 @@ def adapt(generic: Gmm, patches, config: AdaptationConfig | None = None):
     """
     config = config or AdaptationConfig()
     x = _patch_matrix(patches)
-    if x.shape[1] != generic.dim:
-        raise ValueError(f"patches have dimension {x.shape[1]}, model has {generic.dim}")
     n = x.shape[0]
     hyper = derive_hyperparams(generic, config.rho)
     current = generic

@@ -23,7 +23,7 @@ from .denoise import HqsSchedule, denoise
 from .em import EmConfig, em_fit
 from .ioutil import atomic_write_bytes
 from .model_io import load_model, save_model
-from .patches import add_gaussian_noise, extract_patches, psnr
+from .patches import _patch_side, add_gaussian_noise, extract_patches, psnr
 from .pgm import read_pgm, write_pgm
 from .sure import SureConfig, estimate_sigma_tilde_sq
 from .toy import run_trial
@@ -110,8 +110,7 @@ def _cmd_train(args) -> int:
     timings = {}
     start = time.perf_counter()
     paths = _corpus_paths(Path(args.corpus))
-    blocks = [extract_patches(read_pgm(p), args.patch_size, args.stride).data
-              for p in paths]
+    blocks = [extract_patches(read_pgm(p), args.patch_size, args.stride) for p in paths]
     data = np.concatenate(blocks, axis=0)
     timings["extract"] = time.perf_counter() - start
     start = time.perf_counter()
@@ -137,6 +136,7 @@ def _cmd_adapt(args) -> int:
     timings = {}
     config = AdaptationConfig(rho=args.rho, iterations=args.iters)
     generic = load_model(args.model)
+    side = _patch_side(generic.dim)
     image = read_pgm(args.image)
     if args.sigma_tilde == "sure":
         if args.sigma is None:
@@ -161,7 +161,7 @@ def _cmd_adapt(args) -> int:
         sigma_tilde_sq = sigma_tilde ** 2
         target = image
     start = time.perf_counter()
-    patches = extract_patches(target, int(np.sqrt(generic.dim)), args.stride)
+    patches = extract_patches(target, side, args.stride)
     config = dataclasses.replace(config, sigma_tilde_sq=sigma_tilde_sq)
     adapted, report = adapt(generic, patches, config)
     timings["adapt"] = time.perf_counter() - start

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .gmm import Gmm, _patch_matrix, _screen_modes, component_log_densities
-from .patches import ImageBuffer, accumulate_patches, extract_patches, psnr
+from .patches import ImageBuffer, _patch_side, accumulate_patches, extract_patches, psnr
 
 __all__ = ["HqsSchedule", "DenoiseResult", "denoise", "select_modes", "wiener_shrink"]
 
@@ -104,7 +104,7 @@ def select_modes(prior: Gmm, patch_matrix, inflation: float) -> np.ndarray:
     x = _patch_matrix(patch_matrix)
     modes, unsure = _screen_modes(prior, x, inflation)
     if unsure.size:
-        scores = component_log_densities(prior, x[unsure], inflation, weighted=True)
+        scores = component_log_densities(prior, x[unsure], inflation)
         modes[unsure] = scores.argmax(axis=1)
     return modes
 
@@ -135,11 +135,7 @@ def denoise(noisy: ImageBuffer, sigma: float, prior: Gmm,
     """
     if not 0 < sigma < math.inf:
         raise ValueError("sigma must be positive and finite")
-    side = math.isqrt(prior.dim)
-    if side * side != prior.dim:
-        raise ValueError(f"prior dimension {prior.dim} is not a square patch")
-    if side > min(noisy.width, noisy.height):
-        raise ValueError("patch size exceeds the image")
+    side = _patch_side(prior.dim)
     schedule = schedule if schedule is not None else HqsSchedule.default(sigma)
     k = prior.n_components
     data_weight = prior.dim / sigma ** 2
@@ -149,14 +145,13 @@ def denoise(noisy: ImageBuffer, sigma: float, prior: Gmm,
     histograms = []
     for stage, (beta, delta) in enumerate(schedule.stages()):
         patches = extract_patches(ImageBuffer(x), side, 1)
-        modes = select_modes(prior, patches.data, delta)
+        modes = select_modes(prior, patches, delta)
         histograms.append(np.bincount(modes, minlength=k))
-        values = np.empty_like(patches.data)
+        # disjoint mode groups, each gathered before its write: shrink in place
         for j in np.unique(modes):
             idx = np.flatnonzero(modes == j)
-            values[idx] = wiener_shrink(prior, j, patches.data[idx], beta)
-        sums, cover = accumulate_patches(patches.with_values(values),
-                                         noisy.width, noisy.height)
+            patches[idx] = wiener_shrink(prior, j, patches[idx], beta)
+        sums, cover = accumulate_patches(patches, noisy.width, noisy.height)
         x = (data_weight * observed + beta * sums.pixels) / (data_weight + beta * cover.pixels)
         if not np.isfinite(x).all():
             raise FloatingPointError(f"non-finite pixel values after stage {stage}")

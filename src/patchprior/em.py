@@ -107,13 +107,12 @@ def em_fit(patches, config: EmConfig, sigma_tilde_sq: float = 0.0):
     if not 0 <= sigma_tilde_sq < np.inf:
         raise ValueError("sigma_tilde_sq must be nonnegative and finite")
     rng = np.random.default_rng(config.seed)
-    weights, means, covs = _initialize(x, config, rng, sigma_tilde_sq)
+    model = Gmm(*_initialize(x, config, rng, sigma_tilde_sq))
     trace: list[float] = []
     for _ in range(config.max_iters):
-        gamma, _, loglik = responsibilities(Gmm(weights, means, covs), x,
-                                            sigma_tilde_sq, with_loglik=True)
+        gamma, _, loglik = responsibilities(model, x, sigma_tilde_sq, with_loglik=True)
         trace.append(float(loglik.mean()))
         if len(trace) > 1 and abs(trace[-1] - trace[-2]) <= config.tol * abs(trace[-2]):
             break
-        weights, means, covs = _mstep(x, gamma, sigma_tilde_sq, config.psd_floor, rng)
-    return Gmm(weights, means, covs), trace
+        model = Gmm(*_mstep(x, gamma, sigma_tilde_sq, config.psd_floor, rng))
+    return model, trace

@@ -52,9 +52,8 @@ def _frozen(array, dtype=np.float64) -> np.ndarray:
 
 
 def _patch_matrix(patches) -> np.ndarray:
-    """Accept a PatchSet or a plain (n, d) array of row vectors."""
-    data = getattr(patches, "data", patches)
-    mat = np.asarray(data, dtype=np.float64)
+    """Check a nonempty (n, d) array of row vectors; returns it as float64."""
+    mat = np.asarray(patches, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] == 0:
         raise ValueError(f"expected a nonempty (n, d) patch matrix, got shape {mat.shape}")
     return mat
@@ -174,11 +173,11 @@ class HyperParams:
 
 @dataclasses.dataclass(frozen=True)
 class SufficientStats:
-    """Responsibility-weighted first and second moments of a patch set; the
+    """Soft per-component first and second moments of a patch matrix; the
     centered scatter of component k is counts[k] * (Q_k - mu_k mu_k^T)."""
 
     counts: np.ndarray          # (K,) soft sample counts, sum to n
-    means: np.ndarray           # (K, d) weighted sample means (zero where count is zero)
+    means: np.ndarray           # (K, d) soft sample means (zero where count is zero)
     second_moments: np.ndarray  # (K, d, d) raw second moments divided by counts
 
     def __post_init__(self):
@@ -204,16 +203,15 @@ class SufficientStats:
         return self.means.shape[1]
 
 
-def component_log_densities(gmm: Gmm, points, inflation: float = 0.0,
-                            weighted: bool = False) -> np.ndarray:
-    """(n, K) matrix of per-component Gaussian log densities.
+def component_log_densities(gmm: Gmm, points, inflation: float = 0.0) -> np.ndarray:
+    """(n, K) matrix of joint log scores log w_k + log N(x; mu_k, C_k + inflation I).
 
     ``inflation`` is added to every covariance diagonal, which is how
     observation noise of that variance is folded into a clean-signal
-    covariance; in the cached eigenbasis it shifts the spectrum.
-    ``weighted`` adds the log mixture weights, giving the joint log score
-    that posteriors and mode selection normalize or maximize.  One GEMM
-    per component projects the points; no (n, K, d) array is formed.
+    covariance; in the cached eigenbasis it shifts the spectrum.  These
+    are the scores that posteriors and mode selection normalize or
+    maximize.  One GEMM per component projects the points; no (n, K, d)
+    array is formed.
     """
     x = _checked_points(gmm, points, inflation)
     out = np.empty((x.shape[0], gmm.n_components))
@@ -221,7 +219,7 @@ def component_log_densities(gmm: Gmm, points, inflation: float = 0.0,
     consts = gmm.dim * _LOG_2PI + np.log(spectra).sum(axis=1)
     y = np.empty(x.shape)
     with np.errstate(over="ignore", divide="ignore"):
-        offsets = np.log(gmm.weights) if weighted else np.zeros(gmm.n_components)
+        offsets = np.log(gmm.weights)
         for k, basis in enumerate(gmm.eigenvectors):
             np.matmul(x, basis, out=y)
             y -= gmm.means[k] @ basis
@@ -246,11 +244,11 @@ def _gamma(n: int, u: float) -> float:
 
 
 def _screen_modes(gmm: Gmm, points, inflation: float):
-    """Float32 argmax of the weighted scores, and the rows it cannot certify.
+    """Float32 argmax of the joint scores, and the rows it cannot certify.
 
     Returns ``(modes, unsure)``.  For every row not in ``unsure``,
     ``modes`` equals the float64 argmax of ``component_log_densities(gmm,
-    points, inflation, weighted=True)``; ``denoise.select_modes`` states
+    points, inflation)``; ``denoise.select_modes`` states
     the bound that certifies it.  Rows are scored _SCREEN_VALUES // (K d)
     at a time against the whitened bases U_k diag(lambda_k + inflation)^-1/2
     of all K components side by side; the centred mean projections ride
@@ -340,7 +338,7 @@ def responsibilities(gmm: Gmm, patches, inflation: float = 0.0,
     subnormal posteriors are flushed to zero, which moves a count by less
     than n * 2**-1022 (see ``_normalize``).
     """
-    gamma, loglik = _normalize(component_log_densities(gmm, patches, inflation, weighted=True))
+    gamma, loglik = _normalize(component_log_densities(gmm, patches, inflation))
     if with_loglik:
         return gamma, gamma.sum(axis=0), loglik
     return gamma, gamma.sum(axis=0)
@@ -380,8 +378,7 @@ def log_posterior_objective(gmm_tilde: Gmm, patches, hyper: HyperParams,
     otherwise the full Dirichlet and normal-inverse-Wishart log density,
     so differences between parameter settings are exact.
     """
-    _, loglik = _normalize(component_log_densities(gmm_tilde, patches, inflation,
-                                                  weighted=True))
+    _, loglik = _normalize(component_log_densities(gmm_tilde, patches, inflation))
     return float(loglik.sum()) + _log_prior(gmm_tilde, hyper)
 
 

@@ -1,21 +1,22 @@
 """Image container, overlapping patch operators, noise synthesis, PSNR.
 
-Patch origins form a regular grid: every stride-th offset plus a final
-origin flush with each border, so the whole image is always covered.
-Both extraction and accumulation exploit the grid instead of looping over
-patches: extraction gathers one strided window view, and accumulation adds
-one strided slice per patch pixel (plus one for the flush origin).
+Patches are (n, d) matrices, one flattened square patch per row, taken
+at origins on a regular grid: every stride-th offset plus a final origin
+flush with each border, so the whole image is always covered.  Neither
+operator loops over patches: extraction gathers one strided window view,
+and accumulation rebuilds the grid and adds one strided slice per patch
+pixel (plus one for the flush origin).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
 __all__ = [
     "ImageBuffer",
-    "PatchSet",
     "PSNR_CAP",
     "extract_patches",
     "accumulate_patches",
@@ -55,51 +56,20 @@ class ImageBuffer:
         return self.pixels.shape[1]
 
 
-@dataclasses.dataclass(frozen=True)
-class PatchSet:
-    """Vectorized patches plus the origin grid they came from.
-
-    Row i of ``data`` is the patch at origin (row_starts[i // len(col_starts)],
-    col_starts[i % len(col_starts)]), itself flattened row-major.
-    """
-
-    data: np.ndarray
-    patch_size: int
-    stride: int
-    row_starts: np.ndarray
-    col_starts: np.ndarray
-
-    def __post_init__(self):
-        data = np.array(self.data, dtype=np.float64)
-        rows = np.array(self.row_starts, dtype=np.intp)
-        cols = np.array(self.col_starts, dtype=np.intp)
-        s = int(self.patch_size)
-        if s < 1 or int(self.stride) < 1:
-            raise ValueError("patch_size and stride must be positive")
-        if data.ndim != 2 or data.shape != (rows.size * cols.size, s * s):
-            raise ValueError("patch data does not match the origin grid")
-        for arr in (rows, cols):
-            if arr.size == 0 or arr[0] < 0 or (np.diff(arr) <= 0).any():
-                raise ValueError("origins must be nonnegative and strictly increasing")
-        for arr in (data, rows, cols):
-            arr.flags.writeable = False
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "row_starts", rows)
-        object.__setattr__(self, "col_starts", cols)
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.data.shape[1]
-
-    def with_values(self, values) -> "PatchSet":
-        return dataclasses.replace(self, data=values)
+def _patch_side(dim: int) -> int:
+    """Side of a square patch of ``dim`` pixels; any other ``dim`` is an error."""
+    side = math.isqrt(dim)
+    if side < 1 or side * side != dim:
+        raise ValueError(f"dimension {dim} is not a square patch")
+    return side
 
 
 def _coverage_starts(extent: int, patch_size: int, stride: int) -> np.ndarray:
+    """Patch origins along one image axis."""
+    if stride < 1:
+        raise ValueError("stride must be positive")
+    if not 1 <= patch_size <= extent:
+        raise ValueError(f"patch size {patch_size} does not fit an image side of {extent}")
     last = extent - patch_size
     starts = list(range(0, last + 1, stride))
     if starts[-1] != last:
@@ -107,27 +77,20 @@ def _coverage_starts(extent: int, patch_size: int, stride: int) -> np.ndarray:
     return np.asarray(starts, dtype=np.intp)
 
 
-def extract_patches(image: ImageBuffer, patch_size: int, stride: int = 1) -> PatchSet:
+def extract_patches(image: ImageBuffer, patch_size: int, stride: int = 1) -> np.ndarray:
     """Slide a patch_size window over the image at the given stride.
 
     A final row and column of origins is added whenever the stride does
     not land flush on the border, so every pixel belongs to at least one
-    patch.
+    patch.  Returns a fresh C-contiguous (n, patch_size**2) float64
+    matrix whose rows run over the origins row-major.
     """
-    s = int(patch_size)
-    if s < 1:
-        raise ValueError("patch_size must be positive")
-    if int(stride) < 1:
-        raise ValueError("stride must be positive")
-    if s > image.height or s > image.width:
-        raise ValueError(
-            f"patch size {s} exceeds image extent {image.height}x{image.width}")
-    rows = _coverage_starts(image.height, s, int(stride))
-    cols = _coverage_starts(image.width, s, int(stride))
+    s, stride = int(patch_size), int(stride)
+    rows = _coverage_starts(image.height, s, stride)
+    cols = _coverage_starts(image.width, s, stride)
     view = np.lib.stride_tricks.sliding_window_view(image.pixels, (s, s))
     data = view[np.ix_(rows, cols)].reshape(rows.size * cols.size, s * s)
-    return PatchSet(data=np.ascontiguousarray(data), patch_size=s, stride=int(stride),
-                    row_starts=rows, col_starts=cols)
+    return np.ascontiguousarray(data)
 
 
 def _runs(starts: np.ndarray, stride: int):
@@ -144,8 +107,9 @@ def _cover(starts: np.ndarray, patch_size: int, extent: int) -> np.ndarray:
     return np.bincount((starts[:, None] + np.arange(patch_size)).ravel(), minlength=extent)
 
 
-def accumulate_patches(patches: PatchSet, width: int, height: int):
-    """Scatter patch values back onto the pixel grid.
+def accumulate_patches(values, width: int, height: int, stride: int = 1):
+    """Scatter patch values, laid out as ``extract_patches`` returns them for
+    an image of this extent and stride, back onto the pixel grid.
 
     Returns the per-pixel sum of all covering patch entries and the
     per-pixel cover count.  Dividing the two reproduces an image exactly
@@ -154,12 +118,17 @@ def accumulate_patches(patches: PatchSet, width: int, height: int):
     in (a, b) order; the cover is the outer product of the row and column
     covers.
     """
-    s, stride = patches.patch_size, patches.stride
-    rows, cols = patches.row_starts, patches.col_starts
-    if rows[-1] + s > height or cols[-1] + s > width:
-        raise ValueError("patch origins fall outside the target image")
+    x = np.asarray(values, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"expected an (n, d) patch matrix, got shape {x.shape}")
+    s, stride = _patch_side(x.shape[1]), int(stride)
+    rows = _coverage_starts(height, s, stride)
+    cols = _coverage_starts(width, s, stride)
+    if x.shape[0] != rows.size * cols.size:
+        raise ValueError(f"{x.shape[0]} patches do not match the {rows.size}x{cols.size} "
+                         f"origin grid of a {height}x{width} image at stride {stride}")
     sums = np.zeros((height, width))
-    grid = patches.data.reshape(rows.size, cols.size, s, s)
+    grid = x.reshape(rows.size, cols.size, s, s)
     row_runs, col_runs = _runs(rows, stride), _runs(cols, stride)
     for a in range(s):
         for b in range(s):

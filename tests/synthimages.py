@@ -103,5 +103,5 @@ def make_smoke_image(size=128):
 
 def corpus_patches(size=128, patch_size=8, stride=1):
     """Stacked patch matrix over the whole corpus."""
-    blocks = [extract_patches(img, patch_size, stride).data for img in make_corpus(size)]
+    blocks = [extract_patches(img, patch_size, stride) for img in make_corpus(size)]
     return np.concatenate(blocks, axis=0)

@@ -409,7 +409,7 @@ def test_criterion_10_infrastructure(tmp_path):
 
     img = make_piecewise_image(32)
     pats = extract_patches(img, 8, 3)
-    sums, counts = accumulate_patches(pats, 32, 32)
+    sums, counts = accumulate_patches(pats, 32, 32, stride=3)
     recon_err = float(np.abs(sums.pixels / counts.pixels - img.pixels).max())
 
     shifted = ImageBuffer(img.pixels + 1.0)

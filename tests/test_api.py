@@ -1,7 +1,11 @@
 """Public surface: exported names and where invalid parameters are rejected."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +35,14 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_scipy_is_not_imported_at_runtime():
+    src = str(Path(patchprior.__file__).resolve().parent.parent)
+    code = "import sys, patchprior, patchprior.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def _denoise(sigma):

@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from patchprior import ImageBuffer, load_model, read_pgm, write_pgm
+from patchprior import ImageBuffer, load_model, read_pgm, save_model, write_pgm
 import patchprior.cli as cli_module
 from patchprior.cli import cli_dispatch
+from patchprior.toy import GENERIC_TRUTH
 
 from synthimages import make_piecewise_image, make_smoke_image
 from test_denoise import check_baseline
@@ -171,6 +172,16 @@ class TestAdapt:
         # a non-finite --rho is a usage error; --probes 0 fails the SureConfig
         assert rc == (2 if bad[0] == "--rho" else 1)
         assert runs == []
+
+    def test_non_square_model_is_rejected_as_such(self, workspace, tmp_path, capsys):
+        # the 2-D toy prior models no square patch; this used to surface as a
+        # patch-dimension mismatch after extracting 1x1 patches
+        model = tmp_path / "toy.gmmp"
+        save_model(GENERIC_TRUTH, model)
+        rc = cli_dispatch(["adapt", str(model), str(workspace / "clean.pgm"),
+                           "--out", str(tmp_path / "x.gmmp"), "--sigma-tilde", "0"])
+        assert rc == 1
+        assert "square" in capsys.readouterr().err
 
     def test_sure_without_sigma_is_usage_error(self, workspace, tmp_path):
         rc = cli_dispatch(["adapt", str(workspace / "generic.gmmp"),

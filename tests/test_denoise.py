@@ -92,7 +92,7 @@ class TestModeSelection:
 
 
 def float64_modes(prior, patches, inflation):
-    return component_log_densities(prior, patches, inflation, weighted=True).argmax(axis=1)
+    return component_log_densities(prior, patches, inflation).argmax(axis=1)
 
 
 @pytest.fixture
@@ -115,9 +115,9 @@ class TestFloat32Screen:
 
     def test_realistic_patches_recheck_a_few_rows(self, rechecked):
         clean = make_smoke_image(64)
-        prior, _ = em_fit(extract_patches(clean, 8, 1).data,
+        prior, _ = em_fit(extract_patches(clean, 8, 1),
                           EmConfig(n_components=8, max_iters=5, seed=0))
-        patches = extract_patches(add_gaussian_noise(clean, 20.0, seed=0), 8, 1).data
+        patches = extract_patches(add_gaussian_noise(clean, 20.0, seed=0), 8, 1)
         for inflation in (400.0, 100.0, 25.0, 12.5):
             assert np.array_equal(select_modes(prior, patches, inflation),
                                   float64_modes(prior, patches, inflation))
@@ -143,7 +143,7 @@ class TestFloat32Screen:
         assert rechecked == [2000]
 
     def test_floored_spectra_without_inflation(self):
-        clean = extract_patches(make_piecewise_image(48), 8, 1).data
+        clean = extract_patches(make_piecewise_image(48), 8, 1)
         prior, _ = em_fit(clean, EmConfig(n_components=6, max_iters=5, seed=0))
         assert prior.eigenvalues.min() < 1.001e-4   # flat regions sit at psd_floor
         rng = np.random.default_rng(5)
@@ -240,18 +240,18 @@ class TestDenoise:
         out = denoise(img, sigma, prior, sched)
         # reconstruct the stage's v field: modes under the same inflation
         patches = extract_patches(img, 4, 1)
-        modes = select_modes(prior, patches.data, 50.0)
+        modes = select_modes(prior, patches, 50.0)
         beta = 0.02
-        v = np.empty_like(patches.data)
+        v = np.empty_like(patches)
         for k in range(3):
             idx = np.where(modes == k)[0]
             if idx.size == 0:
                 continue
             cov = prior.covariances[k]
             a = beta * cov + np.eye(16)
-            rhs = prior.means[k][None, :] + beta * (patches.data[idx] @ cov)
+            rhs = prior.means[k][None, :] + beta * (patches[idx] @ cov)
             v[idx] = np.linalg.solve(a, rhs.T).T
-        sums, counts = accumulate_patches(patches.with_values(v), 20, 20)
+        sums, counts = accumulate_patches(v, 20, 20)
         dw = 16.0 / sigma ** 2
         lhs = (dw + beta * counts.pixels) * out.image.pixels
         rhs = dw * img.pixels + beta * sums.pixels
@@ -260,8 +260,8 @@ class TestDenoise:
     def test_self_trained_prior_gains_on_piecewise_image(self):
         clean = make_piecewise_image(64)
         patches = extract_patches(clean, 8, 1)
-        prior, _ = em_fit(patches.data, EmConfig(n_components=10, max_iters=20,
-                                                 tol=1e-4, seed=0))
+        prior, _ = em_fit(patches, EmConfig(n_components=10, max_iters=20,
+                                            tol=1e-4, seed=0))
         noisy = add_gaussian_noise(clean, 20.0, seed=1)
         out = denoise(noisy, 20.0, prior, reference=clean)
         gain = psnr(clean, out.image) - psnr(clean, noisy)
@@ -275,7 +275,7 @@ class TestDenoise:
         out = denoise(noisy, 15.0, prior, reference=clean)
         assert out.psnr_trace is not None
         assert len(out.psnr_trace) == 5
-        assert out.mode_histograms[0].sum() == extract_patches(clean, 4, 1).n
+        assert out.mode_histograms[0].sum() == extract_patches(clean, 4, 1).shape[0]
 
     def test_no_reference_no_trace(self):
         img = ImageBuffer(np.full((10, 10), 90.0))

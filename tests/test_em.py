@@ -34,6 +34,19 @@ def trace_condition_psd(monkeypatch, module):
     return calls
 
 
+def count_eigh(monkeypatch):
+    """Count np.linalg.eigh calls, in a one-element list."""
+    calls = [0]
+    real_eigh = np.linalg.eigh
+
+    def eigh(*args, **kwargs):
+        calls[0] += 1
+        return real_eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    return calls
+
+
 class TestConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -166,6 +179,17 @@ class TestEdgeCases:
         em_fit(x, EmConfig(n_components=4, max_iters=1, seed=0))
         # the initial shared covariance, then one M-step over the whole stack
         assert calls == [[(3, 3), 1], [(4, 3, 3), 1]]
+
+    def test_converged_fit_factors_each_model_once(self, monkeypatch):
+        calls = count_eigh(monkeypatch)
+        rng = np.random.default_rng(13)
+        x = np.concatenate([rng.normal(-4.0, 1.0, (150, 2)),
+                            rng.normal(4.0, 1.0, (150, 2))])
+        _, trace = em_fit(x, EmConfig(n_components=2, max_iters=100, tol=1e-6, seed=0))
+        assert len(trace) < 100
+        # one floor of the initial covariance, one Gmm per model (the initial
+        # one and one per M-step) and one floor per M-step, len(trace) - 1 of them
+        assert calls[0] == 2 * len(trace)
 
     def test_psd_floor_respected(self):
         # rank-deficient data: all points on a line

@@ -173,9 +173,9 @@ def noisy_scene():
     """A K=8 prior fitted to a clean 64x64 smoke scene, and the stride-1
     patches of that scene plus N(0, 10^2) noise."""
     clean = make_smoke_image(64)
-    prior, _ = em_fit(extract_patches(clean, 8, 1).data,
+    prior, _ = em_fit(extract_patches(clean, 8, 1),
                       EmConfig(n_components=8, max_iters=5, seed=0))
-    return prior, extract_patches(add_gaussian_noise(clean, 10.0, seed=0), 8, 1).data
+    return prior, extract_patches(add_gaussian_noise(clean, 10.0, seed=0), 8, 1)
 
 
 class TestSubnormalFlush:
@@ -183,7 +183,7 @@ class TestSubnormalFlush:
     them moves."""
 
     def _unflushed(self, prior, patches):
-        scores = component_log_densities(prior, patches, 100.0, weighted=True)
+        scores = component_log_densities(prior, patches, 100.0)
         top = scores.max(axis=1)
         z = np.exp(scores - top[:, None])
         total = z.sum(axis=1)
@@ -401,7 +401,7 @@ class TestLogPosteriorObjective:
         gmm = random_gmm(rng, 3, 2)
         x = rng.standard_normal((60, 2))
         gamma, _, loglik = responsibilities(gmm, x, with_loglik=True)
-        scores = component_log_densities(gmm, x) + np.log(gmm.weights)
+        scores = component_log_densities(gmm, x)
         # independent accumulation: per-point scaled linear-sum of densities
         direct = 0.0
         for i in range(60):

@@ -6,7 +6,6 @@ import pytest
 from patchprior import (
     PSNR_CAP,
     ImageBuffer,
-    PatchSet,
     PgmError,
     accumulate_patches,
     add_gaussian_noise,
@@ -17,9 +16,14 @@ from patchprior import (
 )
 
 
-def reconstruct(patches, width, height):
-    sums, counts = accumulate_patches(patches, width, height)
+def reconstruct(patches, width, height, stride):
+    sums, counts = accumulate_patches(patches, width, height, stride)
     return sums.pixels / counts.pixels
+
+
+def grid_origins(extent, size, stride):
+    """Every stride-th offset, plus the origin flush with the far border."""
+    return sorted(set(range(0, extent - size + 1, stride)) | {extent - size})
 
 
 class TestExtraction:
@@ -27,23 +31,22 @@ class TestExtraction:
         img = ImageBuffer(np.arange(100, dtype=np.float64).reshape(10, 10))
         ps = extract_patches(img, 8, stride=8)
         # origins 0 and the forced final 2, per axis
-        assert ps.n == 4
-        assert list(ps.row_starts) == [0, 2]
-        assert list(ps.col_starts) == [0, 2]
+        assert ps.shape == (4, 64)
+        assert np.array_equal(ps[-1], img.pixels[2:10, 2:10].ravel())
 
     def test_stride_one_dense_grid(self):
         img = ImageBuffer(np.zeros((64, 64)))
         ps = extract_patches(img, 8, stride=1)
-        assert ps.n == 57 * 57
-        assert ps.d == 64
+        assert ps.shape == (57 * 57, 64)
+        assert ps.dtype == np.float64 and ps.flags.c_contiguous
 
     def test_patch_rows_are_row_major_pixels(self):
         img = ImageBuffer(np.arange(25, dtype=np.float64).reshape(5, 5))
         ps = extract_patches(img, 2, stride=3)
         # top-left patch covers pixels (0,0),(0,1),(1,0),(1,1)
-        assert list(ps.data[0]) == [0.0, 1.0, 5.0, 6.0]
+        assert list(ps[0]) == [0.0, 1.0, 5.0, 6.0]
         # final flush origin is 3 on both axes
-        assert list(ps.data[-1]) == [18.0, 19.0, 23.0, 24.0]
+        assert list(ps[-1]) == [18.0, 19.0, 23.0, 24.0]
 
     def test_rejects_patch_larger_than_image(self):
         img = ImageBuffer(np.zeros((5, 5)))
@@ -57,14 +60,14 @@ class TestAccumulation:
         rng = np.random.default_rng(size * 100 + stride)
         img = ImageBuffer(rng.uniform(0.0, 255.0, (size, size)))
         ps = extract_patches(img, min(8, size), stride=stride)
-        back = reconstruct(ps, size, size)
+        back = reconstruct(ps, size, size, stride)
         assert np.max(np.abs(back - img.pixels)) <= 1e-12
 
     def test_round_trip_rectangular(self):
         rng = np.random.default_rng(0)
         img = ImageBuffer(rng.uniform(0.0, 255.0, (13, 21)))
         ps = extract_patches(img, 4, stride=3)
-        back = reconstruct(ps, 21, 13)
+        back = reconstruct(ps, 21, 13, 3)
         assert np.max(np.abs(back - img.pixels)) <= 1e-12
 
     def test_interior_coverage_at_stride_one(self):
@@ -78,7 +81,7 @@ class TestAccumulation:
     def test_counts_positive_everywhere(self):
         img = ImageBuffer(np.zeros((11, 23)))
         ps = extract_patches(img, 5, stride=4)
-        _, counts = accumulate_patches(ps, 23, 11)
+        _, counts = accumulate_patches(ps, 23, 11, stride=4)
         assert counts.pixels.min() >= 1.0
 
     @pytest.mark.parametrize("height,width,size,stride", [
@@ -86,26 +89,34 @@ class TestAccumulation:
     ], ids=["stride-1", "stride-3-flush", "stride-is-size", "stride-is-size-flush"])
     def test_matches_per_patch_loop_bit_for_bit(self, height, width, size, stride):
         rng = np.random.default_rng(height * width + stride)
-        ps = extract_patches(ImageBuffer(np.zeros((height, width))), size, stride)
-        values = rng.uniform(-300.0, 300.0, ps.data.shape)
-        sums, counts = accumulate_patches(ps.with_values(values), width, height)
+        rows = grid_origins(height, size, stride)
+        cols = grid_origins(width, size, stride)
+        values = rng.uniform(-300.0, 300.0, (len(rows) * len(cols), size * size))
+        sums, counts = accumulate_patches(values, width, height, stride)
         # each pixel adds its terms in patch-pixel order, i.e. from the
         # last covering origin to the first, so walk the origins backwards
         expect_sums = np.zeros((height, width))
         expect_counts = np.zeros((height, width))
-        grid = values.reshape(ps.row_starts.size, ps.col_starts.size, size, size)
-        for i in reversed(range(ps.row_starts.size)):
-            for j in reversed(range(ps.col_starts.size)):
-                r, c = ps.row_starts[i], ps.col_starts[j]
+        grid = values.reshape(len(rows), len(cols), size, size)
+        for i in reversed(range(len(rows))):
+            for j in reversed(range(len(cols))):
+                r, c = rows[i], cols[j]
                 expect_sums[r:r + size, c:c + size] += grid[i, j]
                 expect_counts[r:r + size, c:c + size] += 1.0
         assert np.array_equal(sums.pixels, expect_sums)
         assert np.array_equal(counts.pixels, expect_counts)
 
-    def test_patch_set_rejects_unordered_origins(self):
-        with pytest.raises(ValueError, match="increasing"):
-            PatchSet(data=np.zeros((4, 4)), patch_size=2, stride=1,
-                     row_starts=[0, 0], col_starts=[0, 1])
+    def test_rejects_row_count_off_the_grid(self):
+        # a 10x10 image at patch size 4 and stride 3 has a 3x3 origin grid
+        with pytest.raises(ValueError, match="grid"):
+            accumulate_patches(np.zeros((8, 16)), 10, 10, stride=3)
+        with pytest.raises(ValueError, match="grid"):
+            accumulate_patches(np.zeros((9, 16)), 10, 10, stride=1)
+
+    @pytest.mark.parametrize("d", [0, 2, 15])
+    def test_rejects_non_square_patch_dimension(self, d):
+        with pytest.raises(ValueError, match="square"):
+            accumulate_patches(np.zeros((4, d)), 10, 10)
 
 
 class TestNoise:
