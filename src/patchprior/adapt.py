@@ -56,23 +56,34 @@ class AdaptationConfig:
             raise ValueError("psd_floor must be positive and finite")
 
 
+# The timed phases of an adapt() call, in AdaptationReport's ``*_seconds`` fields.
+_PHASES = ("estep", "stats", "mstep", "objective")
+
+
 @dataclasses.dataclass(frozen=True)
 class AdaptationReport:
     """Diagnostics from one adapt() call.
 
     ``objectives`` holds the penalized log objective after each
-    iteration's update, ``alphas`` and ``counts`` come from the final
-    E-step, and ``mstep_seconds`` is wall-clock time spent in M-steps.
+    iteration's update, and ``alphas`` and ``counts`` come from the final
+    E-step.  The ``*_seconds`` fields are wall-clock totals over all
+    iterations of each phase: E-steps (responsibilities), sufficient
+    statistics, M-steps (update, PSD floor and the new model's
+    factorization) and objective evaluation.
     """
 
     objectives: tuple[float, ...]
     alphas: np.ndarray
     counts: np.ndarray
+    estep_seconds: float
+    stats_seconds: float
     mstep_seconds: float
+    objective_seconds: float
 
     def to_text(self) -> str:
-        lines = [f"iterations = {len(self.objectives)}",
-                 f"mstep_seconds = {self.mstep_seconds:.6f}"]
+        lines = [f"iterations = {len(self.objectives)}"]
+        for phase in _PHASES:
+            lines.append(f"{phase}_seconds = {getattr(self, phase + '_seconds'):.6f}")
         for i, value in enumerate(self.objectives, start=1):
             lines.append(f"objective_iter_{i} = {value:.6f}")
         lines.append("component alpha count")
@@ -182,30 +193,39 @@ def adapt(generic: Gmm, patches, config: AdaptationConfig | None = None):
     hyper = derive_hyperparams(generic, config.rho)
     current = generic
     objectives = []
-    mstep_seconds = 0.0
+    seconds = dict.fromkeys(_PHASES, 0.0)
+    clock = time.perf_counter()
+
+    def lap(phase):
+        nonlocal clock
+        now = time.perf_counter()
+        seconds[phase] += now - clock
+        clock = now
+
     alphas = counts = None
     for i in range(config.iterations):
         gamma, counts, loglik = responsibilities(current, x, config.sigma_tilde_sq,
                                                  with_loglik=True)
+        lap("estep")
         if i:
             # The previous iteration's model scored under the same inflation:
             # its objective's likelihood term is this E-step's normalizer.
             objectives.append(float(loglik.sum()) + _log_prior(current, hyper))
+            lap("objective")
         stats = sufficient_stats(x, gamma)
-        start = time.perf_counter()
+        lap("stats")
         weights, means, covs = adaptation_mstep(generic, stats, n, config.rho,
                                                 config.sigma_tilde_sq)
         total = float(weights.sum())
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"weight update drifted off the simplex (sum {total!r})")
-        weights = weights / total
-        covs = condition_psd(covs, config.psd_floor)
-        mstep_seconds += time.perf_counter() - start
         alphas = counts / (counts + config.rho)
-        current = Gmm(weights, means, covs)
+        current = Gmm(weights / total, means, condition_psd(covs, config.psd_floor))
+        lap("mstep")
     objectives.append(log_posterior_objective(current, x, hyper, config.sigma_tilde_sq))
-    report = AdaptationReport(objectives=tuple(objectives), alphas=alphas,
-                              counts=counts, mstep_seconds=mstep_seconds)
+    lap("objective")
+    report = AdaptationReport(objectives=tuple(objectives), alphas=alphas, counts=counts,
+                              **{f"{phase}_seconds": s for phase, s in seconds.items()})
     return current, report
 
 

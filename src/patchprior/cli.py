@@ -78,6 +78,17 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _parse_betas(text: str, sigma: float):
     try:
         multipliers = [float(tok) for tok in text.split(",") if tok.strip()]
@@ -300,11 +311,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit a generic prior to a corpus of PGM images")
     p.add_argument("corpus", help="directory of .pgm files")
     p.add_argument("--out", required=True, help="output model file")
-    p.add_argument("--k", type=int, default=20, help="number of mixture components")
-    p.add_argument("--patch-size", type=int, default=8)
-    p.add_argument("--stride", type=int, default=1)
+    p.add_argument("--k", type=_positive_int, default=20, help="number of mixture components")
+    p.add_argument("--patch-size", type=_positive_int, default=8)
+    p.add_argument("--stride", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iters", type=int, default=100)
+    p.add_argument("--max-iters", type=_positive_int, default=100)
     p.add_argument("--tol", type=_finite_float, default=1e-5)
     p.set_defaults(func=_cmd_train)
 
@@ -319,10 +330,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         "to pre-filter the image and estimate it")
     p.add_argument("--sigma", type=_finite_float, default=None,
                    help="observation noise scale, required with --sigma-tilde sure")
-    p.add_argument("--iters", type=int, default=1)
-    p.add_argument("--stride", type=int, default=1)
+    p.add_argument("--iters", type=_positive_int, default=1)
+    p.add_argument("--stride", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--probes", type=int, default=1)
+    p.add_argument("--probes", type=_positive_int, default=1)
     p.set_defaults(func=_cmd_adapt)
 
     p = sub.add_parser("denoise", help="restore a noisy image")
@@ -345,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--delta", type=_finite_float, default=0.01)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--probes", type=int, default=1)
+    p.add_argument("--probes", type=_positive_int, default=1)
     p.set_defaults(func=_cmd_sure)
 
     p = sub.add_parser("noise", help="add seeded Gaussian noise to an image")

@@ -85,13 +85,16 @@ def select_modes(prior: Gmm, patch_matrix, inflation: float) -> np.ndarray:
     roundoff v = 2^-53, gamma_n(u) = n u / (1 - n u) and L_k =
     sum_j 1 / (lambda_kj + inflation), each eigen-coordinate of x - mu_k
     is off by at most
-        E = gamma_{d+4}(u) (|x - c| + |mu_k - c|) + gamma_{d+4}(v) (|x| + |mu_k|)
-    (Cauchy-Schwarz on each unit eigenvector; the second term is the
-    float64 kernel's own error), so the float32 form q' satisfies
+        E = (gamma_{d+4}(u) + gamma_{2d+4}(v)) (|x - c| + |mu_k - c|)
+    (Cauchy-Schwarz on each unit eigenvector; the gamma(v) term is the
+    error of the float64 kernel, which forms the same centred products
+    with the mean's projection as one more term), so the float32 form q'
+    satisfies
         |q' - q| <= B = gamma_{d+4}(u) q' + 2 E sqrt(q' L_k) + 3 E^2 L_k.
     The score -q/2 is then off by at most B / 2; the screen doubles that,
-    which also covers the second-order terms, and adds 1e-6 for underflow
-    and the float64 rounding of the constants.  A patch is certified when
+    which also covers the second-order terms and the float64 rounding
+    gamma_d(v) q of the squared norm, and adds 1e-6 for underflow and the
+    float64 rounding of the constants.  A patch is certified when
     its float32 winner, lowered by B + 1e-6, still beats every other
     component raised by its own B + 1e-6: then the float64 scores order
     the same way.  Every other patch, including any with a non-finite

@@ -33,11 +33,13 @@ _TINY = np.finfo(np.float64).tiny  # smallest normal float64, 2**-1022
 WEIGHT_SUM_TOL = 1e-12
 SYMMETRY_TOL = 1e-12
 
-# Float32 mode screen: unit roundoffs, the float32 values one row block
-# holds (2 MiB, 409 rows at K = 20 and d = 64), and the absolute score
-# slack that covers underflow and the float64 rounding of the constants.
+# Blocked kernels: the values one row-block buffer holds, at most K d per
+# row (4 MiB in float64, 2 MiB in float32; 409 rows at K = 20 and d = 64).
+_BLOCK_VALUES = 2 ** 19
+
+# Float32 mode screen: unit roundoffs, and the absolute score slack that
+# covers underflow and the float64 rounding of the constants.
 _U32, _U64 = 2.0 ** -24, 2.0 ** -53
-_SCREEN_VALUES = 2 ** 19
 _SCREEN_SLACK = 1e-6
 
 
@@ -210,21 +212,26 @@ def component_log_densities(gmm: Gmm, points, inflation: float = 0.0) -> np.ndar
     observation noise of that variance is folded into a clean-signal
     covariance; in the cached eigenbasis it shifts the spectrum.  These
     are the scores that posteriors and mode selection normalize or
-    maximize.  One GEMM per component projects the points; no (n, K, d)
-    array is formed.
+    maximize.  Rows are scored a block at a time by one GEMM against all
+    K components (see ``_scoring_layout``); no (n, K, d) array is formed.
+
+    Rounding, with v = 2^-53, gamma_n = n v / (1 - n v), c the mean of the
+    means and L_k = sum_j 1 / (lambda_kj + inflation): coordinate j of the
+    whitened deviation of x from mu_k is a (d+1)-term dot product of
+    centred, rounded operands, one of them the mean's projection, itself a
+    d-term dot product.  It is off by at most gamma_{2d+4} (|x - c| +
+    |mu_k - c|) / sqrt(lambda_kj + inflation) (Cauchy-Schwarz on the unit
+    eigenvector), so the whole deviation is off by at most
+        e_k = gamma_{2d+4} (|x - c| + |mu_k - c|) sqrt(L_k)
+    in Euclidean norm.  Its squared norm q is then off by at most
+    gamma_d q + (1 + gamma_d)(2 e_k sqrt(q) + e_k^2), and the score by half
+    that plus the rounding of its offset and of the final subtraction.
     """
     x = _checked_points(gmm, points, inflation)
+    centre, basis, base = _scoring_layout(gmm, inflation, np.float64)
     out = np.empty((x.shape[0], gmm.n_components))
-    spectra = gmm.eigenvalues + inflation
-    consts = gmm.dim * _LOG_2PI + np.log(spectra).sum(axis=1)
-    y = np.empty(x.shape)
-    with np.errstate(over="ignore", divide="ignore"):
-        offsets = np.log(gmm.weights)
-        for k, basis in enumerate(gmm.eigenvectors):
-            np.matmul(x, basis, out=y)
-            y -= gmm.means[k] @ basis
-            np.square(y, out=y)
-            out[:, k] = offsets[k] - 0.5 * (consts[k] + y @ (1.0 / spectra[k]))
+    for lo, _, q in _blocked_forms(x, centre, basis):
+        out[lo:lo + q.shape[0]] = base - 0.5 * q
     return out
 
 
@@ -235,6 +242,49 @@ def _checked_points(gmm: Gmm, points, inflation: float) -> np.ndarray:
     if not 0 <= inflation < np.inf:
         raise ValueError("inflation must be nonnegative and finite")
     return x
+
+
+def _scoring_layout(gmm: Gmm, inflation: float, dtype):
+    """The centre c, the (d+1, K d) scoring basis in ``dtype`` and the (K,)
+    score offsets.
+
+    Columns k d .. k d + d - 1 of the basis hold the whitened basis
+    U_k diag(lambda_k + inflation)^-1/2 of component k; its last row holds
+    -(mu_k - c) times that basis.  A row [x - c, 1] times the basis is
+    every component's whitened deviation of x from its mean, and
+    log w_k - (d log 2 pi + sum_j log(lambda_kj + inflation)) / 2 minus
+    half its squared norm is the joint score.  The constants are formed in
+    float64 and cast once.
+    """
+    d, k = gmm.dim, gmm.n_components
+    spectra = gmm.eigenvalues + inflation
+    with np.errstate(divide="ignore"):
+        base = np.log(gmm.weights) - 0.5 * (d * _LOG_2PI + np.log(spectra).sum(axis=1))
+    centre = gmm.means.mean(axis=0)
+    white = gmm.eigenvectors / np.sqrt(spectra)[:, None, :]
+    basis = np.empty((d + 1, k, d), dtype=dtype)
+    basis[:d] = white.transpose(1, 0, 2)
+    basis[d] = -np.einsum("kd,kde->ke", gmm.means - centre, white)
+    return centre, basis.reshape(d + 1, k * d), base
+
+
+def _blocked_forms(x, centre, basis):
+    """Yield ``(lo, centred, q)`` for each block of rows of x from row lo:
+    the float64 rows minus the centre, and the (b, K) squared whitened
+    norms, computed in the basis dtype by one GEMM per block."""
+    n, d = x.shape
+    k = basis.shape[1] // d
+    rows = max(1, _BLOCK_VALUES // (k * d))
+    lhs = np.ones((min(rows, n), d + 1), dtype=basis.dtype)
+    buf = np.empty((min(rows, n), k * d), dtype=basis.dtype)
+    for lo in range(0, n, rows):
+        centred = x[lo:lo + rows] - centre
+        b = centred.shape[0]
+        lhs[:b, :d] = centred
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = np.matmul(lhs[:b], basis, out=buf[:b]).reshape(b, k, d)
+            q = np.einsum("bkd,bkd->bk", y, y)
+        yield lo, centred, q
 
 
 def _gamma(n: int, u: float) -> float:
@@ -249,40 +299,23 @@ def _screen_modes(gmm: Gmm, points, inflation: float):
     Returns ``(modes, unsure)``.  For every row not in ``unsure``,
     ``modes`` equals the float64 argmax of ``component_log_densities(gmm,
     points, inflation)``; ``denoise.select_modes`` states
-    the bound that certifies it.  Rows are scored _SCREEN_VALUES // (K d)
-    at a time against the whitened bases U_k diag(lambda_k + inflation)^-1/2
-    of all K components side by side; the centred mean projections ride
-    along as one more row of the basis against a column of ones.
+    the bound that certifies it.  Rows are scored in the float64 kernel's
+    block layout, with the scoring basis cast to float32.
     """
     x = _checked_points(gmm, points, inflation)
     n, d = x.shape
-    k = gmm.n_components
-    spectra = gmm.eigenvalues + inflation
-    root_l = np.sqrt((1.0 / spectra).sum(axis=1))
-    with np.errstate(divide="ignore"):
-        base = np.log(gmm.weights) - 0.5 * (d * _LOG_2PI + np.log(spectra).sum(axis=1))
-    centre = gmm.means.mean(axis=0)
-    dev = gmm.means - centre
-    white = gmm.eigenvectors / np.sqrt(spectra)[:, None, :]
-    basis = np.empty((d + 1, k, d), dtype=np.float32)
-    basis[:d] = white.transpose(1, 0, 2)
-    basis[d] = -np.einsum("kd,kde->ke", dev, white)
-    basis = basis.reshape(d + 1, k * d)
-    g32, g64 = _gamma(d + 4, _U32), _gamma(d + 4, _U64)
-    # E = g32 (|x - c| + |mu - c|) + g64 (|x| + |mu|), with |x| <= |x - c| + |c|
-    mean_err = g32 * _row_norms(dev) + g64 * (_row_norms(gmm.means) + np.linalg.norm(centre))
-    rows = max(1, _SCREEN_VALUES // (k * d))
-    lhs = np.ones((min(rows, n), d + 1), dtype=np.float32)
-    buf = np.empty((min(rows, n), k * d), dtype=np.float32)
+    centre, basis, base = _scoring_layout(gmm, inflation, np.float32)
+    root_l = np.sqrt((1.0 / (gmm.eigenvalues + inflation)).sum(axis=1))
+    g32, g64 = _gamma(d + 4, _U32), _gamma(2 * d + 4, _U64)
+    # E = (g32 + g64) (|x - c| + |mu - c|): the float32 rounding and the
+    # float64 kernel's (see component_log_densities) of the same form
+    mean_err = (g32 + g64) * _row_norms(gmm.means - centre)
     modes = np.empty(n, dtype=np.intp)
     unsure = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, n, rows):
-            centred = x[lo:lo + rows] - centre
-            b = centred.shape[0]
-            lhs[:b, :d] = centred
-            y = np.matmul(lhs[:b], basis, out=buf[:b]).reshape(b, k, d)
-            q = np.einsum("bkd,bkd->bk", y, y).astype(np.float64)
+        for lo, centred, q in _blocked_forms(x, centre, basis):
+            q = q.astype(np.float64)
+            b = q.shape[0]
             # each score is within g32 q + t + slack of its float64 value,
             # with e = E sqrt(L_k) and t = 2 e sqrt(q) + 3 e^2
             e = ((g32 + g64) * _row_norms(centred)[:, None] + mean_err) * root_l
@@ -432,6 +465,13 @@ def sufficient_stats(patches, gamma) -> SufficientStats:
     as zeros, to within n * 2**-1022 per count (times max x**2 per moment
     sum), but cost a microcode assist per product on x86;
     ``responsibilities`` never returns them.
+
+    Rows go a block at a time: the (b, K, d) products gamma_nk x_n of a
+    block, one GEMM from the left by [x, 1]^T, into one (d+1, K d) sum
+    whose last row holds the first moments.  Every sum has nonnegative
+    weights, so with v = 2^-53 each moment is within gamma_{2n+3}(v) times
+    sum_n gamma_nk |x_ni x_nj| / n_k of its exact value (x_nj for means).
+    A component with zero count keeps zero moments.
     """
     x = _patch_matrix(patches)
     g = np.asarray(gamma, dtype=np.float64)
@@ -445,16 +485,22 @@ def sufficient_stats(patches, gamma) -> SufficientStats:
         raise ValueError(f"responsibility [{i}, {j}] is {float(g[i, j])}; "
                          "responsibilities must be finite and nonnegative")
     counts = g.sum(axis=0)
-    means = np.zeros((k, d))
-    seconds = np.zeros((k, d, d))
-    for j in range(k):
-        c = float(counts[j])
-        if c <= 0.0:
-            continue
-        means[j] = (g[:, j] @ x) / c
-        raw = (x * g[:, j, None]).T @ x / c
-        seconds[j] = 0.5 * (raw + raw.T)
-    return SufficientStats(counts=counts, means=means, second_moments=seconds)
+    rows = max(1, _BLOCK_VALUES // (k * d))
+    lhs = np.ones((min(rows, n), d + 1))
+    buf = np.empty((min(rows, n), k, d))
+    sums = np.zeros((d + 1, k * d))
+    for lo in range(0, n, rows):
+        block = x[lo:lo + rows]
+        b = block.shape[0]
+        lhs[:b, :d] = block
+        np.multiply(g[lo:lo + b, :, None], block[:, None, :], out=buf[:b])
+        sums += lhs[:b].T @ buf[:b].reshape(b, k * d)
+    sums = sums.reshape(d + 1, k, d).transpose(1, 0, 2)
+    filled = (counts > 0.0)[:, None, None]
+    moments = np.divide(sums, counts[:, None, None], out=np.zeros(sums.shape), where=filled)
+    seconds = moments[:, :d]
+    return SufficientStats(counts=counts, means=moments[:, d],
+                           second_moments=0.5 * (seconds + seconds.transpose(0, 2, 1)))
 
 
 def sample_gmm(gmm: Gmm, n: int, rng) -> np.ndarray:

@@ -116,16 +116,25 @@ def test_criterion_02_fast_covariance_speedup():
     gamma, _ = responsibilities(generic, x)
 
     stats = sufficient_stats(x, gamma)
-    t_stats = min(_timed(sufficient_stats, x, gamma) for _ in range(3))
-    t_fast = min(_timed(adaptation_mstep, generic, stats, n, 1.0)
-                 for _ in range(3))
     _, means, covs_fast = adaptation_mstep(generic, stats, n, 1.0)
     alphas = stats.counts / (stats.counts + 1.0)
-    t0 = time.perf_counter()
-    covs_direct = [mstep_covariance_direct(x, gamma[:, j], means[j], g_means[j],
-                                           g_covs[j], float(alphas[j]))
-                   for j in range(k)]
-    t_direct = time.perf_counter() - t0
+
+    def direct():
+        return [mstep_covariance_direct(x, gamma[:, j], means[j], g_means[j],
+                                        g_covs[j], float(alphas[j]))
+                for j in range(k)]
+
+    # Both sides are timed alike: interleaved, best of three, and in timed
+    # regions of similar length (a one-pass region repeats its call 16 times
+    # and reports the mean), so a load that stalls the process for tens of
+    # milliseconds at a time costs each side the same share of its time.
+    t_stats = t_fast = t_direct = np.inf
+    for _ in range(3):
+        t_stats = min(t_stats, _timed(16, sufficient_stats, x, gamma))
+        t_fast = min(t_fast, _timed(16, adaptation_mstep, generic, stats, n, 1.0))
+        t0 = time.perf_counter()
+        covs_direct = direct()
+        t_direct = min(t_direct, time.perf_counter() - t0)
     rel = max(rel_frobenius(a, b) for a, b in zip(covs_fast, covs_direct))
 
     update_speedup = t_direct / t_fast
@@ -141,10 +150,12 @@ def test_criterion_02_fast_covariance_speedup():
     assert elapsed < 60.0
 
 
-def _timed(fn, *args, **kwargs):
+def _timed(reps, fn, *args):
+    """Mean wall time of ``reps`` back-to-back calls."""
     t0 = time.perf_counter()
-    fn(*args, **kwargs)
-    return time.perf_counter() - t0
+    for _ in range(reps):
+        fn(*args)
+    return (time.perf_counter() - t0) / reps
 
 
 def test_criterion_03_general_mstep_consistency():

@@ -309,9 +309,13 @@ class TestAdaptLoop:
         assert report.alphas.shape == (2,)
         assert np.all(report.alphas >= 0.0) and np.all(report.alphas < 1.0)
         assert report.counts.sum() == pytest.approx(80.0, rel=1e-9)
-        assert report.mstep_seconds >= 0.0
         text = report.to_text()
         assert "objective" in text and "alpha" in text
+        lines = dict(line.split(" = ") for line in text.splitlines() if " = " in line)
+        for phase in ("estep", "stats", "mstep", "objective"):
+            seconds = getattr(report, f"{phase}_seconds")
+            assert seconds > 0.0
+            assert float(lines[f"{phase}_seconds"]) == pytest.approx(seconds, abs=1e-6)
 
     def test_noisy_adaptation_compensates(self):
         # one isotropic component: compensated covariance should track the

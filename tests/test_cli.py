@@ -169,8 +169,8 @@ class TestAdapt:
         rc = cli_dispatch(["adapt", str(workspace / "generic.gmmp"),
                            str(workspace / "clean.pgm"), "--out", str(tmp_path / "x.gmmp"),
                            "--sigma-tilde", "sure", "--sigma", "20", *bad])
-        # a non-finite --rho is a usage error; --probes 0 fails the SureConfig
-        assert rc == (2 if bad[0] == "--rho" else 1)
+        # both are usage errors, caught while parsing the flags
+        assert rc == 2
         assert runs == []
 
     def test_non_square_model_is_rejected_as_such(self, workspace, tmp_path, capsys):
@@ -366,6 +366,31 @@ class TestUsageErrors:
         message = capsys.readouterr().err.strip().splitlines()[-1]
         assert rc == 2
         assert flag in message and "finite" in message
+
+    @pytest.mark.parametrize("value", ["0", "-2", "1.5", "many"])
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--k"), ("train", "--patch-size"), ("train", "--stride"),
+        ("train", "--max-iters"), ("adapt", "--iters"), ("adapt", "--stride"),
+        ("adapt", "--probes"), ("sure", "--probes"),
+    ])
+    def test_bad_integer_fails_before_any_work(self, workspace, tmp_path, capsys,
+                                               monkeypatch, command, flag, value):
+        # adapt --sigma-tilde sure used to run both HQS passes, and train to
+        # read the corpus, before a stride or k below 1 failed
+        reads = []
+        monkeypatch.setattr(cli_module, "read_pgm", lambda path: reads.append(path))
+        model, clean = str(workspace / "generic.gmmp"), str(workspace / "clean.pgm")
+        argv = {
+            "train": ["train", str(workspace / "corpus"), "--out", str(tmp_path / "o.gmmp")],
+            "adapt": ["adapt", model, clean, "--out", str(tmp_path / "o.gmmp"),
+                      "--sigma-tilde", "sure", "--sigma", "20"],
+            "sure": ["sure", clean, "--model", model, "--sigma", "20"],
+        }[command]
+        rc = cli_dispatch([*argv, f"{flag}={value}"])
+        message = capsys.readouterr().err.strip().splitlines()[-1]
+        assert rc == 2
+        assert flag in message and "positive integer" in message
+        assert reads == []
 
     def test_missing_input_file_is_runtime_error(self, workspace, tmp_path, capsys):
         rc = cli_dispatch(["psnr", str(tmp_path / "absent.pgm"),

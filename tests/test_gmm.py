@@ -22,6 +22,7 @@ from patchprior.gmm import (
     sample_gmm,
     sufficient_stats,
 )
+from patchprior.gmm import _BLOCK_VALUES
 
 from synthimages import make_smoke_image
 
@@ -459,6 +460,118 @@ class TestSufficientStats:
         gamma[3, 1] = value
         with pytest.raises(ValueError, match=r"responsibility \[3, 1\] .* finite and nonnegative"):
             sufficient_stats(np.ones((5, 2)), gamma)
+
+
+V = 2.0 ** -53  # float64 unit roundoff
+LD = np.longdouble
+
+
+def gamma_n(n):
+    return n * V / (1.0 - n * V)
+
+
+@pytest.fixture(scope="module")
+def block_prior():
+    """K = 20, d = 64 on the grey scale, spectra from 1e-4 to 1e4 and one
+    zero-weight component; the kernels take 409 rows per block here."""
+    rng = np.random.default_rng(30)
+    k, d = 20, 64
+    covs = []
+    for _ in range(k):
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        c = (q * np.logspace(-4, 4, d)) @ q.T
+        covs.append(0.5 * (c + c.T))
+    weights = rng.dirichlet(np.ones(k))
+    weights[7] = 0.0
+    return Gmm(weights / weights.sum(), rng.uniform(50.0, 200.0, (k, d)), np.stack(covs))
+
+
+def block_rows(gmm):
+    rows = _BLOCK_VALUES // (gmm.n_components * gmm.dim)
+    assert rows == 409
+    return [1, rows - 1, rows, rows + 1, 3 * rows + 7]
+
+
+class TestBlockedKernelAccuracy:
+    """Both blocked kernels against per-component np.longdouble references,
+    with tolerances from the bounds in their docstrings, at row counts on
+    either side of the block size."""
+
+    @pytest.fixture(scope="class")
+    def points(self, block_prior):
+        rng = np.random.default_rng(31)
+        n = block_rows(block_prior)[-1]
+        near = block_prior.means[rng.integers(0, 20, n)] + rng.normal(0.0, 20.0, (n, 64))
+        return np.where(rng.random((n, 1)) < 0.5, near, rng.uniform(0.0, 255.0, (n, 64)))
+
+    @staticmethod
+    def reference_scores(gmm, x, inflation):
+        """Extended-precision scores and squared forms, one component at a time,
+        from the model's own eigendecomposition."""
+        d = gmm.dim
+        log_2pi = np.log(8 * np.arctan(LD(1)))
+        xl = x.astype(LD)
+        q = np.empty((x.shape[0], gmm.n_components), dtype=LD)
+        offsets = np.empty(gmm.n_components, dtype=LD)
+        for k in range(gmm.n_components):
+            spectrum = gmm.eigenvalues[k].astype(LD) + LD(inflation)
+            y = (xl - gmm.means[k].astype(LD)) @ gmm.eigenvectors[k].astype(LD)
+            q[:, k] = (y * y / spectrum).sum(axis=1)
+            with np.errstate(divide="ignore"):
+                offsets[k] = np.log(LD(gmm.weights[k])) - (d * log_2pi
+                                                           + np.log(spectrum).sum()) / 2
+        return offsets - q / 2, q.astype(np.float64)
+
+    @staticmethod
+    def score_bound(gmm, x, inflation, q, ref):
+        d = gmm.dim
+        spectra = gmm.eigenvalues + inflation
+        centre = gmm.means.mean(axis=0)
+        e = gamma_n(2 * d + 4) * (np.linalg.norm(x - centre, axis=1)[:, None]
+                                  + np.linalg.norm(gmm.means - centre, axis=1))
+        e *= np.sqrt((1.0 / spectra).sum(axis=1))
+        q_err = gamma_n(d) * q + (1.0 + gamma_n(d)) * (2.0 * e * np.sqrt(q) + e * e)
+        with np.errstate(divide="ignore"):
+            offset_err = gamma_n(d + 4) * (np.abs(np.log(gmm.weights)) + d * np.log(2 * np.pi)
+                                           + np.abs(np.log(spectra)).sum(axis=1) + d)
+        return 0.5 * q_err + offset_err + 2.0 * V * np.abs(ref)
+
+    @pytest.mark.parametrize("inflation", [0.0, 100.0])
+    def test_scores_within_bound(self, block_prior, points, inflation):
+        ref, q = self.reference_scores(block_prior, points, inflation)
+        live = np.arange(20) != 7
+        assert np.all(ref[:, 7] == -np.inf) and np.isfinite(ref[:, live]).all()
+        bound = self.score_bound(block_prior, points, inflation, q,
+                                 ref.astype(np.float64))[:, live]
+        ref = ref[:, live]
+        for n in block_rows(block_prior):
+            got = component_log_densities(block_prior, points[:n], inflation)
+            assert np.all(got[:, 7] == -np.inf)
+            err = np.abs(got[:, live] - ref[:n]).astype(np.float64)
+            assert np.all(err <= bound[:n]), (n, float(err.max()))
+
+    def test_moments_within_bound(self, block_prior, points):
+        rng = np.random.default_rng(32)
+        gamma, _ = responsibilities(block_prior, points, 400.0)
+        # any nonnegative weights, not only posteriors that sum to one
+        gamma = np.where(rng.random(gamma.shape) < 0.3, rng.random(gamma.shape), gamma)
+        gamma[:, 7] = 0.0  # the zero-weight component has zero count
+        for n in block_rows(block_prior):
+            x, g = points[:n], gamma[:n]
+            stats = sufficient_stats(x, g)
+            xl, gl = x.astype(LD), g.astype(LD)
+            counts = gl.sum(axis=0)
+            slack = gamma_n(2 * n + 3)
+            assert np.all(np.abs(stats.counts - counts) <= gamma_n(n) * counts)
+            assert np.all(stats.means[7] == 0.0) and np.all(stats.second_moments[7] == 0.0)
+            for k in np.flatnonzero(counts > 0):
+                first = (gl[:, k] @ xl) / counts[k]
+                second = (xl * gl[:, k, None]).T @ xl / counts[k]
+                assert np.all(np.abs(stats.means[k] - first)
+                              <= slack * (g[:, k] @ np.abs(x)) / stats.counts[k])
+                magnitude = (np.abs(x) * g[:, k, None]).T @ np.abs(x) / stats.counts[k]
+                assert np.all(np.abs(stats.second_moments[k] - second)
+                              <= slack * magnitude), (n, k)
 
 
 class TestSampleGmm:
