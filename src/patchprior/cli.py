@@ -89,6 +89,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _layer_seconds(record) -> dict:
+    """The ``*_seconds`` fields of a DenoiseResult or AdaptationReport,
+    keyed by layer name, for a manifest's timings."""
+    return {f.name.removesuffix("_seconds"): getattr(record, f.name)
+            for f in dataclasses.fields(record) if f.name.endswith("_seconds")}
+
+
 def _parse_betas(text: str, sigma: float):
     try:
         multipliers = [float(tok) for tok in text.split(",") if tok.strip()]
@@ -176,6 +183,7 @@ def _cmd_adapt(args) -> int:
     config = dataclasses.replace(config, sigma_tilde_sq=sigma_tilde_sq)
     adapted, report = adapt(generic, patches, config)
     timings["adapt"] = time.perf_counter() - start
+    timings.update(_layer_seconds(report))
     out = Path(args.out)
     save_model(adapted, out)
     atomic_write_bytes(Path(str(out) + ".report.txt"), report.to_text().encode("ascii"))
@@ -203,6 +211,7 @@ def _cmd_denoise(args) -> int:
     start = time.perf_counter()
     result = denoise(noisy, args.sigma, prior, schedule, reference=reference)
     timings["denoise"] = time.perf_counter() - start
+    timings.update(_layer_seconds(result))
     out = Path(args.out)
     write_pgm(result.image, out)
     if args.trace:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import time
 
 import numpy as np
 
@@ -21,6 +22,9 @@ from .patches import ImageBuffer, _patch_side, accumulate_patches, extract_patch
 __all__ = ["HqsSchedule", "DenoiseResult", "denoise", "select_modes", "wiener_shrink"]
 
 _STAGE_MULTIPLIERS = (1.0, 4.0, 8.0, 16.0, 32.0)
+
+# The timed layers of a denoise() stage, in DenoiseResult's ``*_seconds`` fields.
+_LAYERS = ("select", "shrink", "aggregate", "update")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -63,12 +67,18 @@ class DenoiseResult:
 
     ``psnr_trace`` is present only when a reference image was supplied;
     ``mode_histograms`` counts the patches assigned to each component at
-    every stage.
+    every stage.  The ``*_seconds`` fields are wall-clock totals over all
+    stages of each layer: patch extraction and mode selection, the Wiener
+    step, aggregation, and the pixel update with its checks and PSNR.
     """
 
     image: ImageBuffer
     psnr_trace: tuple | None
     mode_histograms: tuple
+    select_seconds: float
+    shrink_seconds: float
+    aggregate_seconds: float
+    update_seconds: float
 
 
 def select_modes(prior: Gmm, patch_matrix, inflation: float) -> np.ndarray:
@@ -117,12 +127,25 @@ def wiener_shrink(prior: Gmm, component: int, patch_matrix, beta: float) -> np.n
 
     Solves (beta C + I) v = mu + beta C p for every row p.  In the cached
     eigenbasis C = U diag(lambda) U^T this is a per-axis shrink of the
-    deviation from the mean by beta lambda / (beta lambda + 1).
+    deviation from the mean by beta lambda / (beta lambda + 1).  Returns a
+    new array.
+    """
+    return _shrink_rows(prior, component, np.array(patch_matrix, dtype=np.float64), beta)
+
+
+def _shrink_rows(prior: Gmm, component: int, rows: np.ndarray, beta: float) -> np.ndarray:
+    """``wiener_shrink`` written over a float64 ``rows`` array, which it
+    returns; one more temporary of its shape holds the eigen-coordinates.
     """
     basis = prior.eigenvectors[component]
     lam = beta * prior.eigenvalues[component]
     mean = prior.means[component]
-    return mean + (((patch_matrix - mean) @ basis) * (lam / (lam + 1.0))) @ basis.T
+    rows -= mean
+    coords = rows @ basis
+    coords *= lam / (lam + 1.0)
+    np.matmul(coords, basis.T, out=rows)
+    rows += mean
+    return rows
 
 
 def denoise(noisy: ImageBuffer, sigma: float, prior: Gmm,
@@ -146,20 +169,39 @@ def denoise(noisy: ImageBuffer, sigma: float, prior: Gmm,
     x = observed.copy()
     trace = [] if reference is not None else None
     histograms = []
+    seconds = dict.fromkeys(_LAYERS, 0.0)
+    clock = time.perf_counter()
+
+    def lap(layer):
+        nonlocal clock
+        now = time.perf_counter()
+        seconds[layer] += now - clock
+        clock = now
+
     for stage, (beta, delta) in enumerate(schedule.stages()):
         patches = extract_patches(ImageBuffer(x), side, 1)
         modes = select_modes(prior, patches, delta)
-        histograms.append(np.bincount(modes, minlength=k))
-        # disjoint mode groups, each gathered before its write: shrink in place
-        for j in np.unique(modes):
-            idx = np.flatnonzero(modes == j)
-            patches[idx] = wiener_shrink(prior, j, patches[idx], beta)
+        counts = np.bincount(modes, minlength=k)
+        histograms.append(counts)
+        lap("select")
+        # Mode groups as slices of one stable sort, so each lists its rows in
+        # increasing order, as flatnonzero(modes == j) would.  The groups are disjoint, and each group's gather
+        # is a fresh copy that the Wiener step overwrites before the scatter.
+        order = np.argsort(modes, kind="stable")
+        ends = np.cumsum(counts)
+        for j in np.flatnonzero(counts):
+            idx = order[ends[j] - counts[j]:ends[j]]
+            patches[idx] = _shrink_rows(prior, j, patches[idx], beta)
+        lap("shrink")
         sums, cover = accumulate_patches(patches, noisy.width, noisy.height)
+        lap("aggregate")
         x = (data_weight * observed + beta * sums.pixels) / (data_weight + beta * cover.pixels)
         if not np.isfinite(x).all():
             raise FloatingPointError(f"non-finite pixel values after stage {stage}")
         if trace is not None:
             trace.append(psnr(reference, ImageBuffer(x)))
+        lap("update")
     return DenoiseResult(image=ImageBuffer(x),
                          psnr_trace=tuple(trace) if trace is not None else None,
-                         mode_histograms=tuple(histograms))
+                         mode_histograms=tuple(histograms),
+                         **{f"{layer}_seconds": s for layer, s in seconds.items()})

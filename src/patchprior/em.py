@@ -23,6 +23,8 @@ log = logging.getLogger(__name__)
 
 # Soft count below which a component is considered starved and reseeded.
 _EMPTY_COUNT = 1e-8
+# Values per block of k-means++ distances (256 KiB; 512 rows at d = 64).
+_SEED_BLOCK_VALUES = 2 ** 15
 
 
 class InsufficientDataError(ValueError):
@@ -49,11 +51,28 @@ class EmConfig:
 
 
 def _kmeanspp_centers(x, k, rng):
-    """Seed k centers by distance-squared sampling."""
-    n = x.shape[0]
-    centers = np.empty((k, x.shape[1]))
+    """Seed k centers by distance-squared sampling.
+
+    Each seed's squared distances are formed in blocks of rows that fit in
+    cache, with the per-row operations of ``((x - c) ** 2).sum(axis=1)``,
+    and folded into the running minimum.
+    """
+    n, d = x.shape
+    rows = max(1, _SEED_BLOCK_VALUES // d)
+    block = np.empty((min(rows, n), d))
+    dist2 = np.full(n, np.inf)
+
+    def fold(center):
+        for i in range(0, n, rows):
+            diff = block[:min(rows, n - i)]
+            np.subtract(x[i:i + rows], center, out=diff)
+            np.square(diff, out=diff)
+            part = dist2[i:i + rows]
+            np.minimum(part, diff.sum(axis=1), out=part)
+
+    centers = np.empty((k, d))
     centers[0] = x[rng.integers(n)]
-    dist2 = ((x - centers[0]) ** 2).sum(axis=1)
+    fold(centers[0])
     for j in range(1, k):
         total = float(dist2.sum())
         if total <= 0.0:
@@ -61,7 +80,7 @@ def _kmeanspp_centers(x, k, rng):
         else:
             idx = int(rng.choice(n, p=dist2 / total))
         centers[j] = x[idx]
-        dist2 = np.minimum(dist2, ((x - centers[j]) ** 2).sum(axis=1))
+        fold(centers[j])
     return centers
 
 

@@ -29,6 +29,18 @@ def manifest_params(path):
             if not k.startswith("time_")}
 
 
+def manifest_seconds(path, names):
+    """The ``time_<name>_seconds`` lines of a manifest, each nonnegative."""
+    manifest = read_manifest(path)
+    seconds = {name: float(manifest[f"time_{name}_seconds"]) for name in names}
+    assert all(value >= 0.0 for value in seconds.values()), seconds
+    return seconds
+
+
+# Manifests print seconds to 6 decimals: each value may be off by 5e-7.
+_PRINTED = 5e-7
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """Corpus directory, clean/noisy smoke images, and a small trained model."""
@@ -137,6 +149,10 @@ class TestAdapt:
         assert "objective" in report
         manifest = manifest_params(str(out) + ".manifest")
         assert manifest["sigma_tilde_sq"] == "0.0"
+        seconds = manifest_seconds(str(out) + ".manifest",
+                                   ["adapt", "estep", "stats", "mstep", "objective"])
+        phases = sum(v for k, v in seconds.items() if k != "adapt")
+        assert phases <= seconds["adapt"] + 5 * _PRINTED
 
     def test_sure_mode_runs_prefilter(self, workspace, tmp_path, monkeypatch):
         noisy = tmp_path / "noisy.pgm"
@@ -259,6 +275,16 @@ class TestDenoise:
         manifest = manifest_params(str(out) + ".manifest")
         betas = [float(v) for v in manifest["betas"].split(",")]
         assert betas == pytest.approx([1 / 400, 8 / 400, 64 / 400])
+
+    def test_manifest_times_each_layer(self, workspace, noisy, tmp_path):
+        out = tmp_path / "d.pgm"
+        rc = cli_dispatch(["denoise", str(noisy), "--sigma", "20",
+                           "--model", str(workspace / "generic.gmmp"), "--out", str(out)])
+        assert rc == 0
+        seconds = manifest_seconds(str(out) + ".manifest",
+                                   ["denoise", "select", "shrink", "aggregate", "update"])
+        layers = sum(v for k, v in seconds.items() if k != "denoise")
+        assert layers <= seconds["denoise"] + 5 * _PRINTED
 
     def test_manifest_changes_with_parameters(self, workspace, noisy, tmp_path):
         a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"

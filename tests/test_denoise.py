@@ -3,6 +3,7 @@
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -184,8 +185,81 @@ class TestWienerShrink:
         beta = 0.37
         expect = np.linalg.solve(beta * cov + np.eye(d),
                                  (prior.means[0] + beta * p @ cov).T).T
+        before = p.copy()
         got = wiener_shrink(prior, 0, p, beta)
         assert np.max(np.abs(got - expect)) <= 1e-10
+        assert np.array_equal(p, before)  # the input is left as it was
+
+    def test_matches_one_expression_bit_for_bit(self):
+        # the in-place steps round exactly as the one-line formula
+        rng = np.random.default_rng(6)
+        cov = np.cov(rng.normal(0.0, 30.0, (200, 16)), rowvar=False)
+        prior = Gmm(weights=np.full(3, 1 / 3), means=rng.uniform(0, 255, (3, 16)),
+                    covariances=np.stack([cov, 2.0 * cov, cov + 5.0 * np.eye(16)]))
+        p = rng.uniform(0, 255, (257, 16))
+        for j in range(3):
+            basis, mean = prior.eigenvectors[j], prior.means[j]
+            lam = 0.05 * prior.eigenvalues[j]
+            expect = mean + (((p - mean) @ basis) * (lam / (lam + 1.0))) @ basis.T
+            assert np.array_equal(wiener_shrink(prior, j, p, 0.05), expect)
+
+
+def denoise_by_stage_definition(noisy, sigma, prior, schedule):
+    """HQS from its public pieces: each stage extracts, selects modes,
+    shrinks every mode group found by flatnonzero, aggregates and solves
+    the pixel update."""
+    side = int(round(np.sqrt(prior.dim)))
+    data_weight = prior.dim / sigma ** 2
+    observed = noisy.pixels
+    x = observed.copy()
+    histograms = []
+    for beta, delta in zip(schedule.betas, schedule.mode_inflations):
+        patches = extract_patches(ImageBuffer(x), side, 1)
+        modes = select_modes(prior, patches, delta)
+        histograms.append(np.bincount(modes, minlength=prior.n_components))
+        estimates = patches.copy()
+        for j in range(prior.n_components):
+            idx = np.flatnonzero(modes == j)
+            if idx.size:
+                estimates[idx] = wiener_shrink(prior, j, patches[idx], beta)
+        sums, cover = accumulate_patches(estimates, noisy.width, noisy.height)
+        x = (data_weight * observed + beta * sums.pixels) / (data_weight + beta * cover.pixels)
+    return x, histograms
+
+
+@pytest.fixture(scope="module")
+def small_prior():
+    patches = extract_patches(make_smoke_image(48), 4, 1)
+    prior, _ = em_fit(patches, EmConfig(n_components=6, max_iters=5, seed=0))
+    return prior
+
+
+class TestStageDefinition:
+    @pytest.mark.parametrize("scene", [make_smoke_image, make_piecewise_image])
+    @pytest.mark.parametrize("multipliers", [None, (0.5, 3.0, 40.0)])
+    def test_denoise_equals_stage_loop_bit_for_bit(self, small_prior, scene, multipliers):
+        sigma = 25.0
+        noisy = add_gaussian_noise(scene(40), sigma, seed=3)
+        schedule = (HqsSchedule.default(sigma) if multipliers is None
+                    else HqsSchedule.default(sigma, multipliers))
+        out = denoise(noisy, sigma, small_prior, schedule)
+        pixels, histograms = denoise_by_stage_definition(noisy, sigma, small_prior, schedule)
+        assert np.array_equal(out.image.pixels, pixels)
+        assert len(out.mode_histograms) == len(histograms)
+        for got, expect in zip(out.mode_histograms, histograms):
+            assert np.array_equal(got, expect)
+        # more than one mode group in some stage, so the grouping is exercised
+        assert max(np.count_nonzero(h) for h in histograms) > 1
+
+    def test_layer_seconds_are_totals_within_the_call(self, small_prior):
+        noisy = add_gaussian_noise(make_smoke_image(40), 25.0, seed=3)
+        start = time.perf_counter()
+        out = denoise(noisy, 25.0, small_prior)
+        elapsed = time.perf_counter() - start
+        layers = [out.select_seconds, out.shrink_seconds, out.aggregate_seconds,
+                  out.update_seconds]
+        assert all(t > 0.0 for t in layers)
+        assert sum(layers) <= elapsed
 
 
 class TestDenoise:

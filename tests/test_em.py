@@ -5,6 +5,7 @@ import importlib
 import numpy as np
 import pytest
 
+import patchprior.em as em_module
 from patchprior.em import EmConfig, InsufficientDataError, em_fit
 from patchprior.gmm import Gmm, responsibilities, sample_gmm
 
@@ -45,6 +46,40 @@ def count_eigh(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     return calls
+
+
+def kmeanspp_by_formula(x, k, rng):
+    """k-means++ seeding with each seed's distances over the whole matrix."""
+    n = x.shape[0]
+    centers = np.empty((k, x.shape[1]))
+    centers[0] = x[rng.integers(n)]
+    dist2 = ((x - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = float(dist2.sum())
+        idx = int(rng.choice(n, p=dist2 / total)) if total > 0.0 else int(rng.integers(n))
+        centers[j] = x[idx]
+        dist2 = np.minimum(dist2, ((x - centers[j]) ** 2).sum(axis=1))
+    return centers
+
+
+class TestKmeansppSeeding:
+    @pytest.mark.parametrize("n,d,k", [(1, 64, 1), (511, 64, 5), (1300, 64, 20),
+                                       (2049, 9, 7), (40, 3, 40)])
+    def test_blocked_distances_match_whole_matrix_formula(self, n, d, k):
+        rows = em_module._SEED_BLOCK_VALUES // d
+        assert n < rows or n % rows  # the last block is partial or the only one
+        x = np.random.default_rng(n).normal(100.0, 40.0, (n, d))
+        x[n // 2:n // 2 + 3] = x[0]  # repeated rows give zero distances
+        for seed in range(3):
+            expect = kmeanspp_by_formula(x, k, np.random.default_rng(seed))
+            got = em_module._kmeanspp_centers(x, k, np.random.default_rng(seed))
+            assert np.array_equal(got, expect)
+
+    def test_all_rows_equal_falls_back_to_uniform_draws(self):
+        x = np.full((1000, 4), 7.0)
+        expect = kmeanspp_by_formula(x, 3, np.random.default_rng(0))
+        got = em_module._kmeanspp_centers(x, 3, np.random.default_rng(0))
+        assert np.array_equal(got, expect)
 
 
 class TestConfig:

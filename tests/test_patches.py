@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import patchprior.patches as patches_module
 from patchprior import (
     PSNR_CAP,
     ImageBuffer,
@@ -26,6 +27,44 @@ def grid_origins(extent, size, stride):
     return sorted(set(range(0, extent - size + 1, stride)) | {extent - size})
 
 
+# (height, width, size, stride): flush and non-flush borders, one origin
+# row, and a patch as large as the image.
+GRIDS = pytest.mark.parametrize("height,width,size,stride", [
+    (19, 13, 5, 1), (23, 11, 4, 3), (20, 12, 4, 4), (17, 23, 4, 4),
+    (5, 13, 5, 1), (4, 17, 4, 3), (6, 6, 6, 1), (6, 6, 6, 3), (6, 9, 6, 2),
+    (19, 17, 4, 2), (22, 16, 5, 3),
+], ids=["stride-1", "stride-3-flush", "stride-is-size", "stride-is-size-flush",
+        "one-origin-row", "one-origin-row-stride-3", "patch-is-image",
+        "patch-is-image-stride-3", "patch-is-height-stride-2",
+        "stride-2-flush", "stride-3-flush-both"])
+
+
+def block_rows(width, size, stride):
+    """Output rows per block of accumulate_patches at this width."""
+    cols = len(grid_origins(width, size, stride))
+    return max(1, patches_module._AGGREGATE_BYTES // (cols * size * size * 8))
+
+
+def assert_matches_per_patch_loop(height, width, size, stride):
+    rng = np.random.default_rng(height * width + stride)
+    rows = grid_origins(height, size, stride)
+    cols = grid_origins(width, size, stride)
+    values = rng.uniform(-300.0, 300.0, (len(rows) * len(cols), size * size))
+    sums, counts = accumulate_patches(values, width, height, stride)
+    # each pixel adds its terms in patch-pixel order, i.e. from the
+    # last covering origin to the first, so walk the origins backwards
+    expect_sums = np.zeros((height, width))
+    expect_counts = np.zeros((height, width))
+    grid = values.reshape(len(rows), len(cols), size, size)
+    for i in reversed(range(len(rows))):
+        for j in reversed(range(len(cols))):
+            r, c = rows[i], cols[j]
+            expect_sums[r:r + size, c:c + size] += grid[i, j]
+            expect_counts[r:r + size, c:c + size] += 1.0
+    assert np.array_equal(sums.pixels, expect_sums)
+    assert np.array_equal(counts.pixels, expect_counts)
+
+
 class TestExtraction:
     def test_grid_counts_with_flush_origin(self):
         img = ImageBuffer(np.arange(100, dtype=np.float64).reshape(10, 10))
@@ -47,6 +86,29 @@ class TestExtraction:
         assert list(ps[0]) == [0.0, 1.0, 5.0, 6.0]
         # final flush origin is 3 on both axes
         assert list(ps[-1]) == [18.0, 19.0, 23.0, 24.0]
+
+    @GRIDS
+    def test_matches_per_origin_loop(self, height, width, size, stride):
+        rng = np.random.default_rng(height * width + stride)
+        img = ImageBuffer(rng.uniform(0.0, 255.0, (height, width)))
+        expect = [img.pixels[r:r + size, c:c + size].ravel()
+                  for r in grid_origins(height, size, stride)
+                  for c in grid_origins(width, size, stride)]
+        ps = extract_patches(img, size, stride)
+        assert ps.flags.c_contiguous
+        assert np.array_equal(ps, np.array(expect))
+
+    @pytest.mark.parametrize("height,width,size,stride", [
+        (10, 10, 8, 1), (8, 8, 8, 1), (8, 8, 8, 5), (7, 9, 7, 1), (9, 7, 7, 3),
+    ])
+    def test_never_aliases_the_image(self, height, width, size, stride):
+        # the denoiser writes its Wiener estimates into the patch matrix
+        img = ImageBuffer(np.arange(height * width, dtype=np.float64).reshape(height, width))
+        ps = extract_patches(img, size, stride)
+        assert not np.shares_memory(ps, img.pixels)
+        assert ps.flags.writeable
+        ps[:] = -1.0
+        assert img.pixels.min() == 0.0
 
     def test_rejects_patch_larger_than_image(self):
         img = ImageBuffer(np.zeros((5, 5)))
@@ -84,27 +146,26 @@ class TestAccumulation:
         _, counts = accumulate_patches(ps, 23, 11, stride=4)
         assert counts.pixels.min() >= 1.0
 
-    @pytest.mark.parametrize("height,width,size,stride", [
-        (19, 13, 5, 1), (23, 11, 4, 3), (20, 12, 4, 4), (17, 23, 4, 4),
-    ], ids=["stride-1", "stride-3-flush", "stride-is-size", "stride-is-size-flush"])
+    @GRIDS
     def test_matches_per_patch_loop_bit_for_bit(self, height, width, size, stride):
-        rng = np.random.default_rng(height * width + stride)
-        rows = grid_origins(height, size, stride)
-        cols = grid_origins(width, size, stride)
-        values = rng.uniform(-300.0, 300.0, (len(rows) * len(cols), size * size))
-        sums, counts = accumulate_patches(values, width, height, stride)
-        # each pixel adds its terms in patch-pixel order, i.e. from the
-        # last covering origin to the first, so walk the origins backwards
-        expect_sums = np.zeros((height, width))
-        expect_counts = np.zeros((height, width))
-        grid = values.reshape(len(rows), len(cols), size, size)
-        for i in reversed(range(len(rows))):
-            for j in reversed(range(len(cols))):
-                r, c = rows[i], cols[j]
-                expect_sums[r:r + size, c:c + size] += grid[i, j]
-                expect_counts[r:r + size, c:c + size] += 1.0
-        assert np.array_equal(sums.pixels, expect_sums)
-        assert np.array_equal(counts.pixels, expect_counts)
+        assert_matches_per_patch_loop(height, width, size, stride)
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("offset", [-1, 0, 1, None])
+    def test_row_block_edges_bit_for_bit(self, offset, stride):
+        # heights either side of one block of output rows, and past two
+        width, size = 40, 8
+        block = block_rows(width, size, stride)
+        assert block > size  # a block edge splits the patches that cross it
+        height = 2 * block + 3 if offset is None else block + offset
+        assert_matches_per_patch_loop(height, width, size, stride)
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_one_row_blocks_bit_for_bit(self, monkeypatch, stride):
+        # a row wider than the block budget gets one output row per block
+        monkeypatch.setattr(patches_module, "_AGGREGATE_BYTES", 1)
+        assert block_rows(17, 4, stride) == 1
+        assert_matches_per_patch_loop(19, 17, 4, stride)
 
     def test_rejects_row_count_off_the_grid(self):
         # a 10x10 image at patch size 4 and stride 3 has a 3x3 origin grid
