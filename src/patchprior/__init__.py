@@ -20,10 +20,7 @@ from .adapt import (
     AdaptationReport,
     adapt,
     adaptation_mstep,
-    mstep_covariance_direct,
     mstep_covariance_fast,
-    mstep_general,
-    posterior_hyperparams,
 )
 from .denoise import DenoiseResult, HqsSchedule, denoise, select_modes
 from .em import EmConfig, InsufficientDataError, em_fit
@@ -94,10 +91,7 @@ __all__ = [
     "extract_patches",
     "load_model",
     "log_posterior_objective",
-    "mstep_covariance_direct",
     "mstep_covariance_fast",
-    "mstep_general",
-    "posterior_hyperparams",
     "psnr",
     "read_pgm",
     "responsibilities",

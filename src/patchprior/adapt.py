@@ -9,13 +9,11 @@ components that explain many patches move to them, the rest stay put.
 from __future__ import annotations
 
 import dataclasses
-import time
 
 import numpy as np
 
 from .gmm import (
     Gmm,
-    HyperParams,
     SufficientStats,
     condition_psd,
     derive_hyperparams,
@@ -25,6 +23,7 @@ from .gmm import (
     _log_prior,
     _patch_matrix,
 )
+from .timing import LapTimer
 
 __all__ = [
     "AdaptationConfig",
@@ -32,9 +31,6 @@ __all__ = [
     "adapt",
     "adaptation_mstep",
     "mstep_covariance_fast",
-    "mstep_covariance_direct",
-    "posterior_hyperparams",
-    "mstep_general",
 ]
 
 
@@ -98,7 +94,8 @@ def mstep_covariance_fast(second_moment, mu_tilde, generic_mean, generic_cov,
 
     Takes one component, (d, d) and (d,) arrays with a scalar ``alpha``,
     or all K, (K, d, d) and (K, d) stacks with (K,) alphas.  Algebraically
-    identical to the two-pass form whenever ``mu_tilde`` is the blended
+    identical to the two-pass form (``mstep_covariance_direct`` in the test
+    module ``tests/mstep_reference.py``) whenever ``mu_tilde`` is the blended
     mean update for the same ``alpha``; never touches individual patches,
     so its cost is independent of the patch count.
     """
@@ -108,40 +105,10 @@ def mstep_covariance_fast(second_moment, mu_tilde, generic_mean, generic_cov,
     data = np.asarray(second_moment, dtype=np.float64)
     if sigma_tilde_sq:
         data = data - sigma_tilde_sq * np.eye(mu_tilde.shape[-1])
-    out = (alpha * data - _outers(mu_tilde, mu_tilde)
+    out = (alpha * data - mu_tilde[..., :, None] * mu_tilde[..., None, :]
            + (1.0 - alpha) * (np.asarray(generic_cov, dtype=np.float64)
-                              + _outers(generic_mean, generic_mean)))
-    return _symmetrized(out)
-
-
-def mstep_covariance_direct(patch_matrix, resp, mu_tilde, generic_mean, generic_cov,
-                            alpha: float, sigma_tilde_sq: float = 0.0) -> np.ndarray:
-    """Literal two-pass covariance update, kept as reference and benchmark.
-
-    Walks every patch again to build the scatter about ``mu_tilde``, each
-    patch scaled by its responsibility, one outer product at a time.
-    """
-    x = _patch_matrix(patch_matrix)
-    resp = np.asarray(resp, dtype=np.float64)
-    count = float(resp.sum())
-    if count <= 0.0:
-        raise ValueError("component has no responsibility mass")
-    mu_tilde = np.asarray(mu_tilde, dtype=np.float64)
-    d = mu_tilde.size
-    dev = x - mu_tilde
-    acc = np.zeros((d, d))
-    term = np.empty((d, d))
-    for scaled, row in zip(resp[:, None] * dev, dev):
-        np.multiply.outer(scaled, row, out=term)
-        acc += term
-    data = acc / count
-    if sigma_tilde_sq:
-        data = data - sigma_tilde_sq * np.eye(d)
-    anchor_dev = np.asarray(generic_mean, dtype=np.float64) - mu_tilde
-    out = (alpha * data
-           + (1.0 - alpha) * (np.asarray(generic_cov, dtype=np.float64)
-                              + np.outer(anchor_dev, anchor_dev)))
-    return 0.5 * (out + out.T)
+                              + generic_mean[..., :, None] * generic_mean[..., None, :]))
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
 def adaptation_mstep(generic: Gmm, stats: SufficientStats, n: int, rho: float,
@@ -167,15 +134,6 @@ def adaptation_mstep(generic: Gmm, stats: SufficientStats, n: int, rho: float,
     return weights, means, covs
 
 
-def _outers(a, b) -> np.ndarray:
-    """Row-wise outer products, (..., d) x (..., d) -> (..., d, d)."""
-    return a[..., :, None] * b[..., None, :]
-
-
-def _symmetrized(stack) -> np.ndarray:
-    return 0.5 * (stack + np.swapaxes(stack, -1, -2))
-
-
 def adapt(generic: Gmm, patches, config: AdaptationConfig | None = None):
     """Adapt a generic prior to the patches of one image.
 
@@ -193,27 +151,18 @@ def adapt(generic: Gmm, patches, config: AdaptationConfig | None = None):
     hyper = derive_hyperparams(generic, config.rho)
     current = generic
     objectives = []
-    seconds = dict.fromkeys(_PHASES, 0.0)
-    clock = time.perf_counter()
-
-    def lap(phase):
-        nonlocal clock
-        now = time.perf_counter()
-        seconds[phase] += now - clock
-        clock = now
-
+    laps = LapTimer()
     alphas = counts = None
     for i in range(config.iterations):
-        gamma, counts, loglik = responsibilities(current, x, config.sigma_tilde_sq,
-                                                 with_loglik=True)
-        lap("estep")
+        gamma, counts, loglik = responsibilities(current, x, config.sigma_tilde_sq)
+        laps.lap("estep")
         if i:
             # The previous iteration's model scored under the same inflation:
             # its objective's likelihood term is this E-step's normalizer.
             objectives.append(float(loglik.sum()) + _log_prior(current, hyper))
-            lap("objective")
+            laps.lap("objective")
         stats = sufficient_stats(x, gamma)
-        lap("stats")
+        laps.lap("stats")
         weights, means, covs = adaptation_mstep(generic, stats, n, config.rho,
                                                 config.sigma_tilde_sq)
         total = float(weights.sum())
@@ -221,59 +170,10 @@ def adapt(generic: Gmm, patches, config: AdaptationConfig | None = None):
             raise ValueError(f"weight update drifted off the simplex (sum {total!r})")
         alphas = counts / (counts + config.rho)
         current = Gmm(weights / total, means, condition_psd(covs, config.psd_floor))
-        lap("mstep")
+        laps.lap("mstep")
     objectives.append(log_posterior_objective(current, x, hyper, config.sigma_tilde_sq))
-    lap("objective")
+    laps.lap("objective")
     report = AdaptationReport(objectives=tuple(objectives), alphas=alphas, counts=counts,
-                              **{f"{phase}_seconds": s for phase, s in seconds.items()})
+                              **{f"{p}_seconds": s for p, s in laps.seconds.items()})
     return current, report
 
-
-def posterior_hyperparams(hyper: HyperParams, stats: SufficientStats) -> HyperParams:
-    """Conjugate update of the hyperparameters given soft statistics."""
-    if hyper.n_components != stats.n_components or hyper.dim != stats.dim:
-        raise ValueError("hyperparameters do not match the statistics shape")
-    counts = stats.counts
-    tau = hyper.mean_strengths
-    new_tau = tau + counts
-    locs = (tau[:, None] * hyper.mean_locs + counts[:, None] * stats.means) / new_tau[:, None]
-    scatters = counts[:, None, None] * (stats.second_moments
-                                        - _outers(stats.means, stats.means))
-    pull = hyper.mean_locs - stats.means
-    shrink = tau * counts / new_tau
-    scales = hyper.scale_mats + scatters + shrink[:, None, None] * _outers(pull, pull)
-    return HyperParams(
-        weight_counts=hyper.weight_counts + counts,
-        mean_locs=locs,
-        mean_strengths=new_tau,
-        scale_mats=_symmetrized(scales),
-        dofs=hyper.dofs + counts,
-    )
-
-
-def mstep_general(hyper: HyperParams, stats: SufficientStats, n: int) -> Gmm:
-    """Mode of the updated conjugate posterior, in closed form.
-
-    Reduces to the plain ML update when every Dirichlet count is one and
-    the mean strengths vanish.  The covariance denominator is
-    dofs + d + 2 + count, which makes the result the exact joint mode.
-    """
-    if hyper.n_components != stats.n_components or hyper.dim != stats.dim:
-        raise ValueError("hyperparameters do not match the statistics shape")
-    if n < 1:
-        raise ValueError("n must be positive")
-    counts = stats.counts
-    d = hyper.dim
-    pseudo = hyper.weight_counts - 1.0
-    weights = (pseudo + counts) / (float(pseudo.sum()) + n)
-    tau = hyper.mean_strengths
-    blend = counts / (tau + counts)
-    means = blend[:, None] * stats.means + (1.0 - blend)[:, None] * hyper.mean_locs
-    scatters = counts[:, None, None] * (stats.second_moments
-                                        - _outers(stats.means, stats.means))
-    dev_data = stats.means - means
-    dev_loc = hyper.mean_locs - means
-    covs = (scatters + counts[:, None, None] * _outers(dev_data, dev_data)
-            + hyper.scale_mats + tau[:, None, None] * _outers(dev_loc, dev_loc))
-    covs = covs / (hyper.dofs + d + 2.0 + counts)[:, None, None]
-    return Gmm(weights / weights.sum(), means, _symmetrized(covs))

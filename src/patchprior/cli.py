@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import logging
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +25,7 @@ from .model_io import load_model, save_model
 from .patches import _patch_side, add_gaussian_noise, extract_patches, psnr
 from .pgm import read_pgm, write_pgm
 from .sure import SureConfig, estimate_sigma_tilde_sq
+from .timing import LapTimer
 from .toy import run_trial
 
 __all__ = ["RunManifest", "cli_dispatch", "main"]
@@ -125,17 +125,15 @@ def _corpus_paths(corpus: Path):
 
 
 def _cmd_train(args) -> int:
-    timings = {}
-    start = time.perf_counter()
+    laps = LapTimer()
     paths = _corpus_paths(Path(args.corpus))
     blocks = [extract_patches(read_pgm(p), args.patch_size, args.stride) for p in paths]
     data = np.concatenate(blocks, axis=0)
-    timings["extract"] = time.perf_counter() - start
-    start = time.perf_counter()
+    laps.lap("extract")
     config = EmConfig(n_components=args.k, max_iters=args.max_iters, tol=args.tol,
                       seed=args.seed)
     model, trace = em_fit(data, config)
-    timings["fit"] = time.perf_counter() - start
+    laps.lap("fit")
     out = Path(args.out)
     save_model(model, out)
     log.info("trained %d components on %d patches, %d iterations",
@@ -145,29 +143,27 @@ def _cmd_train(args) -> int:
         "k": args.k, "patch_size": args.patch_size, "stride": args.stride,
         "seed": args.seed, "max_iters": args.max_iters, "tol": args.tol,
         "iterations_run": len(trace), "out": str(out),
-    }, timings)
+    }, laps.seconds)
     manifest.write(_manifest_path("train", out, Path(paths[0])))
     return 0
 
 
 def _cmd_adapt(args) -> int:
-    timings = {}
     config = AdaptationConfig(rho=args.rho, iterations=args.iters)
     generic = load_model(args.model)
     side = _patch_side(generic.dim)
     image = read_pgm(args.image)
+    laps = LapTimer()
     if args.sigma_tilde == "sure":
         if args.sigma is None:
             raise UsageError("--sigma-tilde sure requires --sigma")
         sure_config = SureConfig(seed=args.seed, probes=args.probes)
         run = _hqs_denoiser(generic, args.sigma)
-        start = time.perf_counter()
         target = run(image)
-        timings["prefilter"] = time.perf_counter() - start
-        start = time.perf_counter()
+        laps.lap("prefilter")
         sigma_tilde_sq = estimate_sigma_tilde_sq(
             image, args.sigma, run, sure_config, baseline=target)
-        timings["sure"] = time.perf_counter() - start
+        laps.lap("sure")
     else:
         try:
             sigma_tilde = float(args.sigma_tilde)
@@ -178,12 +174,11 @@ def _cmd_adapt(args) -> int:
             raise UsageError("--sigma-tilde must be nonnegative and finite")
         sigma_tilde_sq = sigma_tilde ** 2
         target = image
-    start = time.perf_counter()
     patches = extract_patches(target, side, args.stride)
     config = dataclasses.replace(config, sigma_tilde_sq=sigma_tilde_sq)
     adapted, report = adapt(generic, patches, config)
-    timings["adapt"] = time.perf_counter() - start
-    timings.update(_layer_seconds(report))
+    laps.lap("adapt")
+    laps.seconds.update(_layer_seconds(report))
     out = Path(args.out)
     save_model(adapted, out)
     atomic_write_bytes(Path(str(out) + ".report.txt"), report.to_text().encode("ascii"))
@@ -193,7 +188,7 @@ def _cmd_adapt(args) -> int:
         "sigma_tilde_sq": sigma_tilde_sq, "sigma": args.sigma,
         "iters": args.iters, "stride": args.stride, "seed": args.seed,
         "probes": args.probes,
-    }, timings)
+    }, laps.seconds)
     manifest.write(_manifest_path("adapt", out, Path(args.image)))
     return 0
 
@@ -201,17 +196,16 @@ def _cmd_adapt(args) -> int:
 def _cmd_denoise(args) -> int:
     if args.trace and args.ref is None:
         raise UsageError("--trace requires --ref")
-    timings = {}
     prior = load_model(args.model)
     noisy = read_pgm(args.input)
     reference = read_pgm(args.ref) if args.ref else None
     schedule = HqsSchedule.default(args.sigma)  # a bad --sigma is not a --betas error
     if args.betas:
         schedule = _parse_betas(args.betas, args.sigma)
-    start = time.perf_counter()
+    laps = LapTimer()
     result = denoise(noisy, args.sigma, prior, schedule, reference=reference)
-    timings["denoise"] = time.perf_counter() - start
-    timings.update(_layer_seconds(result))
+    laps.lap("denoise")
+    laps.seconds.update(_layer_seconds(result))
     out = Path(args.out)
     write_pgm(result.image, out)
     if args.trace:
@@ -223,64 +217,60 @@ def _cmd_denoise(args) -> int:
         "sigma": args.sigma, "betas": ",".join(f"{b:.8g}" for b in schedule.betas),
         "mode_inflations": ",".join(f"{g:.8g}" for g in schedule.mode_inflations),
         "ref": args.ref, "trace": args.trace,
-    }, timings)
+    }, laps.seconds)
     manifest.write(_manifest_path("denoise", out, Path(args.input)))
     return 0
 
 
 def _cmd_sure(args) -> int:
-    timings = {}
     prior = load_model(args.model)
     noisy = read_pgm(args.input)
-    start = time.perf_counter()
+    laps = LapTimer()
     estimate = estimate_sigma_tilde_sq(
         noisy, args.sigma, _hqs_denoiser(prior, args.sigma),
         SureConfig(delta=args.delta, seed=args.seed, probes=args.probes))
-    timings["sure"] = time.perf_counter() - start
+    laps.lap("sure")
     print(f"sigma_tilde_sq {estimate:.6f}")
     print(f"ratio {np.sqrt(estimate) / args.sigma:.6f}")
     manifest = RunManifest("sure", {
         "input": args.input, "model": args.model, "sigma": args.sigma,
         "delta": args.delta, "seed": args.seed, "probes": args.probes,
         "sigma_tilde_sq": f"{estimate:.6f}",
-    }, timings)
+    }, laps.seconds)
     manifest.write(_manifest_path("sure", None, Path(args.input)))
     return 0
 
 
 def _cmd_noise(args) -> int:
-    timings = {}
     image = read_pgm(args.input)
-    start = time.perf_counter()
+    laps = LapTimer()
     noisy = add_gaussian_noise(image, args.sigma, args.seed)
-    timings["noise"] = time.perf_counter() - start
+    laps.lap("noise")
     out = Path(args.out)
     write_pgm(noisy, out)
     manifest = RunManifest("noise", {
         "input": args.input, "out": str(out), "sigma": args.sigma, "seed": args.seed,
-    }, timings)
+    }, laps.seconds)
     manifest.write(_manifest_path("noise", out, Path(args.input)))
     return 0
 
 
 def _cmd_psnr(args) -> int:
-    timings = {}
-    start = time.perf_counter()
+    laps = LapTimer()
     value = psnr(read_pgm(args.reference), read_pgm(args.test))
-    timings["psnr"] = time.perf_counter() - start
+    laps.lap("psnr")
     print(f"{value:.4f}")
     manifest = RunManifest("psnr", {
         "reference": args.reference, "test": args.test, "psnr": f"{value:.4f}",
-    }, timings)
+    }, laps.seconds)
     manifest.write(_manifest_path("psnr", None, Path(args.reference)))
     return 0
 
 
 def _cmd_toy(args) -> int:
-    timings = {}
-    start = time.perf_counter()
+    laps = LapTimer()
     trial = run_trial(args.seed, rho=args.rho)
-    timings["trial"] = time.perf_counter() - start
+    laps.lap("trial")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     points_path = out_dir / "toy_points.csv"
@@ -306,7 +296,7 @@ def _cmd_toy(args) -> int:
     manifest = RunManifest("toy", {
         "seed": args.seed, "rho": args.rho, "out_dir": str(out_dir),
         "points": str(points_path), "models": str(models_path),
-    }, timings)
+    }, laps.seconds)
     manifest.write(_manifest_path("toy", points_path, points_path))
     return 0
 

@@ -12,19 +12,16 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import time
 
 import numpy as np
 
 from .gmm import Gmm, _patch_matrix, _screen_modes, component_log_densities
 from .patches import ImageBuffer, _patch_side, accumulate_patches, extract_patches, psnr
+from .timing import LapTimer
 
 __all__ = ["HqsSchedule", "DenoiseResult", "denoise", "select_modes", "wiener_shrink"]
 
 _STAGE_MULTIPLIERS = (1.0, 4.0, 8.0, 16.0, 32.0)
-
-# The timed layers of a denoise() stage, in DenoiseResult's ``*_seconds`` fields.
-_LAYERS = ("select", "shrink", "aggregate", "update")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -169,21 +166,13 @@ def denoise(noisy: ImageBuffer, sigma: float, prior: Gmm,
     x = observed.copy()
     trace = [] if reference is not None else None
     histograms = []
-    seconds = dict.fromkeys(_LAYERS, 0.0)
-    clock = time.perf_counter()
-
-    def lap(layer):
-        nonlocal clock
-        now = time.perf_counter()
-        seconds[layer] += now - clock
-        clock = now
-
+    laps = LapTimer()
     for stage, (beta, delta) in enumerate(schedule.stages()):
         patches = extract_patches(ImageBuffer(x), side, 1)
         modes = select_modes(prior, patches, delta)
         counts = np.bincount(modes, minlength=k)
         histograms.append(counts)
-        lap("select")
+        laps.lap("select")
         # Mode groups as slices of one stable sort, so each lists its rows in
         # increasing order, as flatnonzero(modes == j) would.  The groups are disjoint, and each group's gather
         # is a fresh copy that the Wiener step overwrites before the scatter.
@@ -192,16 +181,16 @@ def denoise(noisy: ImageBuffer, sigma: float, prior: Gmm,
         for j in np.flatnonzero(counts):
             idx = order[ends[j] - counts[j]:ends[j]]
             patches[idx] = _shrink_rows(prior, j, patches[idx], beta)
-        lap("shrink")
+        laps.lap("shrink")
         sums, cover = accumulate_patches(patches, noisy.width, noisy.height)
-        lap("aggregate")
+        laps.lap("aggregate")
         x = (data_weight * observed + beta * sums.pixels) / (data_weight + beta * cover.pixels)
         if not np.isfinite(x).all():
             raise FloatingPointError(f"non-finite pixel values after stage {stage}")
         if trace is not None:
             trace.append(psnr(reference, ImageBuffer(x)))
-        lap("update")
+        laps.lap("update")
     return DenoiseResult(image=ImageBuffer(x),
                          psnr_trace=tuple(trace) if trace is not None else None,
                          mode_histograms=tuple(histograms),
-                         **{f"{layer}_seconds": s for layer, s in seconds.items()})
+                         **{f"{layer}_seconds": s for layer, s in laps.seconds.items()})

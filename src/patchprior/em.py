@@ -129,7 +129,7 @@ def em_fit(patches, config: EmConfig, sigma_tilde_sq: float = 0.0):
     model = Gmm(*_initialize(x, config, rng, sigma_tilde_sq))
     trace: list[float] = []
     for _ in range(config.max_iters):
-        gamma, _, loglik = responsibilities(model, x, sigma_tilde_sq, with_loglik=True)
+        gamma, _, loglik = responsibilities(model, x, sigma_tilde_sq)
         trace.append(float(loglik.mean()))
         if len(trace) > 1 and abs(trace[-1] - trace[-2]) <= config.tol * abs(trace[-2]):
             break

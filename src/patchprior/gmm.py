@@ -358,23 +358,20 @@ def _normalize(scores):
     return gamma, top + np.log(total)
 
 
-def responsibilities(gmm: Gmm, patches, inflation: float = 0.0,
-                     with_loglik: bool = False):
+def responsibilities(gmm: Gmm, patches, inflation: float = 0.0):
     """Posterior component memberships for each patch.
 
-    Returns the (n, K) responsibility matrix (rows sum to one) and the
-    per-component soft counts; with ``with_loglik`` also the (n,) log
-    mixture density of each patch, which is the likelihood term of
-    ``log_posterior_objective`` at no extra cost.  Computed through a
-    shifted softmax so the result is exact up to rounding even when every
-    density underflows.  Every entry is either 0.0 or at least 2**-1022:
-    subnormal posteriors are flushed to zero, which moves a count by less
-    than n * 2**-1022 (see ``_normalize``).
+    Returns the (n, K) responsibility matrix (rows sum to one), the
+    per-component soft counts and the (n,) log mixture density of each
+    patch, which is the likelihood term of ``log_posterior_objective`` at
+    no extra cost.  Computed through a shifted softmax so the result is
+    exact up to rounding even when every density underflows.  Every entry
+    is either 0.0 or at least 2**-1022: subnormal posteriors are flushed to
+    zero, which moves a count by less than n * 2**-1022 (see
+    ``_normalize``).
     """
     gamma, loglik = _normalize(component_log_densities(gmm, patches, inflation))
-    if with_loglik:
-        return gamma, gamma.sum(axis=0), loglik
-    return gamma, gamma.sum(axis=0)
+    return gamma, gamma.sum(axis=0), loglik
 
 
 def condition_psd(sigma, floor: float) -> np.ndarray:

@@ -67,6 +67,10 @@ def read_pgm(path) -> ImageBuffer:
             raise PgmError("raster is truncated")
         pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
         return ImageBuffer(pixels.astype(np.float64))
+    # Each sample needs a whitespace byte and a digit, so a header whose
+    # raster cannot fit in the rest of the file is rejected before allocating.
+    if len(buf) - pos < 2 * width * height:
+        raise PgmError("raster is truncated")
     values = np.empty(width * height, dtype=np.float64)
     for i in range(values.size):
         token, pos = _next_token(buf, pos)

@@ -31,9 +31,7 @@ from patchprior import (
     ImageBuffer,
     load_model,
     log_posterior_objective,
-    mstep_covariance_direct,
     mstep_covariance_fast,
-    mstep_general,
     psnr,
     responsibilities,
     sample_gmm,
@@ -44,6 +42,7 @@ from patchprior import (
 from patchprior.cli import cli_dispatch
 from patchprior.toy import run_trial
 
+from mstep_reference import centred_scatter, mstep_covariance_direct, mstep_general
 from synthimages import corpus_patches, make_piecewise_image, make_smoke_image
 
 _PRIOR_BUILD_SECONDS = {"value": 0.0}
@@ -95,7 +94,8 @@ def test_criterion_01_fast_covariance_matches_reference():
                                          g_means[j], g_covs[j],
                                          float(alphas[j]), s2)
             ref = mstep_covariance_direct(x, gamma[:, j], mu, g_means[j],
-                                          g_covs[j], float(alphas[j]), s2)
+                                          g_covs[j], float(alphas[j]), s2,
+                                          scatter=centred_scatter)
             worst = max(worst, rel_frobenius(fast, ref))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-9 and elapsed < 10.0
@@ -113,7 +113,7 @@ def test_criterion_02_fast_covariance_speedup():
     g_means = rng.uniform(50, 200, (k, d))
     g_covs = np.stack([random_spd(rng, d, 5.0, 500.0) for _ in range(k)])
     generic = Gmm(np.full(k, 1.0 / k), g_means, g_covs)
-    gamma, _ = responsibilities(generic, x)
+    gamma, _, _ = responsibilities(generic, x)
 
     stats = sufficient_stats(x, gamma)
     _, means, covs_fast = adaptation_mstep(generic, stats, n, 1.0)
@@ -172,7 +172,7 @@ def test_criterion_03_general_mstep_consistency():
         g_covs = np.stack([random_spd(rng, d, 1.0, 50.0) for _ in range(k)])
         generic = Gmm(rng.dirichlet(np.full(k, 5.0)), g_means, g_covs)
         x = sample_gmm(generic, n, rng)
-        gamma, _ = responsibilities(generic, x)
+        gamma, _, _ = responsibilities(generic, x)
         stats = sufficient_stats(x, gamma)
         w_a, m_a, c_a = adaptation_mstep(generic, stats, n, rho)
         general = mstep_general(derive_hyperparams(generic, rho), stats, n)
@@ -211,7 +211,7 @@ def test_criterion_04_update_is_stationary_point():
 
         current, delta = generic, np.inf
         for _ in range(3000):
-            gamma, _ = responsibilities(current, x)
+            gamma, _, _ = responsibilities(current, x)
             stats = sufficient_stats(x, gamma)
             w, m, c = adaptation_mstep(generic, stats, x.shape[0], rho)
             c = np.stack([condition_psd(ci, 1e-10) for ci in c])

@@ -9,10 +9,7 @@ from patchprior.adapt import (
     AdaptationConfig,
     adapt,
     adaptation_mstep,
-    mstep_covariance_direct,
     mstep_covariance_fast,
-    mstep_general,
-    posterior_hyperparams,
 )
 from patchprior.gmm import (
     Gmm,
@@ -25,14 +22,14 @@ from patchprior.gmm import (
     sufficient_stats,
 )
 
+from mstep_reference import (
+    centred_scatter,
+    mstep_covariance_direct,
+    mstep_general,
+    posterior_hyperparams,
+)
 from test_em import trace_condition_psd
 from test_gmm import random_gmm, random_spd
-
-
-def centred_scatter(x, resp, mean):
-    """Two-pass responsibility-weighted scatter about ``mean``, unnormalized."""
-    dev = x - mean
-    return (resp[:, None] * dev).T @ dev
 
 
 def blended_mean(stats, generic, k, rho):
@@ -65,7 +62,7 @@ class TestAnchoringLimits:
         generic = random_gmm(rng, 3, 2, mean_scale=4.0)
         x = sample_gmm(generic, 1000, rng)
         adapted, _ = adapt(generic, x, AdaptationConfig(rho=1e-9))
-        gamma, counts = responsibilities(generic, x)
+        gamma, counts, _ = responsibilities(generic, x)
         stats = sufficient_stats(x, gamma)
         assert np.allclose(adapted.weights, counts / 1000.0, atol=1e-9)
         assert np.allclose(adapted.means, stats.means, atol=1e-6)
@@ -164,7 +161,7 @@ class TestMstepBlends:
         rng = np.random.default_rng(6)
         generic = random_gmm(rng, 4, 2)
         x = rng.normal(0.0, 1.0, (200, 2))
-        gamma, counts = responsibilities(generic, x)
+        gamma, counts, _ = responsibilities(generic, x)
         stats = sufficient_stats(x, gamma)
         rho = 3.0
         weights, _, _ = adaptation_mstep(generic, stats, 200, rho=rho)
@@ -176,7 +173,7 @@ class TestMstepBlends:
         rng = np.random.default_rng(7)
         generic = random_gmm(rng, 2, 3)
         x = rng.normal(0.0, 1.0, (150, 3))
-        gamma, _ = responsibilities(generic, x)
+        gamma, _, _ = responsibilities(generic, x)
         stats = sufficient_stats(x, gamma)
         _, means, _ = adaptation_mstep(generic, stats, 150, rho=5.0)
         for k in range(2):
@@ -269,7 +266,7 @@ class TestGeneralMstep:
         rng = np.random.default_rng(13)
         generic = random_gmm(rng, 3, 3)
         x = rng.normal(0.0, 1.2, (120, 3))
-        gamma, _ = responsibilities(generic, x)
+        gamma, _, _ = responsibilities(generic, x)
         stats = sufficient_stats(x, gamma)
         rho = 2.5
         weights, means, covs = adaptation_mstep(generic, stats, 120, rho=rho)
@@ -348,7 +345,7 @@ class TestAdaptLoop:
         config = AdaptationConfig(rho=1.5)
         fast, _ = adapt(generic, x, config)
         # one iteration rebuilt by hand on the two-pass reference
-        gamma, counts = responsibilities(generic, x)
+        gamma, counts, _ = responsibilities(generic, x)
         alphas = counts / (counts + config.rho)
         weights = (counts + config.rho * 3 * generic.weights) / (150 + config.rho * 3)
         means = (alphas[:, None] * (gamma.T @ x) / counts[:, None]

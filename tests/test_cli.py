@@ -14,6 +14,7 @@ from patchprior.toy import GENERIC_TRUTH
 
 from synthimages import make_piecewise_image, make_smoke_image
 from test_denoise import check_baseline
+from test_patches import PGM_BOMB
 
 
 def read_manifest(path):
@@ -80,6 +81,12 @@ class TestPsnr:
         rc = cli_dispatch(["psnr", str(tmp_path / "a.pgm"), str(tmp_path / "b.pgm")])
         assert rc == 0
         assert capsys.readouterr().out.strip() == "48.1308"
+
+    def test_oversized_ascii_header_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "bomb.pgm"
+        path.write_bytes(PGM_BOMB)
+        assert cli_dispatch(["psnr", str(path), str(path)]) == 1
+        assert "raster is truncated" in capsys.readouterr().err
 
 
 class TestNoise:

@@ -240,6 +240,6 @@ class TestEdgeCases:
                             rng.normal(9.0, 1.0, (250, 2))])
         model, _ = em_fit(x, EmConfig(n_components=2, max_iters=200, tol=1e-13,
                                       seed=5))
-        _, counts = responsibilities(model, x)
+        _, counts, _ = responsibilities(model, x)
         # at a fixed point the M-step weight equals the mean responsibility
         assert np.allclose(counts / 500.0, model.weights, atol=1e-8)

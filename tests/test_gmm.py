@@ -101,7 +101,7 @@ class TestResponsibilities:
         rng = np.random.default_rng(4)
         gmm = random_gmm(rng, 1, 3)
         x = rng.standard_normal((20, 3))
-        gamma, counts = responsibilities(gmm, x)
+        gamma, counts, _ = responsibilities(gmm, x)
         assert np.allclose(gamma, 1.0, atol=1e-15)
         assert counts[0] == pytest.approx(20.0, abs=1e-9)
 
@@ -111,14 +111,14 @@ class TestResponsibilities:
                   means=np.zeros((2, 2)),
                   covariances=np.stack([cov, cov]))
         x = np.random.default_rng(5).standard_normal((15, 2))
-        gamma, _ = responsibilities(gmm, x)
+        gamma, _, _ = responsibilities(gmm, x)
         assert np.allclose(gamma, [0.3, 0.7], atol=1e-12)
 
     def test_matches_linear_scale_oracle(self):
         rng = np.random.default_rng(6)
         gmm = random_gmm(rng, 3, 2)
         x = rng.standard_normal((50, 2))
-        gamma, counts = responsibilities(gmm, x)
+        gamma, counts, _ = responsibilities(gmm, x)
         dens = np.zeros((50, 3))
         for k in range(3):
             dev = x - gmm.means[k]
@@ -135,7 +135,7 @@ class TestResponsibilities:
         rng = np.random.default_rng(7)
         gmm = random_gmm(rng, 4, 3)
         x = rng.normal(0.0, 2.0, (200, 3))
-        gamma, counts = responsibilities(gmm, x)
+        gamma, counts, _ = responsibilities(gmm, x)
         assert np.allclose(gamma.sum(axis=1), 1.0, atol=1e-12)
         assert counts.sum() == pytest.approx(200.0, rel=1e-9)
 
@@ -143,11 +143,11 @@ class TestResponsibilities:
         rng = np.random.default_rng(8)
         gmm = random_gmm(rng, 3, 2)
         x = rng.standard_normal((30, 2))
-        gamma, _ = responsibilities(gmm, x)
+        gamma, _, _ = responsibilities(gmm, x)
         # same mixture with weights renormalized from a scaled copy
         scaled = Gmm(weights=(gmm.weights * 7.0) / np.sum(gmm.weights * 7.0),
                      means=gmm.means, covariances=gmm.covariances)
-        gamma2, _ = responsibilities(scaled, x)
+        gamma2, _, _ = responsibilities(scaled, x)
         assert np.allclose(gamma, gamma2, atol=1e-12)
 
     def test_inflation_changes_scores_consistently(self):
@@ -156,8 +156,8 @@ class TestResponsibilities:
         x = rng.standard_normal((10, 3))
         inflated = Gmm(weights=gmm.weights, means=gmm.means,
                        covariances=gmm.covariances + 1.7 * np.eye(3))
-        gamma_a, _ = responsibilities(gmm, x, inflation=1.7)
-        gamma_b, _ = responsibilities(inflated, x)
+        gamma_a, _, _ = responsibilities(gmm, x, inflation=1.7)
+        gamma_b, _, _ = responsibilities(inflated, x)
         assert np.allclose(gamma_a, gamma_b, atol=1e-12)
 
     def test_degenerate_patch_raises(self):
@@ -194,7 +194,7 @@ class TestSubnormalFlush:
         prior, patches = noisy_scene
         raw, _ = self._unflushed(prior, patches)
         assert ((raw > 0.0) & (raw < TINY)).any()
-        gamma, _ = responsibilities(prior, patches, 100.0)
+        gamma, _, _ = responsibilities(prior, patches, 100.0)
         assert ((gamma == 0.0) | (gamma >= TINY)).all()
         assert np.array_equal(gamma, np.where(raw < TINY, 0.0, raw))
         assert np.allclose(gamma.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
@@ -202,7 +202,7 @@ class TestSubnormalFlush:
     def test_counts_and_moments_unchanged(self, noisy_scene):
         prior, patches = noisy_scene
         raw, _ = self._unflushed(prior, patches)
-        gamma, counts = responsibilities(prior, patches, 100.0)
+        gamma, counts, _ = responsibilities(prior, patches, 100.0)
         assert np.array_equal(counts, raw.sum(axis=0))
         flushed, unflushed = sufficient_stats(patches, gamma), sufficient_stats(patches, raw)
         for field in ("counts", "means", "second_moments"):
@@ -211,8 +211,7 @@ class TestSubnormalFlush:
     def test_loglik_unchanged(self, noisy_scene):
         prior, patches = noisy_scene
         _, loglik = self._unflushed(prior, patches)
-        assert np.array_equal(responsibilities(prior, patches, 100.0, with_loglik=True)[2],
-                              loglik)
+        assert np.array_equal(responsibilities(prior, patches, 100.0)[2], loglik)
 
 
 class TestConditionPsd:
@@ -401,7 +400,7 @@ class TestLogPosteriorObjective:
         rng = np.random.default_rng(15)
         gmm = random_gmm(rng, 3, 2)
         x = rng.standard_normal((60, 2))
-        gamma, _, loglik = responsibilities(gmm, x, with_loglik=True)
+        gamma, _, loglik = responsibilities(gmm, x)
         scores = component_log_densities(gmm, x)
         # independent accumulation: per-point scaled linear-sum of densities
         direct = 0.0
@@ -417,8 +416,8 @@ class TestLogPosteriorObjective:
         x = rng.standard_normal((30, 2))
         inflated_model = Gmm(weights=gmm.weights, means=gmm.means,
                              covariances=gmm.covariances + 0.9 * np.eye(2))
-        with_inflation = responsibilities(gmm, x, 0.9, with_loglik=True)[2].sum()
-        explicit = responsibilities(inflated_model, x, with_loglik=True)[2].sum()
+        with_inflation = responsibilities(gmm, x, 0.9)[2].sum()
+        explicit = responsibilities(inflated_model, x)[2].sum()
         assert with_inflation == pytest.approx(explicit, rel=1e-12)
 
 
@@ -552,7 +551,7 @@ class TestBlockedKernelAccuracy:
 
     def test_moments_within_bound(self, block_prior, points):
         rng = np.random.default_rng(32)
-        gamma, _ = responsibilities(block_prior, points, 400.0)
+        gamma, _, _ = responsibilities(block_prior, points, 400.0)
         # any nonnegative weights, not only posteriors that sum to one
         gamma = np.where(rng.random(gamma.shape) < 0.3, rng.random(gamma.shape), gamma)
         gamma[:, 7] = 0.0  # the zero-weight component has zero count

@@ -1,5 +1,7 @@
 """Patch grid, overlap accumulation, noise synthesis, PSNR, PGM files."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -238,6 +240,10 @@ class TestImageBuffer:
             img.pixels[0, 0] = 1.0
 
 
+# An ASCII header announcing a 100000 x 100000 raster, followed by 3 samples.
+PGM_BOMB = b"P2\n100000 100000\n255\n1 2 3\n"
+
+
 class TestPgm:
     def test_binary_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -292,3 +298,21 @@ class TestPgm:
         path.write_bytes(b"P2\n2 1\n255\n12 999\n")
         with pytest.raises(PgmError):
             read_pgm(path)
+
+    def test_ascii_header_larger_than_file_fails_before_allocating(self, tmp_path):
+        # 10^10 samples would take 74.5 GiB as float64, and the file cannot hold them
+        path = tmp_path / "bomb.pgm"
+        path.write_bytes(PGM_BOMB)
+        tracemalloc.start()
+        try:
+            with pytest.raises(PgmError):
+                read_pgm(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_ascii_single_sample_without_trailing_newline(self, tmp_path):
+        path = tmp_path / "one.pgm"
+        path.write_bytes(b"P2\n1 1\n255\n7")
+        assert read_pgm(path).pixels.tolist() == [[7.0]]
