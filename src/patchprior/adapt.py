@@ -52,10 +52,6 @@ class AdaptationConfig:
             raise ValueError("psd_floor must be positive and finite")
 
 
-# The timed phases of an adapt() call, in AdaptationReport's ``*_seconds`` fields.
-_PHASES = ("estep", "stats", "mstep", "objective")
-
-
 @dataclasses.dataclass(frozen=True)
 class AdaptationReport:
     """Diagnostics from one adapt() call.
@@ -75,17 +71,6 @@ class AdaptationReport:
     stats_seconds: float
     mstep_seconds: float
     objective_seconds: float
-
-    def to_text(self) -> str:
-        lines = [f"iterations = {len(self.objectives)}"]
-        for phase in _PHASES:
-            lines.append(f"{phase}_seconds = {getattr(self, phase + '_seconds'):.6f}")
-        for i, value in enumerate(self.objectives, start=1):
-            lines.append(f"objective_iter_{i} = {value:.6f}")
-        lines.append("component alpha count")
-        for k, (a, c) in enumerate(zip(self.alphas, self.counts)):
-            lines.append(f"{k} {a:.6f} {c:.3f}")
-        return "\n".join(lines) + "\n"
 
 
 def mstep_covariance_fast(second_moment, mu_tilde, generic_mean, generic_cov,

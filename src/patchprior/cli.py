@@ -1,9 +1,9 @@
 """Command-line entry points for the patch-prior toolbox.
 
-Every run writes a RunManifest next to its primary output: a flat
-key-value record of the command, the resolved parameters, the library
-version and per-phase wall-clock timings, so results can be traced back
-to exactly what produced them.
+Every run writes one manifest next to its primary output: flat
+``key = value`` lines holding the command, the library version, the
+resolved parameters and per-phase wall-clock timings, so results can be
+traced back to exactly what produced them.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .sure import SureConfig, estimate_sigma_tilde_sq
 from .timing import LapTimer
 from .toy import run_trial
 
-__all__ = ["RunManifest", "cli_dispatch", "main"]
+__all__ = ["cli_dispatch", "main"]
 
 log = logging.getLogger(__name__)
 
@@ -40,31 +40,22 @@ class UsageError(ValueError):
     """Inconsistent flag combinations detected after parsing."""
 
 
-@dataclasses.dataclass(frozen=True)
-class RunManifest:
-    """Flat, text-serializable record of one tool invocation."""
-
-    command: str
-    params: dict
-    timings: dict
-    version: str = __version__
-
-    def to_text(self) -> str:
-        lines = [f"command = {self.command}", f"version = {self.version}"]
-        for key in sorted(self.params):
-            lines.append(f"{key} = {self.params[key]}")
-        for key in sorted(self.timings):
-            lines.append(f"time_{key}_seconds = {self.timings[key]:.6f}")
-        return "\n".join(lines) + "\n"
-
-    def write(self, path) -> None:
-        atomic_write_bytes(path, self.to_text().encode("ascii"))
-
-
-def _manifest_path(command: str, out: Path | None, first_input: Path) -> Path:
+def _write_manifest(command: str, params: dict, seconds: dict, out, first_input) -> None:
+    """Write the run record: ``<out>.manifest``, or for a command with no
+    output file ``<first_input>.<command>.manifest`` beside its input."""
+    lines = [f"command = {command}", f"version = {__version__}"]
+    lines += [f"{key} = {params[key]}" for key in sorted(params)]
+    lines += [f"time_{key}_seconds = {seconds[key]:.6f}" for key in sorted(seconds)]
     if out is not None:
-        return Path(str(out) + ".manifest")
-    return first_input.with_name(f"{first_input.name}.{command}.manifest")
+        path = Path(f"{out}.manifest")
+    else:
+        first_input = Path(first_input)
+        path = first_input.with_name(f"{first_input.name}.{command}.manifest")
+    atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
+
+
+def _comma_list(values, spec: str) -> str:
+    return ",".join(format(v, spec) for v in values)
 
 
 def _finite_float(text: str) -> float:
@@ -89,10 +80,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _layer_seconds(record) -> dict:
+def _layer_seconds(record, prefix: str = "") -> dict:
     """The ``*_seconds`` fields of a DenoiseResult or AdaptationReport,
-    keyed by layer name, for a manifest's timings."""
-    return {f.name.removesuffix("_seconds"): getattr(record, f.name)
+    keyed by ``prefix`` plus the layer name, for a manifest's timings."""
+    return {prefix + f.name.removesuffix("_seconds"): getattr(record, f.name)
             for f in dataclasses.fields(record) if f.name.endswith("_seconds")}
 
 
@@ -107,12 +98,7 @@ def _parse_betas(text: str, sigma: float):
 def _hqs_denoiser(prior, sigma: float):
     """The default-schedule HQS denoiser as an image -> image function, the
     prefilter that SURE probes."""
-    schedule = HqsSchedule.default(sigma)
-
-    def run(img):
-        return denoise(img, sigma, prior, schedule).image
-
-    return run
+    return lambda img: denoise(img, sigma, prior).image
 
 
 def _corpus_paths(corpus: Path):
@@ -138,13 +124,13 @@ def _cmd_train(args) -> int:
     save_model(model, out)
     log.info("trained %d components on %d patches, %d iterations",
              args.k, data.shape[0], len(trace))
-    manifest = RunManifest("train", {
+    _write_manifest("train", {
         "corpus": args.corpus, "images": len(paths), "patches": data.shape[0],
         "k": args.k, "patch_size": args.patch_size, "stride": args.stride,
         "seed": args.seed, "max_iters": args.max_iters, "tol": args.tol,
-        "iterations_run": len(trace), "out": str(out),
-    }, laps.seconds)
-    manifest.write(_manifest_path("train", out, Path(paths[0])))
+        "iterations_run": len(trace), "logliks": _comma_list(trace, ".6f"),
+        "out": str(out),
+    }, laps.seconds, out, paths[0])
     return 0
 
 
@@ -158,11 +144,13 @@ def _cmd_adapt(args) -> int:
         if args.sigma is None:
             raise UsageError("--sigma-tilde sure requires --sigma")
         sure_config = SureConfig(seed=args.seed, probes=args.probes)
-        run = _hqs_denoiser(generic, args.sigma)
-        target = run(image)
+        prefilter = denoise(image, args.sigma, generic)
+        target = prefilter.image
         laps.lap("prefilter")
+        laps.seconds.update(_layer_seconds(prefilter, "prefilter_"))
         sigma_tilde_sq = estimate_sigma_tilde_sq(
-            image, args.sigma, run, sure_config, baseline=target)
+            image, args.sigma, _hqs_denoiser(generic, args.sigma), sure_config,
+            baseline=target)
         laps.lap("sure")
     else:
         try:
@@ -181,15 +169,15 @@ def _cmd_adapt(args) -> int:
     laps.seconds.update(_layer_seconds(report))
     out = Path(args.out)
     save_model(adapted, out)
-    atomic_write_bytes(Path(str(out) + ".report.txt"), report.to_text().encode("ascii"))
-    manifest = RunManifest("adapt", {
+    _write_manifest("adapt", {
         "model": args.model, "image": args.image, "out": str(out),
         "rho": args.rho, "sigma_tilde": args.sigma_tilde,
         "sigma_tilde_sq": sigma_tilde_sq, "sigma": args.sigma,
         "iters": args.iters, "stride": args.stride, "seed": args.seed,
-        "probes": args.probes,
-    }, laps.seconds)
-    manifest.write(_manifest_path("adapt", out, Path(args.image)))
+        "probes": args.probes, "objectives": _comma_list(report.objectives, ".6f"),
+        "alphas": _comma_list(report.alphas, ".6f"),
+        "counts": _comma_list(report.counts, ".3f"),
+    }, laps.seconds, out, args.image)
     return 0
 
 
@@ -212,13 +200,12 @@ def _cmd_denoise(args) -> int:
         print("stage,beta,psnr")
         for i, (beta, value) in enumerate(zip(schedule.betas, result.psnr_trace), start=1):
             print(f"{i},{beta:.8g},{value:.4f}")
-    manifest = RunManifest("denoise", {
+    _write_manifest("denoise", {
         "input": args.input, "model": args.model, "out": str(out),
-        "sigma": args.sigma, "betas": ",".join(f"{b:.8g}" for b in schedule.betas),
-        "mode_inflations": ",".join(f"{g:.8g}" for g in schedule.mode_inflations),
+        "sigma": args.sigma, "betas": _comma_list(schedule.betas, ".8g"),
+        "mode_inflations": _comma_list(schedule.mode_inflations, ".8g"),
         "ref": args.ref, "trace": args.trace,
-    }, laps.seconds)
-    manifest.write(_manifest_path("denoise", out, Path(args.input)))
+    }, laps.seconds, out, args.input)
     return 0
 
 
@@ -232,12 +219,11 @@ def _cmd_sure(args) -> int:
     laps.lap("sure")
     print(f"sigma_tilde_sq {estimate:.6f}")
     print(f"ratio {np.sqrt(estimate) / args.sigma:.6f}")
-    manifest = RunManifest("sure", {
+    _write_manifest("sure", {
         "input": args.input, "model": args.model, "sigma": args.sigma,
         "delta": args.delta, "seed": args.seed, "probes": args.probes,
-        "sigma_tilde_sq": f"{estimate:.6f}",
-    }, laps.seconds)
-    manifest.write(_manifest_path("sure", None, Path(args.input)))
+        "sigma_tilde_sq": estimate,
+    }, laps.seconds, None, args.input)
     return 0
 
 
@@ -248,10 +234,9 @@ def _cmd_noise(args) -> int:
     laps.lap("noise")
     out = Path(args.out)
     write_pgm(noisy, out)
-    manifest = RunManifest("noise", {
+    _write_manifest("noise", {
         "input": args.input, "out": str(out), "sigma": args.sigma, "seed": args.seed,
-    }, laps.seconds)
-    manifest.write(_manifest_path("noise", out, Path(args.input)))
+    }, laps.seconds, out, args.input)
     return 0
 
 
@@ -260,10 +245,9 @@ def _cmd_psnr(args) -> int:
     value = psnr(read_pgm(args.reference), read_pgm(args.test))
     laps.lap("psnr")
     print(f"{value:.4f}")
-    manifest = RunManifest("psnr", {
+    _write_manifest("psnr", {
         "reference": args.reference, "test": args.test, "psnr": f"{value:.4f}",
-    }, laps.seconds)
-    manifest.write(_manifest_path("psnr", None, Path(args.reference)))
+    }, laps.seconds, None, args.reference)
     return 0
 
 
@@ -293,11 +277,10 @@ def _cmd_toy(args) -> int:
     atomic_write_bytes(models_path, ("\n".join(lines) + "\n").encode("ascii"))
     print(f"scratch_error {trial.scratch_error:.6f}")
     print(f"adapted_error {trial.adapted_error:.6f}")
-    manifest = RunManifest("toy", {
+    _write_manifest("toy", {
         "seed": args.seed, "rho": args.rho, "out_dir": str(out_dir),
         "points": str(points_path), "models": str(models_path),
-    }, laps.seconds)
-    manifest.write(_manifest_path("toy", points_path, points_path))
+    }, laps.seconds, points_path, None)
     return 0
 
 
@@ -313,9 +296,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_positive_int, default=20, help="number of mixture components")
     p.add_argument("--patch-size", type=_positive_int, default=8)
     p.add_argument("--stride", type=_positive_int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iters", type=_positive_int, default=100)
-    p.add_argument("--tol", type=_finite_float, default=1e-5)
+    p.add_argument("--seed", type=int, default=EmConfig.seed)
+    p.add_argument("--max-iters", type=_positive_int, default=EmConfig.max_iters)
+    p.add_argument("--tol", type=_finite_float, default=EmConfig.tol)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("adapt", help="adapt a generic prior to one image")
@@ -323,16 +306,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("image", help="adaptation image; the noisy image when "
                                  "--sigma-tilde is 'sure'")
     p.add_argument("--out", required=True, help="output model file")
-    p.add_argument("--rho", type=_finite_float, default=1.0, help="relevance factor")
+    p.add_argument("--rho", type=_finite_float, default=AdaptationConfig.rho,
+                   help="relevance factor")
     p.add_argument("--sigma-tilde", default="0",
                    help="residual noise scale of the adaptation image, or 'sure' "
                         "to pre-filter the image and estimate it")
     p.add_argument("--sigma", type=_finite_float, default=None,
                    help="observation noise scale, required with --sigma-tilde sure")
-    p.add_argument("--iters", type=_positive_int, default=1)
+    p.add_argument("--iters", type=_positive_int, default=AdaptationConfig.iterations)
     p.add_argument("--stride", type=_positive_int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--probes", type=_positive_int, default=1)
+    p.add_argument("--seed", type=int, default=SureConfig.seed)
+    p.add_argument("--probes", type=_positive_int, default=SureConfig.probes)
     p.set_defaults(func=_cmd_adapt)
 
     p = sub.add_parser("denoise", help="restore a noisy image")
@@ -353,9 +337,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--sigma", type=_finite_float, required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--delta", type=_finite_float, default=0.01)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--probes", type=_positive_int, default=1)
+    p.add_argument("--delta", type=_finite_float, default=SureConfig.delta)
+    p.add_argument("--seed", type=int, default=SureConfig.seed)
+    p.add_argument("--probes", type=_positive_int, default=SureConfig.probes)
     p.set_defaults(func=_cmd_sure)
 
     p = sub.add_parser("noise", help="add seeded Gaussian noise to an image")

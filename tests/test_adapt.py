@@ -1,10 +1,13 @@
 """Bayesian adaptation of a generic mixture toward image-specific patches."""
 
 import importlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import patchprior.cli as cli_module
+from patchprior import ImageBuffer, save_model, write_pgm
 from patchprior.adapt import (
     AdaptationConfig,
     adapt,
@@ -297,22 +300,38 @@ class TestAdaptLoop:
         for k in range(4):
             assert np.linalg.eigvalsh(adapted.covariances[k])[0] >= 1e-3 * (1 - 1e-9)
 
-    def test_report_contents(self):
+    def test_report_contents(self, tmp_path, monkeypatch):
+        # `patchprior adapt` records its report in the manifest; compare the
+        # lines with the report that the same run returned
         rng = np.random.default_rng(16)
-        generic = random_gmm(rng, 2, 2)
-        x = rng.normal(0.0, 1.0, (80, 2))
-        adapted, report = adapt(generic, x, AdaptationConfig(rho=2.0, iterations=2))
+        save_model(random_gmm(rng, 2, 4), tmp_path / "generic.gmmp")
+        write_pgm(ImageBuffer(rng.integers(0, 4, (10, 10)).astype(float)),
+                  tmp_path / "image.pgm")
+        reports = []
+
+        def recorded(*args, **kwargs):
+            adapted, report = adapt(*args, **kwargs)
+            reports.append(report)
+            return adapted, report
+        monkeypatch.setattr(cli_module, "adapt", recorded)
+        out = tmp_path / "adapted.gmmp"
+        assert cli_module.cli_dispatch(["adapt", str(tmp_path / "generic.gmmp"),
+                                        str(tmp_path / "image.pgm"), "--out", str(out),
+                                        "--rho", "2", "--iters", "2"]) == 0
+        (report,) = reports
         assert len(report.objectives) == 2
         assert report.alphas.shape == (2,)
         assert np.all(report.alphas >= 0.0) and np.all(report.alphas < 1.0)
-        assert report.counts.sum() == pytest.approx(80.0, rel=1e-9)
-        text = report.to_text()
-        assert "objective" in text and "alpha" in text
-        lines = dict(line.split(" = ") for line in text.splitlines() if " = " in line)
+        assert report.counts.sum() == pytest.approx(81.0, rel=1e-9)
+        lines = dict(line.split(" = ", 1)
+                     for line in Path(f"{out}.manifest").read_text().splitlines())
+        assert lines["objectives"] == ",".join(f"{v:.6f}" for v in report.objectives)
+        assert lines["alphas"] == ",".join(f"{v:.6f}" for v in report.alphas)
+        assert lines["counts"] == ",".join(f"{v:.3f}" for v in report.counts)
         for phase in ("estep", "stats", "mstep", "objective"):
             seconds = getattr(report, f"{phase}_seconds")
             assert seconds > 0.0
-            assert float(lines[f"{phase}_seconds"]) == pytest.approx(seconds, abs=1e-6)
+            assert float(lines[f"time_{phase}_seconds"]) == pytest.approx(seconds, abs=1e-6)
 
     def test_noisy_adaptation_compensates(self):
         # one isotropic component: compensated covariance should track the

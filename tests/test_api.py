@@ -1,5 +1,6 @@
 """Public surface: exported names and where invalid parameters are rejected."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -43,6 +44,21 @@ def test_scipy_is_not_imported_at_runtime():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_package_has_no_assert_and_one_clock():
+    # python -O strips assert statements, so a check in src/ must raise; and
+    # every *_seconds value comes from the one lap timer in timing.py
+    asserts, clocks = [], set()
+    for path in sorted(Path(patchprior.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assert):
+                asserts.append(f"{path.name}:{node.lineno}")
+            if "perf_counter" in (getattr(node, "attr", None), getattr(node, "id", None),
+                                  getattr(node, "name", None)):
+                clocks.add(path.name)
+    assert asserts == []
+    assert clocks == {"timing.py"}
 
 
 def _denoise(sigma):

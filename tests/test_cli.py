@@ -152,10 +152,11 @@ class TestAdapt:
         assert rc == 0
         adapted = load_model(out)
         assert adapted.n_components == 4
-        report = Path(str(out) + ".report.txt").read_text()
-        assert "objective" in report
+        assert not Path(str(out) + ".report.txt").exists()
         manifest = manifest_params(str(out) + ".manifest")
         assert manifest["sigma_tilde_sq"] == "0.0"
+        assert len(manifest["objectives"].split(",")) == 1
+        assert len(manifest["alphas"].split(",")) == 4
         seconds = manifest_seconds(str(out) + ".manifest",
                                    ["adapt", "estep", "stats", "mstep", "objective"])
         phases = sum(v for k, v in seconds.items() if k != "adapt")
@@ -338,6 +339,98 @@ class TestToy:
         assert len(models) == 1 + 3 * 2
         out = capsys.readouterr().out
         assert "scratch_error" in out and "adapted_error" in out
+
+
+# The exact keys of each command's manifest, past `command` and `version`;
+# `time_` keys name the phases that the command times.
+MANIFEST_KEYS = {
+    "train": {"corpus", "images", "patches", "k", "patch_size", "stride", "seed",
+              "max_iters", "tol", "iterations_run", "logliks", "out",
+              "time_extract_seconds", "time_fit_seconds"},
+    "adapt": {"model", "image", "out", "rho", "sigma_tilde", "sigma_tilde_sq", "sigma",
+              "iters", "stride", "seed", "probes", "objectives", "alphas", "counts",
+              *(f"time_{name}_seconds" for name in (
+                  "prefilter", "prefilter_select", "prefilter_shrink",
+                  "prefilter_aggregate", "prefilter_update", "sure", "adapt",
+                  "estep", "stats", "mstep", "objective"))},
+    "denoise": {"input", "model", "out", "sigma", "betas", "mode_inflations", "ref",
+                "trace", *(f"time_{name}_seconds" for name in (
+                    "denoise", "select", "shrink", "aggregate", "update"))},
+    "sure": {"input", "model", "sigma", "delta", "seed", "probes", "sigma_tilde_sq",
+             "time_sure_seconds"},
+    "noise": {"input", "out", "sigma", "seed", "time_noise_seconds"},
+    "psnr": {"reference", "test", "psnr", "time_psnr_seconds"},
+    "toy": {"seed", "rho", "out_dir", "points", "models", "time_trial_seconds"},
+}
+
+
+class TestManifests:
+    def test_every_command_writes_one_parseable_record(self, workspace, tmp_path, capsys):
+        model, clean = str(workspace / "generic.gmmp"), str(workspace / "clean.pgm")
+        noisy, adapted = tmp_path / "noisy.pgm", tmp_path / "adapted.gmmp"
+        denoised = tmp_path / "denoised.pgm"
+        runs = [
+            ["noise", clean, "--sigma", "20", "--seed", "6", "--out", str(noisy)],
+            ["adapt", model, str(noisy), "--out", str(adapted), "--sigma-tilde", "sure",
+             "--sigma", "20", "--iters", "3"],
+            ["denoise", str(noisy), "--sigma", "20", "--model", model,
+             "--out", str(denoised)],
+            ["sure", str(noisy), "--sigma", "20", "--model", model],
+            ["psnr", clean, str(denoised)],
+            ["toy", "--out-dir", str(tmp_path / "toy")],
+        ]
+        for argv in runs:
+            assert cli_dispatch(argv) == 0, argv
+        printed = capsys.readouterr().out
+        paths = {
+            "train": workspace / "generic.gmmp.manifest",
+            "noise": f"{noisy}.manifest",
+            "adapt": f"{adapted}.manifest",
+            "denoise": f"{denoised}.manifest",
+            "sure": tmp_path / "noisy.pgm.sure.manifest",
+            "psnr": workspace / "clean.pgm.psnr.manifest",
+            "toy": tmp_path / "toy" / "toy_points.csv.manifest",
+        }
+        manifests = {}
+        for command, path in paths.items():
+            lines = Path(path).read_text().splitlines()
+            # perfbench's sure-chain reads a manifest with split(" = ", 1)
+            pairs = [line.split(" = ", 1) for line in lines]
+            assert all(len(pair) == 2 and pair[0].isidentifier() and pair[1]
+                       for pair in pairs), (command, lines)
+            keys = [key for key, _ in pairs]
+            assert keys[:2] == ["command", "version"]
+            # sorted parameters, then the timings sorted by phase name
+            params = [k for k in keys[2:] if not k.startswith("time_")]
+            phases = [k.removeprefix("time_").removesuffix("_seconds")
+                      for k in keys[2 + len(params):]]
+            assert keys[2:2 + len(params)] == sorted(params)
+            assert phases == sorted(phases)
+            assert set(keys[2:]) == MANIFEST_KEYS[command] and len(set(keys)) == len(keys)
+            manifests[command] = dict(pairs)
+            assert manifests[command]["command"] == command
+
+        train = manifests["train"]
+        logliks = [float(v) for v in train["logliks"].split(",")]
+        assert len(logliks) == int(train["iterations_run"])
+
+        adapt = manifests["adapt"]
+        k = load_model(model).n_components
+        assert len(adapt["objectives"].split(",")) == 3
+        assert len(adapt["alphas"].split(",")) == k
+        patches = (96 - 6 + 1) ** 2
+        counts = [float(v) for v in adapt["counts"].split(",")]
+        assert sum(counts) == pytest.approx(patches, abs=k * 5e-4)  # 3 decimals each
+        layers = manifest_seconds(f"{adapted}.manifest", [
+            f"prefilter_{layer}" for layer in ("select", "shrink", "aggregate", "update")])
+        prefilter = float(adapt["time_prefilter_seconds"])
+        assert sum(layers.values()) <= prefilter + 5 * _PRINTED
+
+        # sigma_tilde_sq is written in full by both commands that estimate it,
+        # and the same seed gives the same estimate; stdout keeps 6 decimals
+        sure = manifests["sure"]
+        assert sure["sigma_tilde_sq"] == adapt["sigma_tilde_sq"]
+        assert f"sigma_tilde_sq {float(sure['sigma_tilde_sq']):.6f}" in printed
 
 
 class TestUsageErrors:
