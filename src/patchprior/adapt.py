@@ -58,19 +58,19 @@ class AdaptationReport:
 
     ``objectives`` holds the penalized log objective after each
     iteration's update, and ``alphas`` and ``counts`` come from the final
-    E-step.  The ``*_seconds`` fields are wall-clock totals over all
-    iterations of each phase: E-steps (responsibilities), sufficient
-    statistics, M-steps (update, PSD floor and the new model's
-    factorization) and objective evaluation.
+    E-step.  The objectives are guaranteed to ascend only when
+    ``sigma_tilde_sq`` is 0: with a positive value the M-step deflates the
+    data covariance and floors its spectrum, which is not the objective's
+    maximizer and can lower it.  ``seconds`` maps each phase to its
+    wall-clock total over all iterations: ``estep`` (responsibilities),
+    ``stats`` (sufficient statistics), ``mstep`` (update, PSD floor and the
+    new model's factorization) and ``objective``.
     """
 
     objectives: tuple[float, ...]
     alphas: np.ndarray
     counts: np.ndarray
-    estep_seconds: float
-    stats_seconds: float
-    mstep_seconds: float
-    objective_seconds: float
+    seconds: dict
 
 
 def mstep_covariance_fast(second_moment, mu_tilde, generic_mean, generic_cov,
@@ -158,7 +158,6 @@ def adapt(generic: Gmm, patches, config: AdaptationConfig | None = None):
         laps.lap("mstep")
     objectives.append(log_posterior_objective(current, x, hyper, config.sigma_tilde_sq))
     laps.lap("objective")
-    report = AdaptationReport(objectives=tuple(objectives), alphas=alphas, counts=counts,
-                              **{f"{p}_seconds": s for p, s in laps.seconds.items()})
-    return current, report
+    return current, AdaptationReport(objectives=tuple(objectives), alphas=alphas,
+                                     counts=counts, seconds=laps.seconds)
 

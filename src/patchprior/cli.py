@@ -1,9 +1,10 @@
 """Command-line entry points for the patch-prior toolbox.
 
 Every run writes one manifest next to its primary output: flat
-``key = value`` lines holding the command, the library version, the
-resolved parameters and per-phase wall-clock timings, so results can be
-traced back to exactly what produced them.
+``key = value`` lines holding the command, the library version, every
+parsed flag and argument merged with what the run computed, and per-phase
+wall-clock timings, so results can be traced back to exactly what
+produced them.
 """
 
 from __future__ import annotations
@@ -40,17 +41,20 @@ class UsageError(ValueError):
     """Inconsistent flag combinations detected after parsing."""
 
 
-def _write_manifest(command: str, params: dict, seconds: dict, out, first_input) -> None:
+def _write_manifest(args, results: dict, seconds: dict, out, first_input) -> None:
     """Write the run record: ``<out>.manifest``, or for a command with no
-    output file ``<first_input>.<command>.manifest`` beside its input."""
-    lines = [f"command = {command}", f"version = {__version__}"]
+    output file ``<first_input>.<command>.manifest`` beside its input.  Its
+    parameters are every parsed flag of ``args``, with ``results`` merged in."""
+    params = {k: v for k, v in {**vars(args), **results}.items()
+              if k not in ("command", "func")}
+    lines = [f"command = {args.command}", f"version = {__version__}"]
     lines += [f"{key} = {params[key]}" for key in sorted(params)]
     lines += [f"time_{key}_seconds = {seconds[key]:.6f}" for key in sorted(seconds)]
     if out is not None:
         path = Path(f"{out}.manifest")
     else:
         first_input = Path(first_input)
-        path = first_input.with_name(f"{first_input.name}.{command}.manifest")
+        path = first_input.with_name(f"{first_input.name}.{args.command}.manifest")
     atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
@@ -78,13 +82,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
-
-
-def _layer_seconds(record, prefix: str = "") -> dict:
-    """The ``*_seconds`` fields of a DenoiseResult or AdaptationReport,
-    keyed by ``prefix`` plus the layer name, for a manifest's timings."""
-    return {prefix + f.name.removesuffix("_seconds"): getattr(record, f.name)
-            for f in dataclasses.fields(record) if f.name.endswith("_seconds")}
 
 
 def _parse_betas(text: str, sigma: float):
@@ -120,17 +117,13 @@ def _cmd_train(args) -> int:
                       seed=args.seed)
     model, trace = em_fit(data, config)
     laps.lap("fit")
-    out = Path(args.out)
-    save_model(model, out)
+    save_model(model, args.out)
     log.info("trained %d components on %d patches, %d iterations",
              args.k, data.shape[0], len(trace))
-    _write_manifest("train", {
-        "corpus": args.corpus, "images": len(paths), "patches": data.shape[0],
-        "k": args.k, "patch_size": args.patch_size, "stride": args.stride,
-        "seed": args.seed, "max_iters": args.max_iters, "tol": args.tol,
-        "iterations_run": len(trace), "logliks": _comma_list(trace, ".6f"),
-        "out": str(out),
-    }, laps.seconds, out, paths[0])
+    _write_manifest(args, {
+        "images": len(paths), "patches": data.shape[0], "iterations_run": len(trace),
+        "logliks": _comma_list(trace, ".6f"),
+    }, laps.seconds, args.out, paths[0])
     return 0
 
 
@@ -147,7 +140,7 @@ def _cmd_adapt(args) -> int:
         prefilter = denoise(image, args.sigma, generic)
         target = prefilter.image
         laps.lap("prefilter")
-        laps.seconds.update(_layer_seconds(prefilter, "prefilter_"))
+        laps.seconds.update({f"prefilter_{k}": v for k, v in prefilter.seconds.items()})
         sigma_tilde_sq = estimate_sigma_tilde_sq(
             image, args.sigma, _hqs_denoiser(generic, args.sigma), sure_config,
             baseline=target)
@@ -166,18 +159,13 @@ def _cmd_adapt(args) -> int:
     config = dataclasses.replace(config, sigma_tilde_sq=sigma_tilde_sq)
     adapted, report = adapt(generic, patches, config)
     laps.lap("adapt")
-    laps.seconds.update(_layer_seconds(report))
-    out = Path(args.out)
-    save_model(adapted, out)
-    _write_manifest("adapt", {
-        "model": args.model, "image": args.image, "out": str(out),
-        "rho": args.rho, "sigma_tilde": args.sigma_tilde,
-        "sigma_tilde_sq": sigma_tilde_sq, "sigma": args.sigma,
-        "iters": args.iters, "stride": args.stride, "seed": args.seed,
-        "probes": args.probes, "objectives": _comma_list(report.objectives, ".6f"),
+    laps.seconds.update(report.seconds)
+    save_model(adapted, args.out)
+    _write_manifest(args, {
+        "sigma_tilde_sq": sigma_tilde_sq, "objectives": _comma_list(report.objectives, ".6f"),
         "alphas": _comma_list(report.alphas, ".6f"),
         "counts": _comma_list(report.counts, ".3f"),
-    }, laps.seconds, out, args.image)
+    }, laps.seconds, args.out, args.image)
     return 0
 
 
@@ -193,19 +181,16 @@ def _cmd_denoise(args) -> int:
     laps = LapTimer()
     result = denoise(noisy, args.sigma, prior, schedule, reference=reference)
     laps.lap("denoise")
-    laps.seconds.update(_layer_seconds(result))
-    out = Path(args.out)
-    write_pgm(result.image, out)
+    laps.seconds.update(result.seconds)
+    write_pgm(result.image, args.out)
     if args.trace:
         print("stage,beta,psnr")
         for i, (beta, value) in enumerate(zip(schedule.betas, result.psnr_trace), start=1):
             print(f"{i},{beta:.8g},{value:.4f}")
-    _write_manifest("denoise", {
-        "input": args.input, "model": args.model, "out": str(out),
-        "sigma": args.sigma, "betas": _comma_list(schedule.betas, ".8g"),
+    _write_manifest(args, {
+        "betas": _comma_list(schedule.betas, ".8g"),
         "mode_inflations": _comma_list(schedule.mode_inflations, ".8g"),
-        "ref": args.ref, "trace": args.trace,
-    }, laps.seconds, out, args.input)
+    }, laps.seconds, args.out, args.input)
     return 0
 
 
@@ -219,11 +204,7 @@ def _cmd_sure(args) -> int:
     laps.lap("sure")
     print(f"sigma_tilde_sq {estimate:.6f}")
     print(f"ratio {np.sqrt(estimate) / args.sigma:.6f}")
-    _write_manifest("sure", {
-        "input": args.input, "model": args.model, "sigma": args.sigma,
-        "delta": args.delta, "seed": args.seed, "probes": args.probes,
-        "sigma_tilde_sq": estimate,
-    }, laps.seconds, None, args.input)
+    _write_manifest(args, {"sigma_tilde_sq": estimate}, laps.seconds, None, args.input)
     return 0
 
 
@@ -232,11 +213,8 @@ def _cmd_noise(args) -> int:
     laps = LapTimer()
     noisy = add_gaussian_noise(image, args.sigma, args.seed)
     laps.lap("noise")
-    out = Path(args.out)
-    write_pgm(noisy, out)
-    _write_manifest("noise", {
-        "input": args.input, "out": str(out), "sigma": args.sigma, "seed": args.seed,
-    }, laps.seconds, out, args.input)
+    write_pgm(noisy, args.out)
+    _write_manifest(args, {}, laps.seconds, args.out, args.input)
     return 0
 
 
@@ -245,9 +223,7 @@ def _cmd_psnr(args) -> int:
     value = psnr(read_pgm(args.reference), read_pgm(args.test))
     laps.lap("psnr")
     print(f"{value:.4f}")
-    _write_manifest("psnr", {
-        "reference": args.reference, "test": args.test, "psnr": f"{value:.4f}",
-    }, laps.seconds, None, args.reference)
+    _write_manifest(args, {"psnr": f"{value:.4f}"}, laps.seconds, None, args.reference)
     return 0
 
 
@@ -277,10 +253,8 @@ def _cmd_toy(args) -> int:
     atomic_write_bytes(models_path, ("\n".join(lines) + "\n").encode("ascii"))
     print(f"scratch_error {trial.scratch_error:.6f}")
     print(f"adapted_error {trial.adapted_error:.6f}")
-    _write_manifest("toy", {
-        "seed": args.seed, "rho": args.rho, "out_dir": str(out_dir),
-        "points": str(points_path), "models": str(models_path),
-    }, laps.seconds, points_path, None)
+    _write_manifest(args, {"points": str(points_path), "models": str(models_path)},
+                    laps.seconds, points_path, None)
     return 0
 
 

@@ -51,12 +51,6 @@ class HqsSchedule:
         each stage assumes on patches of the running estimate (EPLL)."""
         return tuple(1.0 / b for b in self.betas)
 
-    def __len__(self) -> int:
-        return len(self.betas)
-
-    def stages(self):
-        return zip(self.betas, self.mode_inflations)
-
 
 @dataclasses.dataclass(frozen=True)
 class DenoiseResult:
@@ -64,18 +58,16 @@ class DenoiseResult:
 
     ``psnr_trace`` is present only when a reference image was supplied;
     ``mode_histograms`` counts the patches assigned to each component at
-    every stage.  The ``*_seconds`` fields are wall-clock totals over all
-    stages of each layer: patch extraction and mode selection, the Wiener
-    step, aggregation, and the pixel update with its checks and PSNR.
+    every stage.  ``seconds`` maps each layer to its wall-clock total over
+    all stages: ``select`` (patch extraction and mode selection),
+    ``shrink`` (the Wiener step), ``aggregate``, and ``update`` (the pixel
+    update with its checks and PSNR).
     """
 
     image: ImageBuffer
     psnr_trace: tuple | None
     mode_histograms: tuple
-    select_seconds: float
-    shrink_seconds: float
-    aggregate_seconds: float
-    update_seconds: float
+    seconds: dict
 
 
 def select_modes(prior: Gmm, patch_matrix, inflation: float) -> np.ndarray:
@@ -158,6 +150,8 @@ def denoise(noisy: ImageBuffer, sigma: float, prior: Gmm,
     """
     if not 0 < sigma < math.inf:
         raise ValueError("sigma must be positive and finite")
+    if reference is not None and reference.pixels.shape != noisy.pixels.shape:
+        raise ValueError("reference and noisy images have different shapes")
     side = _patch_side(prior.dim)
     schedule = schedule if schedule is not None else HqsSchedule.default(sigma)
     k = prior.n_components
@@ -167,7 +161,7 @@ def denoise(noisy: ImageBuffer, sigma: float, prior: Gmm,
     trace = [] if reference is not None else None
     histograms = []
     laps = LapTimer()
-    for stage, (beta, delta) in enumerate(schedule.stages()):
+    for stage, (beta, delta) in enumerate(zip(schedule.betas, schedule.mode_inflations)):
         patches = extract_patches(ImageBuffer(x), side, 1)
         modes = select_modes(prior, patches, delta)
         counts = np.bincount(modes, minlength=k)
@@ -192,5 +186,4 @@ def denoise(noisy: ImageBuffer, sigma: float, prior: Gmm,
         laps.lap("update")
     return DenoiseResult(image=ImageBuffer(x),
                          psnr_trace=tuple(trace) if trace is not None else None,
-                         mode_histograms=tuple(histograms),
-                         **{f"{layer}_seconds": s for layer, s in laps.seconds.items()})
+                         mode_histograms=tuple(histograms), seconds=laps.seconds)

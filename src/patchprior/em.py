@@ -84,14 +84,13 @@ def _kmeanspp_centers(x, k, rng):
     return centers
 
 
-def _mstep(x, gamma, sigma_tilde_sq, floor, rng):
-    """Closed-form ML update with deflation and starved-component reseeds."""
+def _mstep(x, gamma, floor, rng):
+    """Closed-form ML update with starved-component reseeds."""
     n, d = x.shape
     stats = sufficient_stats(x, gamma)
     weights = stats.counts / n
     means = stats.means.copy()
-    covs = (stats.second_moments - means[:, :, None] * means[:, None, :]
-            - sigma_tilde_sq * np.eye(d))
+    covs = stats.second_moments - means[:, :, None] * means[:, None, :]
     for j in np.flatnonzero(stats.counts < _EMPTY_COUNT):
         means[j] = x[rng.integers(n)]
         covs[j] = floor * np.eye(d)
@@ -100,38 +99,33 @@ def _mstep(x, gamma, sigma_tilde_sq, floor, rng):
     return weights / weights.sum(), means, condition_psd(covs, floor)
 
 
-def _initialize(x, config, rng, sigma_tilde_sq):
+def _initialize(x, config, rng):
     k = config.n_components
     means = _kmeanspp_centers(x, k, rng)
-    base = np.atleast_2d(np.cov(x, rowvar=False)) - sigma_tilde_sq * np.eye(x.shape[1])
+    base = np.atleast_2d(np.cov(x, rowvar=False))
     covs = np.repeat(condition_psd(base, config.psd_floor)[None, :, :], k, axis=0)
     return np.full(k, 1.0 / k), means, covs
 
 
-def em_fit(patches, config: EmConfig, sigma_tilde_sq: float = 0.0):
+def em_fit(patches, config: EmConfig):
     """Fit a mixture to patches; returns the model and the trace.
 
-    For patches that carry residual noise of variance ``sigma_tilde_sq``
-    the fit is of the clean signal: the E-step scores patches under each
-    covariance inflated by that amount, and the M-step subtracts it from
-    the sample scatter and clamps the result to the PSD floor.  The trace
-    holds the mean per-patch log-likelihood of the (inflated) model at the
-    start of every iteration.
+    The trace holds the mean per-patch log-likelihood of the model at the
+    start of every iteration.  Residual noise in the patches is not
+    compensated here; ``adapt`` does that for one image.
     """
     x = _patch_matrix(patches)
     n = x.shape[0]
     if n < config.n_components:
         raise InsufficientDataError(
             f"{n} patches cannot support {config.n_components} components")
-    if not 0 <= sigma_tilde_sq < np.inf:
-        raise ValueError("sigma_tilde_sq must be nonnegative and finite")
     rng = np.random.default_rng(config.seed)
-    model = Gmm(*_initialize(x, config, rng, sigma_tilde_sq))
+    model = Gmm(*_initialize(x, config, rng))
     trace: list[float] = []
     for _ in range(config.max_iters):
-        gamma, _, loglik = responsibilities(model, x, sigma_tilde_sq)
+        gamma, _, loglik = responsibilities(model, x)
         trace.append(float(loglik.mean()))
         if len(trace) > 1 and abs(trace[-1] - trace[-2]) <= config.tol * abs(trace[-2]):
             break
-        model = Gmm(*_mstep(x, gamma, sigma_tilde_sq, config.psd_floor, rng))
+        model = Gmm(*_mstep(x, gamma, config.psd_floor, rng))
     return model, trace

@@ -500,12 +500,10 @@ def sufficient_stats(patches, gamma) -> SufficientStats:
                            second_moments=0.5 * (seconds + seconds.transpose(0, 2, 1)))
 
 
-def sample_gmm(gmm: Gmm, n: int, rng) -> np.ndarray:
-    """Draw n rows from the mixture.  ``rng`` is a Generator or a seed."""
+def sample_gmm(gmm: Gmm, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw n rows from the mixture with the generator ``rng``."""
     if n < 1:
         raise ValueError("n must be positive")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
     labels = rng.choice(gmm.n_components, size=n, p=gmm.weights)
     out = np.empty((n, gmm.dim))
     for k in np.unique(labels):

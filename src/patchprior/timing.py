@@ -1,4 +1,4 @@
-"""Wall-clock lap timing for the per-phase ``*_seconds`` records."""
+"""Wall-clock lap timing for the per-phase ``seconds`` maps and manifests."""
 
 from __future__ import annotations
 

@@ -62,12 +62,12 @@ def mean_error(model: Gmm, truth: Gmm) -> float:
     return best
 
 
-def run_trial(seed: int, rho: float = 1.0, n_generic: int = 400,
-              n_target: int = 20) -> ToyTrial:
-    """One seeded comparison of adaptation against fitting from scratch."""
+def run_trial(seed: int, rho: float = 1.0) -> ToyTrial:
+    """One seeded comparison of adaptation against fitting from scratch:
+    400 points from the generic source, 20 from the target."""
     rng = np.random.default_rng(seed)
-    generic_points = sample_gmm(GENERIC_TRUTH, n_generic, rng)
-    target_points = sample_gmm(TARGET_TRUTH, n_target, rng)
+    generic_points = sample_gmm(GENERIC_TRUTH, 400, rng)
+    target_points = sample_gmm(TARGET_TRUTH, 20, rng)
     em_config = EmConfig(n_components=2, max_iters=200, tol=1e-8, seed=seed)
     generic_model, _ = em_fit(generic_points, em_config)
     scratch_model, _ = em_fit(target_points, em_config)

@@ -328,8 +328,8 @@ class TestAdaptLoop:
         assert lines["objectives"] == ",".join(f"{v:.6f}" for v in report.objectives)
         assert lines["alphas"] == ",".join(f"{v:.6f}" for v in report.alphas)
         assert lines["counts"] == ",".join(f"{v:.3f}" for v in report.counts)
-        for phase in ("estep", "stats", "mstep", "objective"):
-            seconds = getattr(report, f"{phase}_seconds")
+        assert set(report.seconds) == {"estep", "stats", "mstep", "objective"}
+        for phase, seconds in report.seconds.items():
             assert seconds > 0.0
             assert float(lines[f"time_{phase}_seconds"]) == pytest.approx(seconds, abs=1e-6)
 

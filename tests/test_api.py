@@ -23,7 +23,6 @@ from patchprior import (
     component_log_densities,
     condition_psd,
     denoise,
-    em_fit,
     estimate_sigma_tilde_sq,
 )
 
@@ -48,7 +47,7 @@ def test_scipy_is_not_imported_at_runtime():
 
 def test_package_has_no_assert_and_one_clock():
     # python -O strips assert statements, so a check in src/ must raise; and
-    # every *_seconds value comes from the one lap timer in timing.py
+    # every timing comes from the one lap timer in timing.py
     asserts, clocks = [], set()
     for path in sorted(Path(patchprior.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -77,7 +76,6 @@ def _denoise(sigma):
     lambda v: add_gaussian_noise(ImageBuffer(np.zeros((4, 4))), v, seed=0),
     lambda v: AdaptationConfig(rho=v),
     lambda v: AdaptationConfig(sigma_tilde_sq=v),
-    lambda v: em_fit(np.zeros((4, 2)), EmConfig(n_components=1), v),
     lambda v: EmConfig(n_components=1, tol=v),
     lambda v: EmConfig(n_components=1, psd_floor=v),
     lambda v: AdaptationConfig(psd_floor=v),
@@ -87,7 +85,7 @@ def _denoise(sigma):
                                       np.zeros((3, 2)), v),
 ], ids=["schedule-betas", "schedule-sigma", "schedule-multipliers", "denoise-sigma",
         "sure-delta", "sure-sigma", "noise-sigma", "adapt-rho", "adapt-sigma-tilde-sq",
-        "em-sigma-tilde-sq", "em-tol", "em-psd-floor", "adapt-psd-floor", "sure-floor",
+        "em-tol", "em-psd-floor", "adapt-psd-floor", "sure-floor",
         "condition-psd-floor", "score-inflation"])
 def test_nonfinite_parameters_rejected(build, value):
     with pytest.raises(ValueError, match="finite"):

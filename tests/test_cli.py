@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, outputs, manifests, determinism."""
 
+import argparse
 import subprocess
 import sys
 from pathlib import Path
@@ -365,6 +366,16 @@ MANIFEST_KEYS = {
 
 
 class TestManifests:
+    def test_every_parsed_flag_is_a_manifest_key(self):
+        # a manifest records vars(args); MANIFEST_KEYS is checked against the
+        # written files below
+        parser = cli_module._build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(sub.choices) == set(MANIFEST_KEYS)
+        for command, p in sub.choices.items():
+            dests = {a.dest for a in p._actions} - {"help", "command", "func"}
+            assert dests and dests <= MANIFEST_KEYS[command], command
+
     def test_every_command_writes_one_parseable_record(self, workspace, tmp_path, capsys):
         model, clean = str(workspace / "generic.gmmp"), str(workspace / "clean.pgm")
         noisy, adapted = tmp_path / "noisy.pgm", tmp_path / "adapted.gmmp"

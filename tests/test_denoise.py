@@ -54,7 +54,7 @@ class TestSchedule:
         sched = HqsSchedule.default(20.0)
         assert np.allclose(sched.betas, np.array([1, 4, 8, 16, 32]) / 400.0)
         assert np.allclose(sched.mode_inflations, 1.0 / np.asarray(sched.betas))
-        assert len(sched) == 5
+        assert len(sched.betas) == 5
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -256,10 +256,9 @@ class TestStageDefinition:
         start = time.perf_counter()
         out = denoise(noisy, 25.0, small_prior)
         elapsed = time.perf_counter() - start
-        layers = [out.select_seconds, out.shrink_seconds, out.aggregate_seconds,
-                  out.update_seconds]
-        assert all(t > 0.0 for t in layers)
-        assert sum(layers) <= elapsed
+        assert set(out.seconds) == {"select", "shrink", "aggregate", "update"}
+        assert all(t > 0.0 for t in out.seconds.values())
+        assert sum(out.seconds.values()) <= elapsed
 
 
 class TestDenoise:
@@ -281,6 +280,22 @@ class TestDenoise:
         out = denoise(img, 20.0, prior)
         assert len(out.mode_histograms) == 5
         assert calls == {"eigh": 1, "cho_factor": 0}
+
+    def test_reference_shape_checked_before_any_stage(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return select_modes(*args)
+        # the package's `denoise` function shadows the module of that name
+        monkeypatch.setattr(sys.modules["patchprior.denoise"], "select_modes", counted)
+        img = add_gaussian_noise(make_piecewise_image(24), 20.0, seed=0)
+        wrong = ImageBuffer(np.zeros((24, 23)))
+        with pytest.raises(ValueError, match="different shapes"):
+            denoise(img, 20.0, flat_prior(k=2, d=16), reference=wrong)
+        assert calls == []
+        denoise(img, 20.0, flat_prior(k=2, d=16), reference=img)
+        assert len(calls) == 5
 
     def test_beta_zero_limit_returns_observation(self):
         rng = np.random.default_rng(2)

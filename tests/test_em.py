@@ -149,30 +149,6 @@ class TestTrace:
         assert len(loose) <= len(tight)
 
 
-class TestInflation:
-    def test_zero_inflation_bitwise_identical(self):
-        rng = np.random.default_rng(6)
-        x = rng.normal(0.0, 2.0, (200, 2))
-        cfg = EmConfig(n_components=2, max_iters=20, seed=3)
-        plain, trace_a = em_fit(x, cfg)
-        inflated, trace_b = em_fit(x, cfg, 0.0)
-        assert np.array_equal(plain.means, inflated.means)
-        assert np.array_equal(plain.covariances, inflated.covariances)
-        assert trace_a == trace_b
-
-    def test_inflation_compensates_added_noise_1d(self):
-        # clean variance 4, observation noise variance 5: the compensated fit
-        # should land near 4 instead of 9
-        rng = np.random.default_rng(7)
-        clean = rng.normal(0.0, 2.0, (40_000, 1))
-        noisy = clean + rng.normal(0.0, np.sqrt(5.0), clean.shape)
-        cfg = EmConfig(n_components=1, max_iters=5, seed=0)
-        model, _ = em_fit(noisy, cfg, 5.0)
-        assert model.covariances[0, 0, 0] == pytest.approx(4.0, abs=0.25)
-        plain, _ = em_fit(noisy, cfg)
-        assert plain.covariances[0, 0, 0] == pytest.approx(9.0, abs=0.35)
-
-
 class TestDeterminismAndEquivariance:
     def test_same_seed_same_model(self):
         rng = np.random.default_rng(8)
