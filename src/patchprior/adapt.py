@@ -15,13 +15,13 @@ import numpy as np
 from .gmm import (
     Gmm,
     SufficientStats,
-    condition_psd,
     derive_hyperparams,
     log_posterior_objective,
     responsibilities,
     sufficient_stats,
     _log_prior,
     _patch_matrix,
+    _psd_factors,
 )
 from .timing import LapTimer
 
@@ -154,7 +154,8 @@ def adapt(generic: Gmm, patches, config: AdaptationConfig | None = None):
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"weight update drifted off the simplex (sum {total!r})")
         alphas = counts / (counts + config.rho)
-        current = Gmm(weights / total, means, condition_psd(covs, config.psd_floor))
+        current = Gmm._factored(weights / total, means,
+                                *_psd_factors(covs, config.psd_floor))
         laps.lap("mstep")
     objectives.append(log_posterior_objective(current, x, hyper, config.sigma_tilde_sq))
     laps.lap("objective")

@@ -1,6 +1,7 @@
 """Maximum-likelihood EM for full-covariance mixtures at desk scale, seeded
 by k-means++; each M-step turns one-pass moments into covariances
-Q - mu mu^T and floors the whole stack in one condition_psd call."""
+Q - mu mu^T, floors the whole stack with one eigh and builds the model
+from that same decomposition."""
 
 from __future__ import annotations
 
@@ -11,10 +12,10 @@ import numpy as np
 
 from .gmm import (
     Gmm,
-    condition_psd,
     responsibilities,
     sufficient_stats,
     _patch_matrix,
+    _psd_factors,
 )
 
 __all__ = ["EmConfig", "InsufficientDataError", "em_fit"]
@@ -84,7 +85,7 @@ def _kmeanspp_centers(x, k, rng):
     return centers
 
 
-def _mstep(x, gamma, floor, rng):
+def _mstep(x, gamma, floor, rng) -> Gmm:
     """Closed-form ML update with starved-component reseeds."""
     n, d = x.shape
     stats = sufficient_stats(x, gamma)
@@ -96,15 +97,18 @@ def _mstep(x, gamma, floor, rng):
         covs[j] = floor * np.eye(d)
         weights[j] = 1.0 / n
         log.warning("component %d starved, reseeded to a random patch", j)
-    return weights / weights.sum(), means, condition_psd(covs, floor)
+    return Gmm._factored(weights / weights.sum(), means, *_psd_factors(covs, floor))
 
 
-def _initialize(x, config, rng):
+def _initialize(x, config, rng) -> Gmm:
+    """Equal weights, k-means++ means and the floored data covariance,
+    decomposed once and shared by every component."""
     k = config.n_components
     means = _kmeanspp_centers(x, k, rng)
     base = np.atleast_2d(np.cov(x, rowvar=False))
-    covs = np.repeat(condition_psd(base, config.psd_floor)[None, :, :], k, axis=0)
-    return np.full(k, 1.0 / k), means, covs
+    shared = _psd_factors(base[None], config.psd_floor)
+    return Gmm._factored(np.full(k, 1.0 / k), means,
+                         *(np.repeat(a, k, axis=0) for a in shared))
 
 
 def em_fit(patches, config: EmConfig):
@@ -120,12 +124,12 @@ def em_fit(patches, config: EmConfig):
         raise InsufficientDataError(
             f"{n} patches cannot support {config.n_components} components")
     rng = np.random.default_rng(config.seed)
-    model = Gmm(*_initialize(x, config, rng))
+    model = _initialize(x, config, rng)
     trace: list[float] = []
     for _ in range(config.max_iters):
         gamma, _, loglik = responsibilities(model, x)
         trace.append(float(loglik.mean()))
         if len(trace) > 1 and abs(trace[-1] - trace[-2]) <= config.tol * abs(trace[-2]):
             break
-        model = Gmm(*_mstep(x, gamma, config.psd_floor, rng))
+        model = _mstep(x, gamma, config.psd_floor, rng)
     return model, trace

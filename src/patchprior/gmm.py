@@ -68,7 +68,8 @@ class Gmm:
     Arrays are copied and marked read-only; instances are safe to share.
     Construction factors every covariance once as C_k = U_k diag(lambda_k) U_k^T
     and rejects any that is not positive-definite; every density and
-    Wiener step reuses that factorization.
+    Wiener step reuses that factorization.  The EM and adaptation M-steps
+    build their models with ``_factored``, from the eigh of their PSD floor.
     """
 
     weights: np.ndarray      # (K,) nonnegative, sums to one
@@ -77,7 +78,7 @@ class Gmm:
     eigenvalues: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
     eigenvectors: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, factors=None):
         w = _frozen(self.weights)
         m = _frozen(self.means)
         c = _frozen(self.covariances)
@@ -99,7 +100,12 @@ class Gmm:
         asym = float(np.abs(c - np.transpose(c, (0, 2, 1))).max())
         if asym > SYMMETRY_TOL:
             raise ValueError(f"covariances asymmetric by {asym:g}")
-        evals, evecs = np.linalg.eigh(c)
+        if factors is None:
+            evals, evecs = np.linalg.eigh(c)
+        else:
+            evals, evecs = (_frozen(f) for f in factors)
+            if evals.shape != (k, d) or evecs.shape != c.shape:
+                raise ValueError("eigen-factors do not match the covariances")
         bad = np.flatnonzero(evals[:, 0] <= 0.0)
         if bad.size:
             raise ValueError(f"covariance of component {int(bad[0])} is not positive-definite "
@@ -108,6 +114,18 @@ class Gmm:
         for name, a in (("weights", w), ("means", m), ("covariances", c),
                         ("eigenvalues", evals), ("eigenvectors", evecs)):
             object.__setattr__(self, name, a)
+
+    @classmethod
+    def _factored(cls, weights, means, covariances, eigenvalues, eigenvectors) -> "Gmm":
+        """A model from covariances and their ``np.linalg.eigh`` factors, as
+        ``_psd_factors`` returns them: every check of ``Gmm()`` runs, the
+        positive-definite one on the handed spectrum, but nothing is
+        decomposed."""
+        gmm = cls.__new__(cls)
+        for name, a in (("weights", weights), ("means", means), ("covariances", covariances)):
+            object.__setattr__(gmm, name, a)
+        gmm.__post_init__((eigenvalues, eigenvectors))
+        return gmm
 
     @property
     def n_components(self) -> int:
@@ -381,8 +399,17 @@ def condition_psd(sigma, floor: float) -> np.ndarray:
     Symmetrizes, clamps the spectrum, and reconstructs; this is the
     closest such matrix in Frobenius norm, from one batched eigh for a
     stack.  Inputs that already satisfy the floor are returned symmetrized
-    but otherwise untouched, so the operation is idempotent.
+    but otherwise untouched, so the operation is idempotent.  The EM and
+    adaptation M-steps floor through the same code (``_psd_factors``) and
+    keep its eigh as the new model's factorization.
     """
+    return _clamp_spectra(sigma, floor)[0]
+
+
+def _clamp_spectra(sigma, floor: float):
+    """``condition_psd``'s projection with the eigh it came from:
+    ``(projected, eigenvalues, eigenvectors, clamped)``, where ``clamped``
+    marks the matrices whose spectrum was raised to the floor."""
     if not 0 < floor < np.inf:
         raise ValueError("floor must be positive and finite")
     a = np.asarray(sigma, dtype=np.float64)
@@ -391,12 +418,22 @@ def condition_psd(sigma, floor: float) -> np.ndarray:
     sym = 0.5 * (a + np.swapaxes(a, -1, -2))
     evals, evecs = np.linalg.eigh(sym)
     low = evals[..., 0] < floor
-    if not low.any():
-        return sym
-    u = evecs[low]
-    out = (u * np.maximum(evals[low], floor)[..., None, :]) @ np.swapaxes(u, -1, -2)
-    sym[low] = 0.5 * (out + np.swapaxes(out, -1, -2))
-    return sym
+    if low.any():
+        u = evecs[low]
+        out = (u * np.maximum(evals[low], floor)[..., None, :]) @ np.swapaxes(u, -1, -2)
+        sym[low] = 0.5 * (out + np.swapaxes(out, -1, -2))
+    return sym, evals, evecs, low
+
+
+def _psd_factors(sigma, floor: float):
+    """``condition_psd`` of a (K, d, d) stack and the eigh factors of the
+    result, for ``Gmm._factored``.  Only the clamped matrices are decomposed
+    again, from their reconstructions, so every factor is the one ``Gmm()``
+    would compute."""
+    sym, evals, evecs, low = _clamp_spectra(sigma, floor)
+    if low.any():
+        evals[low], evecs[low] = np.linalg.eigh(sym[low])
+    return sym, evals, evecs
 
 
 def log_posterior_objective(gmm_tilde: Gmm, patches, hyper: HyperParams,
@@ -463,9 +500,15 @@ def sufficient_stats(patches, gamma) -> SufficientStats:
     sum), but cost a microcode assist per product on x86;
     ``responsibilities`` never returns them.
 
-    Rows go a block at a time: the (b, K, d) products gamma_nk x_n of a
-    block, one GEMM from the left by [x, 1]^T, into one (d+1, K d) sum
-    whose last row holds the first moments.  Every sum has nonnegative
+    Rows go a block at a time.  A component is live in a block when any of
+    its gamma_nk there is positive; posteriors are mostly exact zeros once
+    components specialize.  The (b, m, d) products gamma_nk x_n of the m
+    live components go through one GEMM from the left by [x, 1]^T, and are
+    added into one (d+1, K, d) sum whose last row holds the first moments.
+    A block with no live component is skipped.  The skipped terms are
+    exact zeros, and each live component's sum is the same GEMM dot
+    product over the same rows as in a pass over all K components, so the
+    moments do not depend on the skipping.  Every sum has nonnegative
     weights, so with v = 2^-53 each moment is within gamma_{2n+3}(v) times
     sum_n gamma_nk |x_ni x_nj| / n_k of its exact value (x_nj for means).
     A component with zero count keeps zero moments.
@@ -483,16 +526,38 @@ def sufficient_stats(patches, gamma) -> SufficientStats:
                          "responsibilities must be finite and nonnegative")
     counts = g.sum(axis=0)
     rows = max(1, _BLOCK_VALUES // (k * d))
+    # component k is live in a block where any of its gamma is positive
+    live = np.logical_or.reduceat(g > 0.0, np.arange(0, n, rows), axis=0)
     lhs = np.ones((min(rows, n), d + 1))
-    buf = np.empty((min(rows, n), k, d))
-    sums = np.zeros((d + 1, k * d))
-    for lo in range(0, n, rows):
+    buf = np.empty(min(rows, n) * k * d)
+    compact = np.empty((d + 1) * k * d)
+    prod = np.empty((d + 1, k, d))
+    sums = np.zeros((d + 1, k, d))
+    for lo, cols, m in zip(range(0, n, rows), live, live.sum(axis=1).tolist()):
+        if not m:
+            continue
         block = x[lo:lo + rows]
         b = block.shape[0]
         lhs[:b, :d] = block
-        np.multiply(g[lo:lo + b, :, None], block[:, None, :], out=buf[:b])
-        sums += lhs[:b].T @ buf[:b].reshape(b, k * d)
-    sums = sums.reshape(d + 1, k, d).transpose(1, 0, 2)
+        terms = buf[:b * m * d].reshape(b, m, d)
+        np.multiply((g[lo:lo + b] if m == k else g[lo:lo + b, cols])[:, :, None],
+                    block[:, None, :], out=terms)
+        out = prod if m == k else compact[:(d + 1) * m * d].reshape(d + 1, m, d)
+        np.matmul(lhs[:b].T, terms.reshape(b, m * d), out=out.reshape(d + 1, m * d))
+        if m < k:
+            # spread the live columns, run by run, over the full width with
+            # zeros between: one contiguous add is cheaper than a strided one
+            # per run
+            bounds = np.flatnonzero(np.diff(cols, prepend=False, append=False)).tolist()
+            done = at = 0
+            for first, end in zip(bounds[::2], bounds[1::2]):
+                prod[:, done:first] = 0.0
+                prod[:, first:end] = out[:, at:at + end - first]
+                at += end - first
+                done = end
+            prod[:, done:] = 0.0
+        sums += prod
+    sums = sums.transpose(1, 0, 2)
     filled = (counts > 0.0)[:, None, None]
     moments = np.divide(sums, counts[:, None, None], out=np.zeros(sums.shape), where=filled)
     seconds = moments[:, :d]

@@ -31,7 +31,7 @@ from mstep_reference import (
     mstep_general,
     posterior_hyperparams,
 )
-from test_em import trace_condition_psd
+from test_em import assert_factors_are_eigh, record_eigh
 from test_gmm import random_gmm, random_spd
 
 
@@ -350,12 +350,30 @@ class TestAdaptLoop:
         assert err_comp < err_plain
 
     def test_mstep_projects_all_components_with_one_eigh(self, monkeypatch):
-        calls = trace_condition_psd(monkeypatch,
-                                    importlib.import_module("patchprior.adapt"))
         rng = np.random.default_rng(21)
         generic = random_gmm(rng, 4, 3)
-        adapt(generic, rng.normal(0.0, 1.0, (60, 3)), AdaptationConfig(iterations=2))
-        assert calls == [[(4, 3, 3), 1], [(4, 3, 3), 1]]
+        shapes = record_eigh(monkeypatch)
+        model, _ = adapt(generic, rng.normal(0.0, 1.0, (60, 3)),
+                         AdaptationConfig(iterations=2))
+        # one eigh of the stack per M-step, which the new model keeps; no
+        # spectrum reaches the floor, so nothing is decomposed again
+        assert shapes == [(4, 3, 3), (4, 3, 3)]
+        monkeypatch.undo()
+        assert_factors_are_eigh(model)
+
+    def test_floored_component_decomposed_again(self, monkeypatch):
+        # all patches sit near component 0 with unit variance; deflating by
+        # sigma_tilde_sq = 5 floors its spectrum, while the components with
+        # almost no mass keep their generic covariances
+        rng = np.random.default_rng(22)
+        generic = random_gmm(rng, 3, 3, mean_scale=10.0)
+        x = generic.means[0] + rng.normal(0.0, 1.0, (200, 3))
+        shapes = record_eigh(monkeypatch)
+        model, _ = adapt(generic, x, AdaptationConfig(sigma_tilde_sq=5.0, iterations=2))
+        assert shapes == [(3, 3, 3), (1, 3, 3)] * 2
+        monkeypatch.undo()
+        assert_factors_are_eigh(model)
+        assert np.linalg.eigvalsh(model.covariances[0])[0] < 2e-4
 
     def test_fast_and_direct_loops_agree(self):
         rng = np.random.default_rng(18)

@@ -1,51 +1,31 @@
 """Baseline EM training: initialization, M-step, convergence, inflation."""
 
-import importlib
-
 import numpy as np
 import pytest
 
 import patchprior.em as em_module
 from patchprior.em import EmConfig, InsufficientDataError, em_fit
-from patchprior.gmm import Gmm, responsibilities, sample_gmm
+from patchprior.gmm import Gmm, condition_psd, responsibilities, sample_gmm
 
 
-def trace_condition_psd(monkeypatch, module):
-    """Record [input shape, eigh calls made inside] per condition_psd call
-    of a module."""
-    calls = []
-    inside = [False]
-    real_eigh, real_psd = np.linalg.eigh, module.condition_psd
-
-    def eigh(*args, **kwargs):
-        if inside[0]:
-            calls[-1][1] += 1
-        return real_eigh(*args, **kwargs)
-
-    def condition_psd(sigma, floor):
-        calls.append([np.shape(sigma), 0])
-        inside[0] = True
-        try:
-            return real_psd(sigma, floor)
-        finally:
-            inside[0] = False
-
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
-    monkeypatch.setattr(module, "condition_psd", condition_psd)
-    return calls
-
-
-def count_eigh(monkeypatch):
-    """Count np.linalg.eigh calls, in a one-element list."""
-    calls = [0]
+def record_eigh(monkeypatch):
+    """Record the input shape of every np.linalg.eigh call, in order."""
+    shapes = []
     real_eigh = np.linalg.eigh
 
-    def eigh(*args, **kwargs):
-        calls[0] += 1
-        return real_eigh(*args, **kwargs)
+    def eigh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real_eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", eigh)
-    return calls
+    return shapes
+
+
+def assert_factors_are_eigh(model):
+    """The model's cached factors are exactly eigh of its covariances."""
+    evals, evecs = np.linalg.eigh(model.covariances)
+    assert np.array_equal(model.eigenvalues, evals)
+    assert np.array_equal(model.eigenvectors, evecs)
 
 
 def kmeanspp_by_formula(x, k, rng):
@@ -184,23 +164,56 @@ class TestEdgeCases:
             em_fit(x, EmConfig(n_components=5))
 
     def test_mstep_projects_all_components_with_one_eigh(self, monkeypatch):
-        calls = trace_condition_psd(monkeypatch, importlib.import_module("patchprior.em"))
+        shapes = record_eigh(monkeypatch)
         rng = np.random.default_rng(10)
         x = rng.normal(0.0, 1.0, (200, 3))
-        em_fit(x, EmConfig(n_components=4, max_iters=1, seed=0))
-        # the initial shared covariance, then one M-step over the whole stack
-        assert calls == [[(3, 3), 1], [(4, 3, 3), 1]]
+        model, _ = em_fit(x, EmConfig(n_components=4, max_iters=1, seed=0))
+        # the shared initial covariance once, then one M-step over the whole
+        # stack; no spectrum reaches the floor, so nothing is decomposed again
+        assert shapes == [(1, 3, 3), (4, 3, 3)]
+        monkeypatch.undo()
+        assert_factors_are_eigh(model)
 
     def test_converged_fit_factors_each_model_once(self, monkeypatch):
-        calls = count_eigh(monkeypatch)
+        shapes = record_eigh(monkeypatch)
         rng = np.random.default_rng(13)
         x = np.concatenate([rng.normal(-4.0, 1.0, (150, 2)),
                             rng.normal(4.0, 1.0, (150, 2))])
         _, trace = em_fit(x, EmConfig(n_components=2, max_iters=100, tol=1e-6, seed=0))
         assert len(trace) < 100
-        # one floor of the initial covariance, one Gmm per model (the initial
-        # one and one per M-step) and one floor per M-step, len(trace) - 1 of them
-        assert calls[0] == 2 * len(trace)
+        # one eigh per model: the initial one and one per M-step, of which
+        # there are len(trace) - 1; nothing reaches the floor
+        assert shapes == [(1, 2, 2)] + [(2, 2, 2)] * (len(trace) - 1)
+
+    def test_floored_component_decomposed_again(self, monkeypatch):
+        # one cluster on a line in 3-D, one full-rank: the first two M-steps
+        # still mix them; once they separate, each M-step floors the line's
+        # component and decomposes it alone again
+        rng = np.random.default_rng(14)
+        t = rng.uniform(-1.0, 1.0, (150, 1))
+        x = np.concatenate([t * np.array([1.0, 2.0, -1.0]),
+                            rng.normal(20.0, 1.0, (150, 3))])
+        shapes = record_eigh(monkeypatch)
+        model, trace = em_fit(x, EmConfig(n_components=2, max_iters=4, seed=0))
+        assert len(trace) == 4
+        assert shapes == [(1, 3, 3), (2, 3, 3), (2, 3, 3)] + [(2, 3, 3), (1, 3, 3)] * 2
+        monkeypatch.undo()
+        assert_factors_are_eigh(model)
+        spectra = np.linalg.eigvalsh(model.covariances)
+        assert np.sum(spectra[:, 0] < 2e-4) == 1
+
+    def test_initial_model_factors_floored_shared_covariance(self, monkeypatch):
+        # all points on a line: the shared data covariance is floored, then
+        # decomposed again once for all K components
+        t = np.linspace(0.0, 1.0, 60)[:, None]
+        x = np.concatenate([t, 2.0 * t], axis=1)
+        shapes = record_eigh(monkeypatch)
+        model = em_module._initialize(x, EmConfig(n_components=3), np.random.default_rng(0))
+        assert shapes == [(1, 2, 2), (1, 2, 2)]
+        monkeypatch.undo()
+        assert_factors_are_eigh(model)
+        assert np.array_equal(model.covariances, np.repeat(
+            condition_psd(np.cov(x, rowvar=False), 1e-4)[None], 3, axis=0))
 
     def test_psd_floor_respected(self):
         # rank-deficient data: all points on a line

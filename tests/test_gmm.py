@@ -1,6 +1,7 @@
 """Mixture-model primitives: densities, responsibilities, PSD conditioning,
 posterior objective, hyperparameter derivation, sufficient statistics."""
 
+import dataclasses
 import math
 import warnings
 
@@ -23,6 +24,7 @@ from patchprior.gmm import (
     sufficient_stats,
 )
 from patchprior.gmm import _BLOCK_VALUES
+import patchprior.gmm as gmm_module
 
 from synthimages import make_smoke_image
 
@@ -307,6 +309,51 @@ class TestGmmValidation:
         with pytest.raises(ValueError):
             gmm.weights[0] = 0.5
 
+    @pytest.mark.parametrize("case,match", [
+        ("indefinite", "component 1 is not positive-definite"),
+        ("nonfinite means", "means contain non-finite values"),
+        ("nonfinite covariances", "covariances contain non-finite values"),
+        ("asymmetric", "asymmetric"),
+        ("unnormalized", "weights sum to"),
+    ])
+    def test_factored_construction_runs_the_same_checks(self, case, match):
+        weights, means = np.array([0.5, 0.5]), np.zeros((2, 2))
+        covs = np.stack([np.eye(2), np.diag([1.0, 2.0])])
+        factors = np.linalg.eigh(covs)
+        if case == "indefinite":
+            covs[1, 1, 1] = -1e-3
+            factors = np.linalg.eigh(covs)
+        elif case == "nonfinite means":
+            means[1, 0] = np.nan
+        elif case == "nonfinite covariances":
+            covs[0, 1, 1] = np.inf
+        elif case == "asymmetric":
+            covs[1, 0, 1] = 0.5
+        else:
+            weights = np.array([0.6, 0.6])
+        with pytest.raises(ValueError, match=match):
+            Gmm(weights, means, covs)
+        with pytest.raises(ValueError, match=match):
+            Gmm._factored(weights, means, covs, *factors)
+
+    def test_factored_construction_checks_the_handed_spectrum(self):
+        covs = np.stack([np.eye(2), np.eye(2)])
+        evals, evecs = np.linalg.eigh(covs)
+        evals[1, 0] = 0.0
+        with pytest.raises(ValueError, match="component 1 is not positive-definite"):
+            Gmm._factored(np.array([0.5, 0.5]), np.zeros((2, 2)), covs, evals, evecs)
+        with pytest.raises(ValueError, match="eigen-factors do not match"):
+            Gmm._factored(np.array([0.5, 0.5]), np.zeros((2, 2)), covs, evals[:1], evecs)
+
+    def test_factored_construction_keeps_frozen_copies(self):
+        gmm = random_gmm(np.random.default_rng(21), 3, 4)
+        evals, evecs = np.linalg.eigh(gmm.covariances)
+        built = Gmm._factored(gmm.weights, gmm.means, gmm.covariances, evals, evecs)
+        evals[0, 0] = -1.0
+        for name in ("weights", "means", "covariances", "eigenvalues", "eigenvectors"):
+            assert np.array_equal(getattr(built, name), getattr(gmm, name))
+            assert not getattr(built, name).flags.writeable
+
 
 class TestDeriveHyperparams:
     def test_strength_equals_rho_and_counts_shifted(self):
@@ -469,6 +516,72 @@ def gamma_n(n):
     return n * V / (1.0 - n * V)
 
 
+def assert_moments_within_bound(stats, x, g):
+    """Counts, means and second moments against np.longdouble references,
+    within the bound of the sufficient_stats docstring; zero-count
+    components must keep zero moments."""
+    n = x.shape[0]
+    xl, gl = x.astype(LD), g.astype(LD)
+    counts = gl.sum(axis=0)
+    slack = gamma_n(2 * n + 3)
+    assert np.all(np.abs(stats.counts - counts) <= gamma_n(n) * counts)
+    for k in np.flatnonzero(counts == 0):
+        assert np.all(stats.means[k] == 0.0) and np.all(stats.second_moments[k] == 0.0)
+    for k in np.flatnonzero(counts > 0):
+        first = (gl[:, k] @ xl) / counts[k]
+        second = (xl * gl[:, k, None]).T @ xl / counts[k]
+        assert np.all(np.abs(stats.means[k] - first)
+                      <= slack * (g[:, k] @ np.abs(x)) / stats.counts[k]), (n, k)
+        magnitude = (np.abs(x) * g[:, k, None]).T @ np.abs(x) / stats.counts[k]
+        assert np.all(np.abs(stats.second_moments[k] - second) <= slack * magnitude), (n, k)
+
+
+class TestBlockSkip:
+    """Moments when some components have no weight in some row blocks.
+
+    K = 5 and d = 3 with 16-row blocks: 100 rows make six full blocks and
+    a short last one of 4 rows."""
+
+    @pytest.fixture
+    def sixteen_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(gmm_module, "_BLOCK_VALUES", 16 * 5 * 3)
+
+    @staticmethod
+    def sparse_case():
+        rng = np.random.default_rng(40)
+        x = rng.uniform(0.0, 255.0, (100, 3))
+        g = rng.random((100, 5))
+        g[:, 4] = 0.0           # a component with zero count
+        g[0:16, 1] = 0.0        # block 0: dead pair, live runs {0} and {2, 3}
+        g[32:48] = 0.0          # block 2: no live component
+        g[48:64, 2] = 0.0       # block 3: live runs {0, 1} and {3}
+        g[80:96, 0] = 0.0       # block 5: one live run {1, 2, 3}, not at 0
+        g[96:, [0, 2]] = 0.0    # short block 6: live runs {1} and {3}
+        return x, g
+
+    def test_moments_within_bound(self, sixteen_row_blocks):
+        x, g = self.sparse_case()
+        stats = sufficient_stats(x, g)
+        assert stats.counts[4] == 0.0
+        assert_moments_within_bound(stats, x, g)
+        for n in (4, 16, 17, 50):  # one short block up to several
+            assert_moments_within_bound(sufficient_stats(x[:n], g[:n]), x[:n], g[:n])
+
+    def test_dead_block_is_not_read(self, sixteen_row_blocks):
+        # every term of block 2 is an exact zero, so its rows cannot matter
+        x, g = self.sparse_case()
+        poisoned = x.copy()
+        poisoned[32:48] = np.nan
+        for a, b in zip(dataclasses.astuple(sufficient_stats(x, g)),
+                        dataclasses.astuple(sufficient_stats(poisoned, g))):
+            assert np.array_equal(a, b)
+
+    def test_all_blocks_dead(self, sixteen_row_blocks):
+        stats = sufficient_stats(np.ones((40, 3)), np.zeros((40, 5)))
+        assert not stats.counts.any() and not stats.means.any()
+        assert not stats.second_moments.any()
+
+
 @pytest.fixture(scope="module")
 def block_prior():
     """K = 20, d = 64 on the grey scale, spectra from 1e-4 to 1e4 and one
@@ -558,19 +671,8 @@ class TestBlockedKernelAccuracy:
         for n in block_rows(block_prior):
             x, g = points[:n], gamma[:n]
             stats = sufficient_stats(x, g)
-            xl, gl = x.astype(LD), g.astype(LD)
-            counts = gl.sum(axis=0)
-            slack = gamma_n(2 * n + 3)
-            assert np.all(np.abs(stats.counts - counts) <= gamma_n(n) * counts)
             assert np.all(stats.means[7] == 0.0) and np.all(stats.second_moments[7] == 0.0)
-            for k in np.flatnonzero(counts > 0):
-                first = (gl[:, k] @ xl) / counts[k]
-                second = (xl * gl[:, k, None]).T @ xl / counts[k]
-                assert np.all(np.abs(stats.means[k] - first)
-                              <= slack * (g[:, k] @ np.abs(x)) / stats.counts[k])
-                magnitude = (np.abs(x) * g[:, k, None]).T @ np.abs(x) / stats.counts[k]
-                assert np.all(np.abs(stats.second_moments[k] - second)
-                              <= slack * magnitude), (n, k)
+            assert_moments_within_bound(stats, x, g)
 
 
 class TestSampleGmm:
