@@ -22,7 +22,7 @@ from .adapt import (
     adaptation_mstep,
     mstep_covariance_fast,
 )
-from .denoise import DenoiseResult, HqsSchedule, denoise, select_modes
+from .denoise import DenoiseResult, HqsSchedule, denoise
 from .em import EmConfig, InsufficientDataError, em_fit
 from .gmm import (
     DegeneratePatchError,
@@ -35,6 +35,7 @@ from .gmm import (
     log_posterior_objective,
     responsibilities,
     sample_gmm,
+    select_modes,
     sufficient_stats,
 )
 from .model_io import (

@@ -39,7 +39,6 @@ class AdaptationConfig:
     rho: float = 1.0
     sigma_tilde_sq: float = 0.0
     iterations: int = 1
-    psd_floor: float = 1e-4
 
     def __post_init__(self):
         if not 0 < self.rho < np.inf:
@@ -48,8 +47,6 @@ class AdaptationConfig:
             raise ValueError("sigma_tilde_sq must be nonnegative and finite")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
-        if not 0 < self.psd_floor < np.inf:
-            raise ValueError("psd_floor must be positive and finite")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -154,8 +151,7 @@ def adapt(generic: Gmm, patches, config: AdaptationConfig | None = None):
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"weight update drifted off the simplex (sum {total!r})")
         alphas = counts / (counts + config.rho)
-        current = Gmm._factored(weights / total, means,
-                                *_psd_factors(covs, config.psd_floor))
+        current = Gmm._factored(weights / total, means, *_psd_factors(covs))
         laps.lap("mstep")
     objectives.append(log_posterior_objective(current, x, hyper, config.sigma_tilde_sq))
     laps.lap("objective")

@@ -62,15 +62,27 @@ def _comma_list(values, spec: str) -> str:
     return ",".join(format(v, spec) for v in values)
 
 
-def _finite_float(text: str) -> float:
-    """argparse type: a float that is neither NaN nor infinite."""
+def _checked_float(text: str, ok, expected: str) -> float:
+    """The float ``text`` spells, if ``ok`` accepts it; else an argparse error."""
     try:
         value = float(text)
     except ValueError:
         value = np.nan
-    if not np.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    if not ok(value):
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
     return value
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    return _checked_float(text, np.isfinite, "a finite number")
+
+
+def _sigma_tilde(text: str):
+    """argparse type: 'sure', or a nonnegative number with a finite square."""
+    return text if text == "sure" else _checked_float(
+        text, lambda v: 0 <= v and v * v < np.inf,
+        "'sure' or a nonnegative number with a finite square")
 
 
 def _positive_int(text: str) -> int:
@@ -128,14 +140,14 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_adapt(args) -> int:
+    if args.sigma_tilde == "sure" and args.sigma is None:
+        raise UsageError("--sigma-tilde sure requires --sigma")
     config = AdaptationConfig(rho=args.rho, iterations=args.iters)
     generic = load_model(args.model)
     side = _patch_side(generic.dim)
     image = read_pgm(args.image)
     laps = LapTimer()
     if args.sigma_tilde == "sure":
-        if args.sigma is None:
-            raise UsageError("--sigma-tilde sure requires --sigma")
         sure_config = SureConfig(seed=args.seed, probes=args.probes)
         prefilter = denoise(image, args.sigma, generic)
         target = prefilter.image
@@ -146,14 +158,7 @@ def _cmd_adapt(args) -> int:
             baseline=target)
         laps.lap("sure")
     else:
-        try:
-            sigma_tilde = float(args.sigma_tilde)
-        except ValueError:
-            raise UsageError(f"--sigma-tilde expects a number or 'sure', got "
-                             f"{args.sigma_tilde!r}") from None
-        if not 0 <= sigma_tilde < np.inf:
-            raise UsageError("--sigma-tilde must be nonnegative and finite")
-        sigma_tilde_sq = sigma_tilde ** 2
+        sigma_tilde_sq = args.sigma_tilde ** 2
         target = image
     patches = extract_patches(target, side, args.stride)
     config = dataclasses.replace(config, sigma_tilde_sq=sigma_tilde_sq)
@@ -172,12 +177,12 @@ def _cmd_adapt(args) -> int:
 def _cmd_denoise(args) -> int:
     if args.trace and args.ref is None:
         raise UsageError("--trace requires --ref")
-    prior = load_model(args.model)
-    noisy = read_pgm(args.input)
-    reference = read_pgm(args.ref) if args.ref else None
     schedule = HqsSchedule.default(args.sigma)  # a bad --sigma is not a --betas error
     if args.betas:
         schedule = _parse_betas(args.betas, args.sigma)
+    prior = load_model(args.model)
+    noisy = read_pgm(args.input)
+    reference = read_pgm(args.ref) if args.ref else None
     laps = LapTimer()
     result = denoise(noisy, args.sigma, prior, schedule, reference=reference)
     laps.lap("denoise")
@@ -282,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output model file")
     p.add_argument("--rho", type=_finite_float, default=AdaptationConfig.rho,
                    help="relevance factor")
-    p.add_argument("--sigma-tilde", default="0",
+    p.add_argument("--sigma-tilde", type=_sigma_tilde, default="0",
                    help="residual noise scale of the adaptation image, or 'sure' "
                         "to pre-filter the image and estimate it")
     p.add_argument("--sigma", type=_finite_float, default=None,

@@ -15,11 +15,13 @@ import math
 
 import numpy as np
 
-from .gmm import Gmm, _patch_matrix, _screen_modes, component_log_densities
-from .patches import ImageBuffer, _patch_side, accumulate_patches, extract_patches, psnr
+# component_log_densities is unused: perfbench/test_perfbench.py looks it up here
+from .gmm import Gmm, component_log_densities, select_modes  # noqa: F401
+from .patches import (ImageBuffer, _check_sigma, _patch_side, accumulate_patches,
+                      extract_patches, psnr)
 from .timing import LapTimer
 
-__all__ = ["HqsSchedule", "DenoiseResult", "denoise", "select_modes", "wiener_shrink"]
+__all__ = ["HqsSchedule", "DenoiseResult", "denoise", "wiener_shrink"]
 
 _STAGE_MULTIPLIERS = (1.0, 4.0, 8.0, 16.0, 32.0)
 
@@ -41,8 +43,7 @@ class HqsSchedule:
     @classmethod
     def default(cls, sigma: float, multipliers=_STAGE_MULTIPLIERS) -> "HqsSchedule":
         """One stage per multiplier m, with beta = m / sigma^2."""
-        if not 0 < sigma < math.inf:
-            raise ValueError("sigma must be positive and finite")
+        _check_sigma(sigma)
         return cls(betas=tuple(m / sigma ** 2 for m in multipliers))
 
     @property
@@ -68,47 +69,6 @@ class DenoiseResult:
     psnr_trace: tuple | None
     mode_histograms: tuple
     seconds: dict
-
-
-def select_modes(prior: Gmm, patch_matrix, inflation: float) -> np.ndarray:
-    """Index of the highest-posterior component for each patch.
-
-    Scores are weight times density under the component covariance plus
-    ``inflation`` on the diagonal; rescaling all weights by a positive
-    constant shifts every score equally and cannot change the argmax.
-
-    The result is the argmax of the float64 ``component_log_densities``,
-    found mostly in float32.  Patches and means are centred on the mean
-    of the means c, and the quadratic form q of every patch x under every
-    component k is computed in float32.  With u = 2^-24, the float64 unit
-    roundoff v = 2^-53, gamma_n(u) = n u / (1 - n u) and L_k =
-    sum_j 1 / (lambda_kj + inflation), each eigen-coordinate of x - mu_k
-    is off by at most
-        E = (gamma_{d+4}(u) + gamma_{2d+4}(v)) (|x - c| + |mu_k - c|)
-    (Cauchy-Schwarz on each unit eigenvector; the gamma(v) term is the
-    error of the float64 kernel, which forms the same centred products
-    with the mean's projection as one more term), so the float32 form q'
-    satisfies
-        |q' - q| <= B = gamma_{d+4}(u) q' + 2 E sqrt(q' L_k) + 3 E^2 L_k.
-    The score -q/2 is then off by at most B / 2; the screen doubles that,
-    which also covers the second-order terms and the float64 rounding
-    gamma_d(v) q of the squared norm, and adds 1e-6 for underflow and the
-    float64 rounding of the constants.  A patch is certified when
-    its float32 winner, lowered by B + 1e-6, still beats every other
-    component raised by its own B + 1e-6: then the float64 scores order
-    the same way.  Every other patch, including any with a non-finite
-    float32 value, is rescored by ``component_log_densities`` (about 1% of
-    the patches on natural scenes).  So the modes equal the float64 argmax
-    wherever its top two scores differ by more than that kernel's own
-    rounding; only such rounding-level ties, which the BLAS blocking of a
-    float64 call can already flip, may fall either way.
-    """
-    x = _patch_matrix(patch_matrix)
-    modes, unsure = _screen_modes(prior, x, inflation)
-    if unsure.size:
-        scores = component_log_densities(prior, x[unsure], inflation)
-        modes[unsure] = scores.argmax(axis=1)
-    return modes
 
 
 def wiener_shrink(prior: Gmm, component: int, patch_matrix, beta: float) -> np.ndarray:
@@ -148,8 +108,7 @@ def denoise(noisy: ImageBuffer, sigma: float, prior: Gmm,
     default beta schedule so that the first stage mixes observation and
     patch estimates evenly.
     """
-    if not 0 < sigma < math.inf:
-        raise ValueError("sigma must be positive and finite")
+    _check_sigma(sigma)
     if reference is not None and reference.pixels.shape != noisy.pixels.shape:
         raise ValueError("reference and noisy images have different shapes")
     side = _patch_side(prior.dim)

@@ -11,6 +11,7 @@ import logging
 import numpy as np
 
 from .gmm import (
+    PSD_FLOOR,
     Gmm,
     responsibilities,
     sufficient_stats,
@@ -38,7 +39,6 @@ class EmConfig:
     max_iters: int = 100
     tol: float = 1e-5
     seed: int = 0
-    psd_floor: float = 1e-4
 
     def __post_init__(self):
         if self.n_components < 1:
@@ -47,8 +47,6 @@ class EmConfig:
             raise ValueError("max_iters must be at least 1")
         if not 0 < self.tol < np.inf:
             raise ValueError("tol must be positive and finite")
-        if not 0 < self.psd_floor < np.inf:
-            raise ValueError("psd_floor must be positive and finite")
 
 
 def _kmeanspp_centers(x, k, rng):
@@ -85,7 +83,7 @@ def _kmeanspp_centers(x, k, rng):
     return centers
 
 
-def _mstep(x, gamma, floor, rng) -> Gmm:
+def _mstep(x, gamma, rng) -> Gmm:
     """Closed-form ML update with starved-component reseeds."""
     n, d = x.shape
     stats = sufficient_stats(x, gamma)
@@ -94,10 +92,10 @@ def _mstep(x, gamma, floor, rng) -> Gmm:
     covs = stats.second_moments - means[:, :, None] * means[:, None, :]
     for j in np.flatnonzero(stats.counts < _EMPTY_COUNT):
         means[j] = x[rng.integers(n)]
-        covs[j] = floor * np.eye(d)
+        covs[j] = PSD_FLOOR * np.eye(d)
         weights[j] = 1.0 / n
         log.warning("component %d starved, reseeded to a random patch", j)
-    return Gmm._factored(weights / weights.sum(), means, *_psd_factors(covs, floor))
+    return Gmm._factored(weights / weights.sum(), means, *_psd_factors(covs))
 
 
 def _initialize(x, config, rng) -> Gmm:
@@ -106,7 +104,7 @@ def _initialize(x, config, rng) -> Gmm:
     k = config.n_components
     means = _kmeanspp_centers(x, k, rng)
     base = np.atleast_2d(np.cov(x, rowvar=False))
-    shared = _psd_factors(base[None], config.psd_floor)
+    shared = _psd_factors(base[None])
     return Gmm._factored(np.full(k, 1.0 / k), means,
                          *(np.repeat(a, k, axis=0) for a in shared))
 
@@ -131,5 +129,5 @@ def em_fit(patches, config: EmConfig):
         trace.append(float(loglik.mean()))
         if len(trace) > 1 and abs(trace[-1] - trace[-2]) <= config.tol * abs(trace[-2]):
             break
-        model = _mstep(x, gamma, config.psd_floor, rng)
+        model = _mstep(x, gamma, rng)
     return model, trace

@@ -18,6 +18,7 @@ __all__ = [
     "SufficientStats",
     "DegeneratePatchError",
     "component_log_densities",
+    "select_modes",
     "responsibilities",
     "condition_psd",
     "log_posterior_objective",
@@ -32,6 +33,9 @@ _TINY = np.finfo(np.float64).tiny  # smallest normal float64, 2**-1022
 # Construction-time tolerances, absolute.
 WEIGHT_SUM_TOL = 1e-12
 SYMMETRY_TOL = 1e-12
+
+# Smallest covariance eigenvalue an EM or adaptation M-step keeps.
+PSD_FLOOR = 1e-4
 
 # Blocked kernels: the values one row-block buffer holds, at most K d per
 # row (4 MiB in float64, 2 MiB in float32; 409 rows at K = 20 and d = 64).
@@ -67,9 +71,10 @@ class Gmm:
 
     Arrays are copied and marked read-only; instances are safe to share.
     Construction factors every covariance once as C_k = U_k diag(lambda_k) U_k^T
-    and rejects any that is not positive-definite; every density and
-    Wiener step reuses that factorization.  The EM and adaptation M-steps
-    build their models with ``_factored``, from the eigh of their PSD floor.
+    and rejects any that is not positive-definite; every density, mode
+    selection and Wiener step reuses that factorization.  The EM and
+    adaptation M-steps floor their covariances at ``PSD_FLOOR`` and build
+    their models with ``_factored``, from the eigh of that floor.
     """
 
     weights: np.ndarray      # (K,) nonnegative, sums to one
@@ -311,22 +316,44 @@ def _gamma(n: int, u: float) -> float:
     return n * u / (1.0 - n * u)
 
 
-def _screen_modes(gmm: Gmm, points, inflation: float):
-    """Float32 argmax of the joint scores, and the rows it cannot certify.
+def select_modes(gmm: Gmm, points, inflation: float) -> np.ndarray:
+    """Index of the highest-posterior component for each patch.
 
-    Returns ``(modes, unsure)``.  For every row not in ``unsure``,
-    ``modes`` equals the float64 argmax of ``component_log_densities(gmm,
-    points, inflation)``; ``denoise.select_modes`` states
-    the bound that certifies it.  Rows are scored in the float64 kernel's
-    block layout, with the scoring basis cast to float32.
+    Scores are weight times density under the component covariance plus
+    ``inflation`` on the diagonal; rescaling all weights by a positive
+    constant shifts every score equally and cannot change the argmax.
+
+    The result is the argmax of the float64 ``component_log_densities``,
+    found mostly in float32: in that kernel's block layout, on patches and
+    means centred on the mean of the means c, the quadratic form q of
+    every patch x under every component k is formed in float32.  With
+    u = 2^-24, the float64 unit roundoff v = 2^-53, gamma_n(u) = n u /
+    (1 - n u) and L_k = sum_j 1 / (lambda_kj + inflation), each
+    eigen-coordinate of x - mu_k is off by at most
+        E = (gamma_{d+4}(u) + gamma_{2d+4}(v)) (|x - c| + |mu_k - c|)
+    (Cauchy-Schwarz on each unit eigenvector; the gamma(v) term is the
+    error of the float64 kernel, which forms the same centred products
+    with the mean's projection as one more term), so the float32 form q'
+    satisfies
+        |q' - q| <= B = gamma_{d+4}(u) q' + 2 E sqrt(q' L_k) + 3 E^2 L_k.
+    The score -q/2 is then off by at most B / 2; the screen doubles that,
+    which also covers the second-order terms and the float64 rounding
+    gamma_d(v) q of the squared norm, and adds 1e-6 for underflow and the
+    float64 rounding of the constants.  A patch is certified when
+    its float32 winner, lowered by B + 1e-6, still beats every other
+    component raised by its own B + 1e-6: then the float64 scores order
+    the same way.  Every other patch, including any with a non-finite
+    float32 value, is rescored by ``component_log_densities`` (about 1% of
+    the patches on natural scenes).  So the modes equal the float64 argmax
+    wherever its top two scores differ by more than that kernel's own
+    rounding; only such rounding-level ties, which the BLAS blocking of a
+    float64 call can already flip, may fall either way.
     """
     x = _checked_points(gmm, points, inflation)
     n, d = x.shape
     centre, basis, base = _scoring_layout(gmm, inflation, np.float32)
     root_l = np.sqrt((1.0 / (gmm.eigenvalues + inflation)).sum(axis=1))
     g32, g64 = _gamma(d + 4, _U32), _gamma(2 * d + 4, _U64)
-    # E = (g32 + g64) (|x - c| + |mu - c|): the float32 rounding and the
-    # float64 kernel's (see component_log_densities) of the same form
     mean_err = (g32 + g64) * _row_norms(gmm.means - centre)
     modes = np.empty(n, dtype=np.intp)
     unsure = []
@@ -346,7 +373,10 @@ def _screen_modes(gmm: Gmm, points, inflation: float):
             sure = (lower > upper.max(axis=1)) & np.isfinite(q).all(axis=1)
             modes[lo:lo + b] = win
             unsure.append(lo + np.flatnonzero(~sure))
-    return modes, np.concatenate(unsure)
+    unsure = np.concatenate(unsure)
+    if unsure.size:
+        modes[unsure] = component_log_densities(gmm, x[unsure], inflation).argmax(axis=1)
+    return modes
 
 
 def _row_norms(a) -> np.ndarray:
@@ -400,8 +430,8 @@ def condition_psd(sigma, floor: float) -> np.ndarray:
     closest such matrix in Frobenius norm, from one batched eigh for a
     stack.  Inputs that already satisfy the floor are returned symmetrized
     but otherwise untouched, so the operation is idempotent.  The EM and
-    adaptation M-steps floor through the same code (``_psd_factors``) and
-    keep its eigh as the new model's factorization.
+    adaptation M-steps floor at ``PSD_FLOOR`` through the same code
+    (``_psd_factors``) and keep its eigh as the new model's factorization.
     """
     return _clamp_spectra(sigma, floor)[0]
 
@@ -425,12 +455,12 @@ def _clamp_spectra(sigma, floor: float):
     return sym, evals, evecs, low
 
 
-def _psd_factors(sigma, floor: float):
-    """``condition_psd`` of a (K, d, d) stack and the eigh factors of the
-    result, for ``Gmm._factored``.  Only the clamped matrices are decomposed
-    again, from their reconstructions, so every factor is the one ``Gmm()``
-    would compute."""
-    sym, evals, evecs, low = _clamp_spectra(sigma, floor)
+def _psd_factors(sigma):
+    """``condition_psd`` of a (K, d, d) stack at ``PSD_FLOOR`` and the eigh
+    factors of the result, for ``Gmm._factored``.  Only the clamped
+    matrices are decomposed again, from their reconstructions, so every
+    factor is the one ``Gmm()`` would compute."""
+    sym, evals, evecs, low = _clamp_spectra(sigma, PSD_FLOOR)
     if low.any():
         evals[low], evecs[low] = np.linalg.eigh(sym[low])
     return sym, evals, evecs

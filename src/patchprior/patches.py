@@ -171,6 +171,16 @@ def add_gaussian_noise(image: ImageBuffer, sigma: float, seed: int) -> ImageBuff
     return ImageBuffer(image.pixels + rng.normal(0.0, sigma, image.pixels.shape))
 
 
+def _check_sigma(sigma) -> None:
+    """Raise ValueError unless sigma > 0 and both sigma ** 2 and its
+    reciprocal are finite floats: sigma from about 7.5e-155 to 1.3e154."""
+    with np.errstate(over="ignore"):
+        square = np.float64(sigma) ** 2
+        if not (sigma > 0 and 0 < square < np.inf and 1.0 / square < np.inf):
+            raise ValueError(f"sigma must be positive and finite, and so must sigma ** 2 "
+                             f"and its reciprocal; got {sigma!r}")
+
+
 def psnr(reference: ImageBuffer, test: ImageBuffer) -> float:
     """Peak signal-to-noise ratio in dB against a 255 peak, capped at 99."""
     if reference.pixels.shape != test.pixels.shape:

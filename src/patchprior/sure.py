@@ -14,7 +14,7 @@ import dataclasses
 
 import numpy as np
 
-from .patches import ImageBuffer
+from .patches import ImageBuffer, _check_sigma
 
 __all__ = ["SureConfig", "estimate_sigma_tilde_sq"]
 
@@ -53,8 +53,7 @@ def estimate_sigma_tilde_sq(noisy: ImageBuffer, sigma: float, denoiser,
     ``baseline`` to skip the first call.  The estimate is floored (default
     1.0) because the adaptation step treats it as a variance.
     """
-    if not 0 < sigma < np.inf:
-        raise ValueError("sigma must be positive and finite")
+    _check_sigma(sigma)
     config = config or SureConfig()
     shape = noisy.pixels.shape
     n = noisy.pixels.size

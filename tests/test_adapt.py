@@ -15,6 +15,7 @@ from patchprior.adapt import (
     mstep_covariance_fast,
 )
 from patchprior.gmm import (
+    PSD_FLOOR,
     Gmm,
     HyperParams,
     condition_psd,
@@ -295,10 +296,14 @@ class TestAdaptLoop:
         rng = np.random.default_rng(15)
         generic = random_gmm(rng, 4, 3)
         x = rng.normal(0.0, 2.0, (50, 3))
-        adapted, _ = adapt(generic, x, AdaptationConfig(rho=1.0, psd_floor=1e-3))
-        assert adapted.weights.sum() == pytest.approx(1.0, abs=1e-12)
-        for k in range(4):
-            assert np.linalg.eigvalsh(adapted.covariances[k])[0] >= 1e-3 * (1 - 1e-9)
+        # at sigma_tilde_sq 100 every deflated covariance reaches the floor
+        for sigma_tilde_sq in (0.0, 100.0):
+            adapted, _ = adapt(generic, x, AdaptationConfig(rho=1.0,
+                                                            sigma_tilde_sq=sigma_tilde_sq))
+            assert adapted.weights.sum() == pytest.approx(1.0, abs=1e-12)
+            smallest = [np.linalg.eigvalsh(c)[0] for c in adapted.covariances]
+            assert min(smallest) >= PSD_FLOOR * (1 - 1e-9)
+        assert max(smallest) <= PSD_FLOOR * (1 + 1e-9)
 
     def test_report_contents(self, tmp_path, monkeypatch):
         # `patchprior adapt` records its report in the manifest; compare the
@@ -389,7 +394,7 @@ class TestAdaptLoop:
                  + (1.0 - alphas)[:, None] * generic.means)
         covs = [condition_psd(mstep_covariance_direct(
                     x, gamma[:, k], means[k], generic.means[k],
-                    generic.covariances[k], float(alphas[k])), config.psd_floor)
+                    generic.covariances[k], float(alphas[k])), PSD_FLOOR)
                 for k in range(3)]
         assert np.allclose(fast.weights, weights / weights.sum(), atol=1e-12)
         assert np.allclose(fast.means, means, atol=1e-12)

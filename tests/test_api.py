@@ -77,16 +77,39 @@ def _denoise(sigma):
     lambda v: AdaptationConfig(rho=v),
     lambda v: AdaptationConfig(sigma_tilde_sq=v),
     lambda v: EmConfig(n_components=1, tol=v),
-    lambda v: EmConfig(n_components=1, psd_floor=v),
-    lambda v: AdaptationConfig(psd_floor=v),
     lambda v: SureConfig(floor=v),
     lambda v: condition_psd(-np.eye(2), v),
     lambda v: component_log_densities(Gmm(np.ones(1), np.zeros((1, 2)), np.eye(2)[None]),
                                       np.zeros((3, 2)), v),
 ], ids=["schedule-betas", "schedule-sigma", "schedule-multipliers", "denoise-sigma",
         "sure-delta", "sure-sigma", "noise-sigma", "adapt-rho", "adapt-sigma-tilde-sq",
-        "em-tol", "em-psd-floor", "adapt-psd-floor", "sure-floor",
+        "em-tol", "sure-floor",
         "condition-psd-floor", "score-inflation"])
 def test_nonfinite_parameters_rejected(build, value):
     with pytest.raises(ValueError, match="finite"):
         build(value)
+
+
+@pytest.mark.parametrize("sigma", [1e200, 1e-200, 2e154, 5e-155])
+@pytest.mark.parametrize("build", [
+    HqsSchedule.default,
+    _denoise,
+    lambda v: estimate_sigma_tilde_sq(ImageBuffer(np.zeros((4, 4))), v, lambda img: img),
+], ids=["schedule-sigma", "denoise-sigma", "sure-sigma"])
+def test_sigma_without_finite_square_rejected(build, sigma):
+    # sigma ** 2 overflows, or 1 / sigma ** 2 does, or the square is 0
+    with pytest.raises(ValueError, match="sigma must be positive and finite"):
+        build(sigma)
+
+
+def test_benchmark_spans_resolve():
+    # perfbench/tracer.py wraps each (module, attribute) of its SPANS by
+    # name; read the table without importing the tracer or its dependencies
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spans = next(ast.literal_eval(node.value)
+                 for node in ast.parse(path.read_text()).body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["SPANS"])
+    missing = [f"{module}.{attr}" for module, attr in spans.values()
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert spans and missing == []

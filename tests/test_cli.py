@@ -208,20 +208,29 @@ class TestAdapt:
         assert rc == 1
         assert "square" in capsys.readouterr().err
 
-    def test_sure_without_sigma_is_usage_error(self, workspace, tmp_path):
+    def test_sure_without_sigma_is_usage_error(self, workspace, tmp_path, monkeypatch):
+        reads = []
+        monkeypatch.setattr(cli_module, "read_pgm", lambda path: reads.append(path))
+        monkeypatch.setattr(cli_module, "load_model", lambda path: reads.append(path))
         rc = cli_dispatch(["adapt", str(workspace / "generic.gmmp"),
                            str(workspace / "clean.pgm"),
                            "--out", str(tmp_path / "x.gmmp"),
                            "--sigma-tilde", "sure"])
         assert rc == 2
+        assert reads == []
 
-    @pytest.mark.parametrize("value", ["lots", "nan", "inf"])
-    def test_bad_sigma_tilde_value(self, workspace, tmp_path, value):
+    @pytest.mark.parametrize("value", ["lots", "nan", "inf", "1e200", "-1"])
+    def test_bad_sigma_tilde_value(self, workspace, tmp_path, capsys, monkeypatch, value):
+        reads = []
+        monkeypatch.setattr(cli_module, "read_pgm", lambda path: reads.append(path))
+        monkeypatch.setattr(cli_module, "load_model", lambda path: reads.append(path))
         rc = cli_dispatch(["adapt", str(workspace / "generic.gmmp"),
                            str(workspace / "clean.pgm"),
                            "--out", str(tmp_path / "x.gmmp"),
-                           "--sigma-tilde", value])
+                           f"--sigma-tilde={value}"])
         assert rc == 2
+        assert "--sigma-tilde" in capsys.readouterr().err.strip().splitlines()[-1]
+        assert reads == []
 
 
 @pytest.fixture(scope="module")
@@ -465,16 +474,25 @@ class TestUsageErrors:
         ("denoise", "-inf", ["--betas", "1,4"], 2),
         ("denoise", "0", [], 1),
         ("denoise", "0", ["--betas", "1,4"], 1),
+        ("denoise", "1e200", [], 1),
+        ("denoise", "1e-200", ["--betas", "1,4"], 1),
+        ("sure", "1e200", [], 1),
+        ("sure", "1e-200", [], 1),
+        ("adapt-sure", "1e200", [], 1),
     ], ids=["noise-nan", "adapt-inf", "sure-nan", "denoise-nan", "denoise-betas-inf",
-            "denoise-zero", "denoise-betas-zero"])
+            "denoise-zero", "denoise-betas-zero", "denoise-huge", "denoise-betas-tiny",
+            "sure-huge", "sure-tiny", "adapt-sure-huge"])
     def test_bad_sigma_is_reported_as_sigma(self, workspace, tmp_path, capsys,
                                             command, sigma, extra, code):
-        # non-finite is a usage error in every command; a finite bad value
-        # fails the same way with or without --betas, and never blames it
+        # non-finite is a usage error in every command; a finite bad value,
+        # including one whose square overflows or underflows, fails the same
+        # way with or without --betas, and never blames it
         model, clean = str(workspace / "generic.gmmp"), str(workspace / "clean.pgm")
         argv = {
             "noise": ["noise", clean, "--out", str(tmp_path / "o.pgm")],
             "adapt": ["adapt", model, clean, "--out", str(tmp_path / "o.gmmp")],
+            "adapt-sure": ["adapt", model, clean, "--out", str(tmp_path / "o.gmmp"),
+                           "--sigma-tilde", "sure"],
             "sure": ["sure", clean, "--model", model],
             "denoise": ["denoise", clean, "--model", model, "--out", str(tmp_path / "o.pgm")],
         }[command]

@@ -5,7 +5,7 @@ import pytest
 
 import patchprior.em as em_module
 from patchprior.em import EmConfig, InsufficientDataError, em_fit
-from patchprior.gmm import Gmm, condition_psd, responsibilities, sample_gmm
+from patchprior.gmm import PSD_FLOOR, Gmm, condition_psd, responsibilities, sample_gmm
 
 
 def record_eigh(monkeypatch):
@@ -213,15 +213,14 @@ class TestEdgeCases:
         monkeypatch.undo()
         assert_factors_are_eigh(model)
         assert np.array_equal(model.covariances, np.repeat(
-            condition_psd(np.cov(x, rowvar=False), 1e-4)[None], 3, axis=0))
+            condition_psd(np.cov(x, rowvar=False), PSD_FLOOR)[None], 3, axis=0))
 
     def test_psd_floor_respected(self):
         # rank-deficient data: all points on a line
         t = np.linspace(0.0, 1.0, 100)[:, None]
         x = np.concatenate([t, 2.0 * t], axis=1)
-        model, _ = em_fit(x, EmConfig(n_components=1, max_iters=3, seed=0,
-                                      psd_floor=1e-4))
-        assert np.linalg.eigvalsh(model.covariances[0])[0] >= 1e-4 * (1 - 1e-9)
+        model, _ = em_fit(x, EmConfig(n_components=1, max_iters=3, seed=0))
+        assert np.linalg.eigvalsh(model.covariances[0])[0] >= PSD_FLOOR * (1 - 1e-9)
 
     def test_responsibilities_of_fit_match_weights(self):
         rng = np.random.default_rng(12)
