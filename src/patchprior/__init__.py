@@ -27,11 +27,9 @@ from .em import EmConfig, InsufficientDataError, em_fit
 from .gmm import (
     DegeneratePatchError,
     Gmm,
-    HyperParams,
     SufficientStats,
     component_log_densities,
     condition_psd,
-    derive_hyperparams,
     log_posterior_objective,
     responsibilities,
     sample_gmm,
@@ -69,7 +67,6 @@ __all__ = [
     "EmConfig",
     "Gmm",
     "HqsSchedule",
-    "HyperParams",
     "ImageBuffer",
     "InsufficientDataError",
     "ModelFileError",
@@ -86,7 +83,6 @@ __all__ = [
     "component_log_densities",
     "condition_psd",
     "denoise",
-    "derive_hyperparams",
     "em_fit",
     "estimate_sigma_tilde_sq",
     "extract_patches",

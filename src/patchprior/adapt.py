@@ -15,7 +15,6 @@ import numpy as np
 from .gmm import (
     Gmm,
     SufficientStats,
-    derive_hyperparams,
     log_posterior_objective,
     responsibilities,
     sufficient_stats,
@@ -53,21 +52,27 @@ class AdaptationConfig:
 class AdaptationReport:
     """Diagnostics from one adapt() call.
 
-    ``objectives`` holds the penalized log objective after each
-    iteration's update, and ``alphas`` and ``counts`` come from the final
-    E-step.  The objectives are guaranteed to ascend only when
-    ``sigma_tilde_sq`` is 0: with a positive value the M-step deflates the
-    data covariance and floors its spectrum, which is not the objective's
-    maximizer and can lower it.  ``seconds`` maps each phase to its
+    ``logliks`` and ``log_priors`` hold the two terms of the penalized log
+    objective after each iteration's update, and ``objectives`` their sums;
+    ``alphas`` and ``counts`` come from the final E-step.  The objectives
+    are guaranteed to ascend only when ``sigma_tilde_sq`` is 0: with a
+    positive value the M-step deflates the data covariance and floors its
+    spectrum, which is not the objective's maximizer and can lower it,
+    mostly through the log prior.  ``seconds`` maps each phase to its
     wall-clock total over all iterations: ``estep`` (responsibilities),
     ``stats`` (sufficient statistics), ``mstep`` (update, PSD floor and the
     new model's factorization) and ``objective``.
     """
 
-    objectives: tuple[float, ...]
+    logliks: tuple[float, ...]
+    log_priors: tuple[float, ...]
     alphas: np.ndarray
     counts: np.ndarray
     seconds: dict
+
+    @property
+    def objectives(self) -> tuple[float, ...]:
+        return tuple(a + b for a, b in zip(self.logliks, self.log_priors))
 
 
 def mstep_covariance_fast(second_moment, mu_tilde, generic_mean, generic_cov,
@@ -130,9 +135,8 @@ def adapt(generic: Gmm, patches, config: AdaptationConfig | None = None):
     config = config or AdaptationConfig()
     x = _patch_matrix(patches)
     n = x.shape[0]
-    hyper = derive_hyperparams(generic, config.rho)
     current = generic
-    objectives = []
+    logliks, log_priors = [], []
     laps = LapTimer()
     alphas = counts = None
     for i in range(config.iterations):
@@ -141,7 +145,8 @@ def adapt(generic: Gmm, patches, config: AdaptationConfig | None = None):
         if i:
             # The previous iteration's model scored under the same inflation:
             # its objective's likelihood term is this E-step's normalizer.
-            objectives.append(float(loglik.sum()) + _log_prior(current, hyper))
+            logliks.append(float(loglik.sum()))
+            log_priors.append(_log_prior(current, generic, config.rho))
             laps.lap("objective")
         stats = sufficient_stats(x, gamma)
         laps.lap("stats")
@@ -153,8 +158,10 @@ def adapt(generic: Gmm, patches, config: AdaptationConfig | None = None):
         alphas = counts / (counts + config.rho)
         current = Gmm._factored(weights / total, means, *_psd_factors(covs))
         laps.lap("mstep")
-    objectives.append(log_posterior_objective(current, x, hyper, config.sigma_tilde_sq))
+    # the final model has no next E-step: one full objective pass, less its prior
+    log_priors.append(_log_prior(current, generic, config.rho))
+    logliks.append(log_posterior_objective(current, x, generic, config.rho,
+                                           config.sigma_tilde_sq) - log_priors[-1])
     laps.lap("objective")
-    return current, AdaptationReport(objectives=tuple(objectives), alphas=alphas,
-                                     counts=counts, seconds=laps.seconds)
-
+    return current, AdaptationReport(logliks=tuple(logliks), log_priors=tuple(log_priors),
+                                     alphas=alphas, counts=counts, seconds=laps.seconds)

@@ -2,9 +2,9 @@
 
 Every run writes one manifest next to its primary output: flat
 ``key = value`` lines holding the command, the library version, every
-parsed flag and argument merged with what the run computed, and per-phase
-wall-clock timings, so results can be traced back to exactly what
-produced them.
+parsed flag and argument merged with what the run computed, the BLAS
+thread settings, and per-phase wall-clock timings, so results can be
+traced back to exactly what produced them.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -44,9 +45,13 @@ class UsageError(ValueError):
 def _write_manifest(args, results: dict, seconds: dict, out, first_input) -> None:
     """Write the run record: ``<out>.manifest``, or for a command with no
     output file ``<first_input>.<command>.manifest`` beside its input.  Its
-    parameters are every parsed flag of ``args``, with ``results`` merged in."""
+    parameters are every parsed flag of ``args``, with ``results`` merged in,
+    and the BLAS thread settings, which change a model's last bits: each
+    variable as set in the environment, or ``unset``."""
     params = {k: v for k, v in {**vars(args), **results}.items()
               if k not in ("command", "func")}
+    params.update((var, os.environ.get(var) or "unset") for var in (
+        "PATCHPRIOR_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
     lines = [f"command = {args.command}", f"version = {__version__}"]
     lines += [f"{key} = {params[key]}" for key in sorted(params)]
     lines += [f"time_{key}_seconds = {seconds[key]:.6f}" for key in sorted(seconds)]
@@ -168,6 +173,8 @@ def _cmd_adapt(args) -> int:
     save_model(adapted, args.out)
     _write_manifest(args, {
         "sigma_tilde_sq": sigma_tilde_sq, "objectives": _comma_list(report.objectives, ".6f"),
+        "logliks": _comma_list(report.logliks, ".6f"),
+        "log_priors": _comma_list(report.log_priors, ".6f"),
         "alphas": _comma_list(report.alphas, ".6f"),
         "counts": _comma_list(report.counts, ".3f"),
     }, laps.seconds, args.out, args.image)

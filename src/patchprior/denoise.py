@@ -21,7 +21,7 @@ from .patches import (ImageBuffer, _check_sigma, _patch_side, accumulate_patches
                       extract_patches, psnr)
 from .timing import LapTimer
 
-__all__ = ["HqsSchedule", "DenoiseResult", "denoise", "wiener_shrink"]
+__all__ = ["HqsSchedule", "DenoiseResult", "denoise"]
 
 _STAGE_MULTIPLIERS = (1.0, 4.0, 8.0, 16.0, 32.0)
 
@@ -71,20 +71,14 @@ class DenoiseResult:
     seconds: dict
 
 
-def wiener_shrink(prior: Gmm, component: int, patch_matrix, beta: float) -> np.ndarray:
-    """MAP patches under one component given a quadratic coupling beta.
+def _shrink_rows(prior: Gmm, component: int, rows: np.ndarray, beta: float) -> np.ndarray:
+    """MAP patches under one component given a quadratic coupling beta,
+    written over the float64 ``rows`` array, which it returns.
 
     Solves (beta C + I) v = mu + beta C p for every row p.  In the cached
     eigenbasis C = U diag(lambda) U^T this is a per-axis shrink of the
-    deviation from the mean by beta lambda / (beta lambda + 1).  Returns a
-    new array.
-    """
-    return _shrink_rows(prior, component, np.array(patch_matrix, dtype=np.float64), beta)
-
-
-def _shrink_rows(prior: Gmm, component: int, rows: np.ndarray, beta: float) -> np.ndarray:
-    """``wiener_shrink`` written over a float64 ``rows`` array, which it
-    returns; one more temporary of its shape holds the eigen-coordinates.
+    deviation from the mean by beta lambda / (beta lambda + 1); one more
+    temporary of the rows' shape holds the eigen-coordinates.
     """
     basis = prior.eigenvectors[component]
     lam = beta * prior.eigenvalues[component]

@@ -14,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "Gmm",
-    "HyperParams",
     "SufficientStats",
     "DegeneratePatchError",
     "component_log_densities",
@@ -22,7 +21,6 @@ __all__ = [
     "responsibilities",
     "condition_psd",
     "log_posterior_objective",
-    "derive_hyperparams",
     "sufficient_stats",
     "sample_gmm",
 ]
@@ -139,61 +137,6 @@ class Gmm:
     @property
     def dim(self) -> int:
         return self.means.shape[1]
-
-
-@dataclasses.dataclass(frozen=True)
-class HyperParams:
-    """Per-component Dirichlet and normal-inverse-Wishart hyperparameters.
-
-    ``dofs`` may sit below the proper-density threshold d - 1.  Small
-    relevance factors land there on purpose; the closed-form updates stay
-    well defined.
-    """
-
-    weight_counts: np.ndarray   # (K,) Dirichlet pseudo-counts, > 0
-    mean_locs: np.ndarray       # (K, d) locations the means are pulled toward
-    mean_strengths: np.ndarray  # (K,) pseudo-counts tying means to locations, > 0
-    scale_mats: np.ndarray      # (K, d, d) symmetric scale matrices
-    dofs: np.ndarray            # (K,) inverse-Wishart degrees of freedom
-
-    def __post_init__(self):
-        v = _frozen(self.weight_counts)
-        locs = _frozen(self.mean_locs)
-        tau = _frozen(self.mean_strengths)
-        psi = _frozen(self.scale_mats)
-        phi = _frozen(self.dofs)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("weight_counts must be a nonempty 1-D array")
-        k = v.size
-        if locs.ndim != 2 or locs.shape[0] != k:
-            raise ValueError("mean_locs must have shape (K, d)")
-        d = locs.shape[1]
-        if tau.shape != (k,) or phi.shape != (k,) or psi.shape != (k, d, d):
-            raise ValueError("hyperparameter shapes are inconsistent")
-        for name, a in (("weight_counts", v), ("mean_locs", locs), ("mean_strengths", tau),
-                        ("scale_mats", psi), ("dofs", phi)):
-            if not np.isfinite(a).all():
-                raise ValueError(f"{name} contain non-finite values")
-        if (v <= 0).any():
-            raise ValueError("weight_counts must be positive")
-        if (tau <= 0).any():
-            raise ValueError("mean_strengths must be positive")
-        asym = float(np.abs(psi - np.transpose(psi, (0, 2, 1))).max())
-        if asym > SYMMETRY_TOL:
-            raise ValueError(f"scale_mats asymmetric by {asym:g}")
-        object.__setattr__(self, "weight_counts", v)
-        object.__setattr__(self, "mean_locs", locs)
-        object.__setattr__(self, "mean_strengths", tau)
-        object.__setattr__(self, "scale_mats", psi)
-        object.__setattr__(self, "dofs", phi)
-
-    @property
-    def n_components(self) -> int:
-        return self.weight_counts.size
-
-    @property
-    def dim(self) -> int:
-        return self.mean_locs.shape[1]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -466,58 +409,37 @@ def _psd_factors(sigma):
     return sym, evals, evecs
 
 
-def log_posterior_objective(gmm_tilde: Gmm, patches, hyper: HyperParams,
+def log_posterior_objective(gmm_tilde: Gmm, patches, generic: Gmm, rho: float,
                             inflation: float = 0.0) -> float:
-    """Data log-likelihood plus the log conjugate prior, up to a constant.
+    """Data log-likelihood plus the log adaptation prior, up to a constant.
 
     The likelihood term sums log mixture densities with each covariance
-    inflated by ``inflation``.  The prior term drops its normalizer but is
-    otherwise the full Dirichlet and normal-inverse-Wishart log density,
-    so differences between parameter settings are exact.
+    inflated by ``inflation``; the prior term is ``_log_prior``.
     """
     _, loglik = _normalize(component_log_densities(gmm_tilde, patches, inflation))
-    return float(loglik.sum()) + _log_prior(gmm_tilde, hyper)
+    return float(loglik.sum()) + _log_prior(gmm_tilde, generic, rho)
 
 
-def _log_prior(gmm: Gmm, hyper: HyperParams) -> float:
-    """Log Dirichlet and normal-inverse-Wishart density of a model, without
-    its normalizer, evaluated in the model's cached eigenbasis."""
-    if hyper.n_components != gmm.n_components or hyper.dim != gmm.dim:
-        raise ValueError("hyperparameters do not match the model shape")
-    d = gmm.dim
-    prior = 0.0
-    for k, (lam, basis) in enumerate(zip(gmm.eigenvalues, gmm.eigenvectors)):
-        v_k = float(hyper.weight_counts[k])
-        if v_k != 1.0:
-            with np.errstate(divide="ignore"):
-                prior += (v_k - 1.0) * float(np.log(gmm.weights[k]))
-        dev = (gmm.means[k] - hyper.mean_locs[k]) @ basis
-        scale_diag = np.einsum("ij,ij->j", basis, hyper.scale_mats[k] @ basis)
-        prior -= 0.5 * (float(hyper.dofs[k]) + d + 2.0) * float(np.log(lam).sum())
-        prior -= 0.5 * float(hyper.mean_strengths[k]) * float((dev * dev) @ (1.0 / lam))
-        prior -= 0.5 * float(scale_diag @ (1.0 / lam))
-    return prior
-
-
-def derive_hyperparams(gmm: Gmm, rho: float) -> HyperParams:
-    """Hyperparameters that make the penalized M-step collapse to the
-    relevance-blended update with a single factor ``rho``.
-
-    Means are anchored at the model means with strength rho, scale
-    matrices are rho times the model covariances with matching degrees of
-    freedom, and Dirichlet counts place rho * K pseudo-observations at the
-    model weights.
+def _log_prior(gmm: Gmm, generic: Gmm, rho: float) -> float:
+    """Log conjugate prior of a model, without its normalizer, under the
+    hyperparameters of MAP adaptation toward ``generic`` with relevance
+    factor rho (Gauvain & Lee, IEEE TSAP 1994), in the cached eigenbasis:
+        rho sum_k [K w_gk log w_k - 1/2 sum_j log lambda_kj - 1/2 tr(C_gk C_k^-1)
+                   - 1/2 (mu_k - mu_gk)^T C_k^-1 (mu_k - mu_gk)].
+    A generic component of weight 0 has no weight term.
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    k, d = gmm.n_components, gmm.dim
-    return HyperParams(
-        weight_counts=1.0 + rho * k * gmm.weights,
-        mean_locs=gmm.means,
-        mean_strengths=np.full(k, float(rho)),
-        scale_mats=rho * gmm.covariances,
-        dofs=np.full(k, float(rho) - d - 2.0),
-    )
+    if not 0 < rho < np.inf:
+        raise ValueError("rho must be positive and finite")
+    if generic.n_components != gmm.n_components or generic.dim != gmm.dim:
+        raise ValueError("generic model does not match the model shape")
+    basis, lam = gmm.eigenvectors, gmm.eigenvalues
+    dev = np.einsum("kd,kde->ke", gmm.means - generic.means, basis)
+    scale = np.einsum("kde,kde->ke", basis, generic.covariances @ basis)
+    anchored = generic.weights > 0.0
+    with np.errstate(divide="ignore"):
+        weight_term = generic.weights[anchored] @ np.log(gmm.weights[anchored])
+    return rho * float(gmm.n_components * weight_term
+                       - 0.5 * (np.log(lam).sum() + ((dev * dev + scale) / lam).sum()))
 
 
 def sufficient_stats(patches, gamma) -> SufficientStats:

@@ -1,26 +1,127 @@
-"""Reference forms of the adaptation M-step, for verification only.
+"""Reference forms of the adaptation M-step and objective, for verification
+only.
 
 The package computes the covariance update in one pass from the raw second
-moments (``mstep_covariance_fast``) and the whole update in closed form from
-the relevance factor rho (``adaptation_mstep``).  This module holds the
-forms they are derived from and checked against:
+moments (``mstep_covariance_fast``), the whole update in closed form from
+the relevance factor rho (``adaptation_mstep``), and the log prior of its
+objective in closed form from rho (``gmm._log_prior``).  This module holds
+the forms they are derived from and checked against:
 
 * ``mstep_covariance_direct``: the two-pass covariance update, which walks
   the patches again to build the scatter about the blended mean; by default
   one outer product per patch, the slow baseline the one-pass form is timed
   against;
+* ``HyperParams``: per-component Dirichlet and normal-inverse-Wishart
+  hyperparameters, and ``derive_hyperparams``, the ones that rho implies;
 * ``posterior_hyperparams`` and ``mstep_general``: the conjugate update of
-  the normal-inverse-Wishart hyperparameters and the mode of the updated
-  posterior, which collapses to ``adaptation_mstep`` under the
-  hyperparameters of ``derive_hyperparams``.
+  the hyperparameters and the mode of the updated posterior, which
+  collapses to ``adaptation_mstep`` under the hyperparameters of
+  ``derive_hyperparams``;
+* ``log_prior_general`` and ``log_posterior_objective_general``: the log
+  conjugate prior of any hyperparameters, and the log-likelihood plus it,
+  which the package's closed form must equal under ``derive_hyperparams``.
 
 The name differs from ``perfbench/reference.py`` on purpose: both
 directories go on ``sys.path`` when the two suites run in one session.
 """
 
-import numpy as np
+import dataclasses
 
-from patchprior.gmm import Gmm, HyperParams, SufficientStats
+import numpy as np
+from scipy.special import logsumexp
+
+from patchprior.gmm import Gmm, SufficientStats
+
+_LOG_2PI = float(np.log(2.0 * np.pi))
+
+
+@dataclasses.dataclass(frozen=True)
+class HyperParams:
+    """Per-component Dirichlet and normal-inverse-Wishart hyperparameters.
+
+    ``dofs`` may sit below the proper-density threshold d - 1.  Small
+    relevance factors land there on purpose; the closed-form updates stay
+    well defined.
+    """
+
+    weight_counts: np.ndarray   # (K,) Dirichlet pseudo-counts, > 0
+    mean_locs: np.ndarray       # (K, d) locations the means are pulled toward
+    mean_strengths: np.ndarray  # (K,) pseudo-counts tying means to locations, > 0
+    scale_mats: np.ndarray      # (K, d, d) symmetric scale matrices
+    dofs: np.ndarray            # (K,) inverse-Wishart degrees of freedom
+
+    def __post_init__(self):
+        for field in dataclasses.fields(self):
+            object.__setattr__(self, field.name,
+                               np.asarray(getattr(self, field.name), dtype=np.float64))
+        if (self.weight_counts <= 0).any() or (self.mean_strengths <= 0).any():
+            raise ValueError("weight_counts and mean_strengths must be positive")
+
+    @property
+    def n_components(self) -> int:
+        return self.weight_counts.size
+
+    @property
+    def dim(self) -> int:
+        return self.mean_locs.shape[1]
+
+
+def derive_hyperparams(gmm: Gmm, rho: float) -> HyperParams:
+    """Hyperparameters that make the penalized M-step collapse to the
+    relevance-blended update with a single factor ``rho``.
+
+    Means are anchored at the model means with strength rho, scale
+    matrices are rho times the model covariances with matching degrees of
+    freedom, and Dirichlet counts place rho * K pseudo-observations at the
+    model weights.
+    """
+    if rho <= 0:
+        raise ValueError("rho must be positive")
+    k, d = gmm.n_components, gmm.dim
+    return HyperParams(
+        weight_counts=1.0 + rho * k * gmm.weights,
+        mean_locs=gmm.means,
+        mean_strengths=np.full(k, float(rho)),
+        scale_mats=rho * gmm.covariances,
+        dofs=np.full(k, float(rho) - d - 2.0),
+    )
+
+
+def log_prior_general(gmm: Gmm, hyper: HyperParams) -> float:
+    """Log Dirichlet and normal-inverse-Wishart density of a model, without
+    its normalizer, one component at a time from a fresh eigendecomposition
+    of its covariance.  A weight whose Dirichlet count is exactly one has no
+    term, so a zero weight there is not log 0."""
+    if hyper.n_components != gmm.n_components or hyper.dim != gmm.dim:
+        raise ValueError("hyperparameters do not match the model shape")
+    d = gmm.dim
+    prior = 0.0
+    for k, (lam, basis) in enumerate(zip(*np.linalg.eigh(gmm.covariances))):
+        v_k = float(hyper.weight_counts[k])
+        if v_k != 1.0:
+            with np.errstate(divide="ignore"):
+                prior += (v_k - 1.0) * float(np.log(gmm.weights[k]))
+        dev = (gmm.means[k] - hyper.mean_locs[k]) @ basis
+        scale_diag = np.einsum("ij,ij->j", basis, hyper.scale_mats[k] @ basis)
+        prior -= 0.5 * (float(hyper.dofs[k]) + d + 2.0) * float(np.log(lam).sum())
+        prior -= 0.5 * float(hyper.mean_strengths[k]) * float((dev * dev) @ (1.0 / lam))
+        prior -= 0.5 * float(scale_diag @ (1.0 / lam))
+    return prior
+
+
+def log_posterior_objective_general(gmm: Gmm, patches, hyper: HyperParams,
+                                    inflation: float = 0.0) -> float:
+    """Sum of the patches' log mixture densities, each covariance inflated
+    by ``inflation``, plus ``log_prior_general``."""
+    x = np.asarray(patches, dtype=np.float64)
+    spectra, bases = np.linalg.eigh(gmm.covariances + inflation * np.eye(gmm.dim))
+    scores = np.empty((x.shape[0], gmm.n_components))
+    for k, (lam, basis) in enumerate(zip(spectra, bases)):
+        y = (x - gmm.means[k]) @ basis
+        scores[:, k] = -0.5 * ((y * y) @ (1.0 / lam) + np.log(lam).sum() + gmm.dim * _LOG_2PI)
+    with np.errstate(divide="ignore"):
+        scores += np.log(gmm.weights)
+    return float(logsumexp(scores, axis=1).sum()) + log_prior_general(gmm, hyper)
 
 
 def _outers(a, b) -> np.ndarray:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import patchprior.cli as cli_module
-from patchprior import ImageBuffer, save_model, write_pgm
+from patchprior import ImageBuffer, extract_patches, save_model, write_pgm
 from patchprior.adapt import (
     AdaptationConfig,
     adapt,
@@ -17,23 +17,27 @@ from patchprior.adapt import (
 from patchprior.gmm import (
     PSD_FLOOR,
     Gmm,
-    HyperParams,
     condition_psd,
-    derive_hyperparams,
     log_posterior_objective,
     responsibilities,
     sample_gmm,
     sufficient_stats,
+    _log_prior,
 )
 
 from mstep_reference import (
+    HyperParams,
     centred_scatter,
+    derive_hyperparams,
+    log_posterior_objective_general,
+    log_prior_general,
     mstep_covariance_direct,
     mstep_general,
     posterior_hyperparams,
 )
+from synthimages import make_smoke_image
 from test_em import assert_factors_are_eigh, record_eigh
-from test_gmm import random_gmm, random_spd
+from test_gmm import block_prior, random_gmm, random_spd  # noqa: F401 (fixture)
 
 
 def blended_mean(stats, generic, k, rho):
@@ -324,13 +328,16 @@ class TestAdaptLoop:
                                         str(tmp_path / "image.pgm"), "--out", str(out),
                                         "--rho", "2", "--iters", "2"]) == 0
         (report,) = reports
-        assert len(report.objectives) == 2
+        assert len(report.logliks) == len(report.log_priors) == 2
+        assert report.objectives == tuple(a + b for a, b in
+                                          zip(report.logliks, report.log_priors))
         assert report.alphas.shape == (2,)
         assert np.all(report.alphas >= 0.0) and np.all(report.alphas < 1.0)
         assert report.counts.sum() == pytest.approx(81.0, rel=1e-9)
         lines = dict(line.split(" = ", 1)
                      for line in Path(f"{out}.manifest").read_text().splitlines())
-        assert lines["objectives"] == ",".join(f"{v:.6f}" for v in report.objectives)
+        for name in ("objectives", "logliks", "log_priors"):
+            assert lines[name] == ",".join(f"{v:.6f}" for v in getattr(report, name))
         assert lines["alphas"] == ",".join(f"{v:.6f}" for v in report.alphas)
         assert lines["counts"] == ",".join(f"{v:.3f}" for v in report.counts)
         assert set(report.seconds) == {"estep", "stats", "mstep", "objective"}
@@ -403,18 +410,21 @@ class TestAdaptLoop:
     @pytest.mark.parametrize("sigma_tilde_sq", [0.0, 0.3])
     def test_reused_objectives_match_fresh_passes(self, sigma_tilde_sq):
         # every objective but the last comes from the next E-step's scores;
-        # each must equal a fresh objective pass over the same model
+        # each must equal a fresh objective pass over the same model, and
+        # each likelihood term a fresh density pass
         rng = np.random.default_rng(19)
         generic = random_gmm(rng, 3, 2, mean_scale=3.0)
         x = sample_gmm(random_gmm(rng, 3, 2, mean_scale=3.0), 300, rng)
-        hyper = derive_hyperparams(generic, 1.5)
         _, report = adapt(generic, x, AdaptationConfig(
             rho=1.5, iterations=4, sigma_tilde_sq=sigma_tilde_sq))
         for i in range(1, 4):
             model, _ = adapt(generic, x, AdaptationConfig(
                 rho=1.5, iterations=i, sigma_tilde_sq=sigma_tilde_sq))
-            fresh = log_posterior_objective(model, x, hyper, sigma_tilde_sq)
+            fresh = log_posterior_objective(model, x, generic, 1.5, sigma_tilde_sq)
             assert report.objectives[i - 1] == pytest.approx(fresh, rel=1e-9)
+            loglik = float(responsibilities(model, x, sigma_tilde_sq)[2].sum())
+            assert report.logliks[i - 1] == pytest.approx(loglik, rel=1e-12)
+            assert report.log_priors[i - 1] == _log_prior(model, generic, 1.5)
 
     def test_weight_drift_off_simplex_raises(self, monkeypatch):
         # a real check, so python -O cannot strip it
@@ -431,3 +441,27 @@ class TestAdaptLoop:
         monkeypatch.setattr(adapt_module, "adaptation_mstep", drifting)
         with pytest.raises(ValueError, match="simplex"):
             adapt(generic, rng.normal(0.0, 1.0, (40, 2)))
+
+
+class TestClosedFormLogPrior:
+    """The log prior of ``adapt``'s objective, in closed form from rho,
+    against the general conjugate form under ``derive_hyperparams``."""
+
+    @pytest.mark.parametrize("rho", [0.5, 1.0, 16.0])
+    @pytest.mark.parametrize("sigma_tilde_sq", [0.0, 30.0])
+    def test_matches_general_form(self, block_prior, rho, sigma_tilde_sq):
+        # K = 20, d = 64 with spectra down to the floor and one zero-weight
+        # component, adapted twice; its weight stays exactly 0, so its term
+        # must be skipped, not taken as 0 * log 0
+        patches = extract_patches(make_smoke_image(48), 8, 1) + 50.0
+        model, report = adapt(block_prior, patches, AdaptationConfig(
+            rho=rho, iterations=2, sigma_tilde_sq=sigma_tilde_sq))
+        zero = np.flatnonzero(block_prior.weights == 0.0)
+        assert zero.size == 1 and model.weights[zero[0]] == 0.0
+        assert model.eigenvalues.min() < 1.01 * PSD_FLOOR
+        hyper = derive_hyperparams(block_prior, rho)
+        want = log_prior_general(model, hyper)
+        assert np.isfinite(want)
+        assert report.log_priors[-1] == pytest.approx(want, rel=1e-9)
+        general = log_posterior_objective_general(model, patches, hyper, sigma_tilde_sq)
+        assert report.objectives[-1] == pytest.approx(general, rel=1e-9)

@@ -37,6 +37,25 @@ def test_every_exported_name_resolves(module):
     assert missing == []
 
 
+def test_public_names_are_pinned():
+    # a name enters or leaves the public surface only on purpose
+    assert sorted(patchprior.__all__) == sorted([
+        "__version__", "AdaptationConfig", "AdaptationReport", "BadMagicError",
+        "ChecksumError", "DegeneratePatchError", "DenoiseResult", "EmConfig", "Gmm",
+        "HqsSchedule", "ImageBuffer", "InsufficientDataError", "ModelFileError", "PSNR_CAP",
+        "PgmError", "SufficientStats", "SureConfig", "TruncatedFileError",
+        "UnsupportedVersionError", "accumulate_patches", "adapt", "adaptation_mstep",
+        "add_gaussian_noise", "component_log_densities", "condition_psd", "denoise",
+        "em_fit", "estimate_sigma_tilde_sq", "extract_patches", "load_model",
+        "log_posterior_objective", "mstep_covariance_fast", "psnr", "read_pgm",
+        "responsibilities", "sample_gmm", "save_model", "select_modes", "sufficient_stats",
+        "write_pgm",
+    ])
+    # the package's name ``denoise`` is the function; the module is in sys.modules
+    assert importlib.import_module("patchprior.denoise").__all__ == [
+        "HqsSchedule", "DenoiseResult", "denoise"]
+
+
 def test_scipy_is_not_imported_at_runtime():
     src = str(Path(patchprior.__file__).resolve().parent.parent)
     code = "import sys, patchprior, patchprior.cli; print('scipy' in sys.modules)"

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, outputs, manifests, determinism."""
 
 import argparse
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -353,12 +354,14 @@ class TestToy:
 
 # The exact keys of each command's manifest, past `command` and `version`;
 # `time_` keys name the phases that the command times.
-MANIFEST_KEYS = {
+THREAD_KEYS = {"PATCHPRIOR_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
+MANIFEST_KEYS = {command: keys | THREAD_KEYS for command, keys in {
     "train": {"corpus", "images", "patches", "k", "patch_size", "stride", "seed",
               "max_iters", "tol", "iterations_run", "logliks", "out",
               "time_extract_seconds", "time_fit_seconds"},
     "adapt": {"model", "image", "out", "rho", "sigma_tilde", "sigma_tilde_sq", "sigma",
-              "iters", "stride", "seed", "probes", "objectives", "alphas", "counts",
+              "iters", "stride", "seed", "probes", "objectives", "logliks", "log_priors",
+              "alphas", "counts",
               *(f"time_{name}_seconds" for name in (
                   "prefilter", "prefilter_select", "prefilter_shrink",
                   "prefilter_aggregate", "prefilter_update", "sure", "adapt",
@@ -371,7 +374,7 @@ MANIFEST_KEYS = {
     "noise": {"input", "out", "sigma", "seed", "time_noise_seconds"},
     "psnr": {"reference", "test", "psnr", "time_psnr_seconds"},
     "toy": {"seed", "rho", "out_dir", "points", "models", "time_trial_seconds"},
-}
+}.items()}
 
 
 class TestManifests:
@@ -429,6 +432,8 @@ class TestManifests:
             assert set(keys[2:]) == MANIFEST_KEYS[command] and len(set(keys)) == len(keys)
             manifests[command] = dict(pairs)
             assert manifests[command]["command"] == command
+            for var in THREAD_KEYS:
+                assert manifests[command][var] == (os.environ.get(var) or "unset")
 
         train = manifests["train"]
         logliks = [float(v) for v in train["logliks"].split(",")]
@@ -436,7 +441,12 @@ class TestManifests:
 
         adapt = manifests["adapt"]
         k = load_model(model).n_components
-        assert len(adapt["objectives"].split(",")) == 3
+        terms = [[float(v) for v in adapt[name].split(",")]
+                 for name in ("objectives", "logliks", "log_priors")]
+        assert [len(t) for t in terms] == [3, 3, 3]
+        for objective, loglik, log_prior in zip(*terms):
+            # three printed values, each off by up to _PRINTED, and the sum's rounding
+            assert objective == pytest.approx(loglik + log_prior, abs=4 * _PRINTED)
         assert len(adapt["alphas"].split(",")) == k
         patches = (96 - 6 + 1) ** 2
         counts = [float(v) for v in adapt["counts"].split(",")]
@@ -451,6 +461,16 @@ class TestManifests:
         sure = manifests["sure"]
         assert sure["sigma_tilde_sq"] == adapt["sigma_tilde_sq"]
         assert f"sigma_tilde_sq {float(sure['sigma_tilde_sq']):.6f}" in printed
+
+    def test_unset_thread_variable_is_written_unset(self, workspace, tmp_path, monkeypatch):
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        out = tmp_path / "noisy.pgm"
+        assert cli_dispatch(["noise", str(workspace / "clean.pgm"), "--sigma", "5",
+                             "--out", str(out)]) == 0
+        manifest = manifest_params(f"{out}.manifest")
+        assert manifest["OMP_NUM_THREADS"] == "unset"
+        assert manifest["OPENBLAS_NUM_THREADS"] == "3"
 
 
 class TestUsageErrors:

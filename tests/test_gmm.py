@@ -1,5 +1,7 @@
 """Mixture-model primitives: densities, responsibilities, PSD conditioning,
-posterior objective, hyperparameter derivation, sufficient statistics."""
+posterior objective, sufficient statistics; and the reference
+hyperparameter derivation and general objective that the closed-form
+objective is checked against."""
 
 import dataclasses
 import math
@@ -14,10 +16,8 @@ from patchprior.em import EmConfig, em_fit
 from patchprior.gmm import (
     DegeneratePatchError,
     Gmm,
-    HyperParams,
     component_log_densities,
     condition_psd,
-    derive_hyperparams,
     log_posterior_objective,
     responsibilities,
     sample_gmm,
@@ -26,6 +26,7 @@ from patchprior.gmm import (
 from patchprior.gmm import _BLOCK_VALUES
 import patchprior.gmm as gmm_module
 
+from mstep_reference import HyperParams, derive_hyperparams, log_posterior_objective_general
 from synthimages import make_smoke_image
 
 TINY = np.finfo(np.float64).tiny
@@ -412,36 +413,65 @@ class TestLogPosteriorObjective:
         rng = np.random.default_rng(13)
         gmm = random_gmm(rng, 2, 3)
         x = rng.standard_normal((40, 3))
-        hyper = self._random_hyper(rng, 2, 3)
-        a = log_posterior_objective(gmm, x, hyper)
-        b = log_posterior_objective(gmm, x, hyper)
+        generic = random_gmm(rng, 2, 3)
+        a = log_posterior_objective(gmm, x, generic, 2.0)
+        b = log_posterior_objective(gmm, x, generic, 2.0)
         assert a == b
 
-    def test_scalar_conjugate_oracle(self):
+    @staticmethod
+    def _assert_matches_scalar_oracle(rng, x, hyper, objective):
+        """Differences of ``objective(gmm)`` across ten K=1, d=1 models
+        equal those of the exact likelihood plus ``hyper``'s prior, which
+        are free of dropped additive constants."""
         from scipy import stats
-
-        rng = np.random.default_rng(14)
-        x = rng.standard_normal((25, 1))
-        hyper = self._random_hyper(rng, 1, 1)
 
         def oracle(mu, var):
             loglik = stats.norm.logpdf(x[:, 0], loc=mu, scale=math.sqrt(var)).sum()
             return loglik + _scalar_conjugate_log_pdf(mu, var, hyper)
 
-        def objective(mu, var):
-            gmm = Gmm(weights=np.array([1.0]), means=np.array([[mu]]),
-                      covariances=np.array([[[var]]]))
-            return log_posterior_objective(gmm, x, hyper)
+        def model(mu, var):
+            return Gmm(weights=np.array([1.0]), means=np.array([[mu]]),
+                       covariances=np.array([[[var]]]))
 
-        # differences across models are free of dropped additive constants
         models = [(float(rng.normal()), float(rng.uniform(0.5, 2.0)))
                   for _ in range(10)]
-        base_obj = objective(*models[0])
+        base_obj = objective(model(*models[0]))
         base_oracle = oracle(*models[0])
         for mu, var in models[1:]:
-            got = objective(mu, var) - base_obj
+            got = objective(model(mu, var)) - base_obj
             want = oracle(mu, var) - base_oracle
             assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+    def test_scalar_conjugate_oracle(self):
+        # the reference general objective, under hyperparameters that no rho
+        # derives
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((25, 1))
+        hyper = self._random_hyper(rng, 1, 1)
+        self._assert_matches_scalar_oracle(
+            rng, x, hyper, lambda gmm: log_posterior_objective_general(gmm, x, hyper))
+
+    def test_closed_form_scalar_conjugate_oracle(self):
+        # the package's objective for relevance factor rho, under the
+        # hyperparameters rho implies (dofs rho - 3 > 0 is a proper prior)
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal((25, 1))
+        generic = Gmm(weights=np.array([1.0]), means=np.array([[0.3]]),
+                      covariances=np.array([[[1.4]]]))
+        self._assert_matches_scalar_oracle(
+            rng, x, derive_hyperparams(generic, 9.0),
+            lambda gmm: log_posterior_objective(gmm, x, generic, 9.0))
+
+    def test_rejects_bad_rho_and_mismatched_generic(self):
+        rng = np.random.default_rng(23)
+        gmm = random_gmm(rng, 2, 3)
+        x = rng.standard_normal((10, 3))
+        for rho in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="rho must be positive and finite"):
+                log_posterior_objective(gmm, x, gmm, rho)
+        for other in (random_gmm(rng, 3, 3), random_gmm(rng, 2, 2)):
+            with pytest.raises(ValueError, match="does not match"):
+                log_posterior_objective(gmm, x, other, 1.0)
 
     def test_likelihood_term_matches_direct_sum(self):
         rng = np.random.default_rng(15)
