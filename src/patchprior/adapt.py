@@ -22,6 +22,7 @@ from .gmm import (
     _patch_matrix,
     _psd_factors,
 )
+from .patches import _integer
 from .timing import LapTimer
 
 __all__ = [
@@ -44,7 +45,7 @@ class AdaptationConfig:
             raise ValueError("rho must be positive and finite")
         if not 0 <= self.sigma_tilde_sq < np.inf:
             raise ValueError("sigma_tilde_sq must be nonnegative and finite")
-        if self.iterations < 1:
+        if _integer("iterations", self.iterations) < 1:
             raise ValueError("iterations must be at least 1")
 
 

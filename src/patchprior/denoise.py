@@ -107,7 +107,6 @@ def denoise(noisy: ImageBuffer, sigma: float, prior: Gmm,
         raise ValueError("reference and noisy images have different shapes")
     side = _patch_side(prior.dim)
     schedule = schedule if schedule is not None else HqsSchedule.default(sigma)
-    k = prior.n_components
     data_weight = prior.dim / sigma ** 2
     observed = noisy.pixels
     x = observed.copy()
@@ -117,16 +116,11 @@ def denoise(noisy: ImageBuffer, sigma: float, prior: Gmm,
     for stage, (beta, delta) in enumerate(zip(schedule.betas, schedule.mode_inflations)):
         patches = extract_patches(ImageBuffer(x), side, 1)
         modes = select_modes(prior, patches, delta)
-        counts = np.bincount(modes, minlength=k)
+        counts = np.bincount(modes, minlength=prior.n_components)
         histograms.append(counts)
         laps.lap("select")
-        # Mode groups as slices of one stable sort, so each lists its rows in
-        # increasing order, as flatnonzero(modes == j) would.  The groups are disjoint, and each group's gather
-        # is a fresh copy that the Wiener step overwrites before the scatter.
-        order = np.argsort(modes, kind="stable")
-        ends = np.cumsum(counts)
         for j in np.flatnonzero(counts):
-            idx = order[ends[j] - counts[j]:ends[j]]
+            idx = np.flatnonzero(modes == j)
             patches[idx] = _shrink_rows(prior, j, patches[idx], beta)
         laps.lap("shrink")
         sums, cover = accumulate_patches(patches, noisy.width, noisy.height)

@@ -18,6 +18,7 @@ from .gmm import (
     _patch_matrix,
     _psd_factors,
 )
+from .patches import _integer
 
 __all__ = ["EmConfig", "InsufficientDataError", "em_fit"]
 
@@ -41,10 +42,9 @@ class EmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_components < 1:
-            raise ValueError("n_components must be at least 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        for name in ("n_components", "max_iters"):
+            if _integer(name, getattr(self, name)) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if not 0 < self.tol < np.inf:
             raise ValueError("tol must be positive and finite")
 

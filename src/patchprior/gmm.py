@@ -58,7 +58,7 @@ def _frozen(array, dtype=np.float64) -> np.ndarray:
 def _patch_matrix(patches) -> np.ndarray:
     """Check a nonempty (n, d) array of row vectors; returns it as float64."""
     mat = np.asarray(patches, dtype=np.float64)
-    if mat.ndim != 2 or mat.shape[0] == 0:
+    if mat.ndim != 2 or 0 in mat.shape:
         raise ValueError(f"expected a nonempty (n, d) patch matrix, got shape {mat.shape}")
     return mat
 
@@ -372,17 +372,16 @@ def condition_psd(sigma, floor: float) -> np.ndarray:
     Symmetrizes, clamps the spectrum, and reconstructs; this is the
     closest such matrix in Frobenius norm, from one batched eigh for a
     stack.  Inputs that already satisfy the floor are returned symmetrized
-    but otherwise untouched, so the operation is idempotent.  The EM and
-    adaptation M-steps floor at ``PSD_FLOOR`` through the same code
-    (``_psd_factors``) and keep its eigh as the new model's factorization.
+    but otherwise untouched, so the operation is idempotent.
     """
-    return _clamp_spectra(sigma, floor)[0]
+    return _psd_factors(sigma, floor)[0]
 
 
-def _clamp_spectra(sigma, floor: float):
-    """``condition_psd``'s projection with the eigh it came from:
-    ``(projected, eigenvalues, eigenvectors, clamped)``, where ``clamped``
-    marks the matrices whose spectrum was raised to the floor."""
+def _psd_factors(sigma, floor: float = PSD_FLOOR):
+    """``condition_psd``'s projection and the eigh factors of the result,
+    for ``Gmm._factored``.  Only the clamped matrices are decomposed again,
+    from their reconstructions, so every factor is the one ``Gmm()`` would
+    compute."""
     if not 0 < floor < np.inf:
         raise ValueError("floor must be positive and finite")
     a = np.asarray(sigma, dtype=np.float64)
@@ -395,16 +394,6 @@ def _clamp_spectra(sigma, floor: float):
         u = evecs[low]
         out = (u * np.maximum(evals[low], floor)[..., None, :]) @ np.swapaxes(u, -1, -2)
         sym[low] = 0.5 * (out + np.swapaxes(out, -1, -2))
-    return sym, evals, evecs, low
-
-
-def _psd_factors(sigma):
-    """``condition_psd`` of a (K, d, d) stack at ``PSD_FLOOR`` and the eigh
-    factors of the result, for ``Gmm._factored``.  Only the clamped
-    matrices are decomposed again, from their reconstructions, so every
-    factor is the one ``Gmm()`` would compute."""
-    sym, evals, evecs, low = _clamp_spectra(sigma, PSD_FLOOR)
-    if low.any():
         evals[low], evecs[low] = np.linalg.eigh(sym[low])
     return sym, evals, evecs
 
@@ -468,8 +457,8 @@ def sufficient_stats(patches, gamma) -> SufficientStats:
     x = _patch_matrix(patches)
     g = np.asarray(gamma, dtype=np.float64)
     n, d = x.shape
-    if g.shape[0] != n or g.ndim != 2:
-        raise ValueError("responsibility matrix does not match the patch matrix")
+    if g.ndim != 2 or g.shape[0] != n or g.shape[1] == 0:
+        raise ValueError(f"expected an ({n}, K) responsibility matrix with K >= 1, got {g.shape}")
     k = g.shape[1]
     bad = np.flatnonzero(~(g >= 0.0) | (g == np.inf))
     if bad.size:
@@ -497,17 +486,9 @@ def sufficient_stats(patches, gamma) -> SufficientStats:
         out = prod if m == k else compact[:(d + 1) * m * d].reshape(d + 1, m, d)
         np.matmul(lhs[:b].T, terms.reshape(b, m * d), out=out.reshape(d + 1, m * d))
         if m < k:
-            # spread the live columns, run by run, over the full width with
-            # zeros between: one contiguous add is cheaper than a strided one
-            # per run
-            bounds = np.flatnonzero(np.diff(cols, prepend=False, append=False)).tolist()
-            done = at = 0
-            for first, end in zip(bounds[::2], bounds[1::2]):
-                prod[:, done:first] = 0.0
-                prod[:, first:end] = out[:, at:at + end - first]
-                at += end - first
-                done = end
-            prod[:, done:] = 0.0
+            # a contiguous add of the full width beats a strided one of the live columns
+            prod.fill(0.0)
+            prod[:, cols] = out
         sums += prod
     sums = sums.transpose(1, 0, 2)
     filled = (counts > 0.0)[:, None, None]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 
 import numpy as np
 
@@ -101,7 +102,7 @@ def extract_patches(image: ImageBuffer, patch_size: int, stride: int = 1) -> np.
     memory with the image.  Each pair of origin runs is copied from the
     window view as one strided block.
     """
-    s, stride = int(patch_size), int(stride)
+    s, stride = _integer("patch_size", patch_size), _integer("stride", stride)
     rows = _coverage_starts(image.height, s, stride)
     cols = _coverage_starts(image.width, s, stride)
     view = np.lib.stride_tricks.sliding_window_view(image.pixels, (s, s))
@@ -133,7 +134,7 @@ def accumulate_patches(values, width: int, height: int, stride: int = 1):
     x = np.asarray(values, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"expected an (n, d) patch matrix, got shape {x.shape}")
-    s, stride = _patch_side(x.shape[1]), int(stride)
+    s, stride = _patch_side(x.shape[1]), _integer("stride", stride)
     rows = _coverage_starts(height, s, stride)
     cols = _coverage_starts(width, s, stride)
     if x.shape[0] != rows.size * cols.size:
@@ -169,6 +170,14 @@ def add_gaussian_noise(image: ImageBuffer, sigma: float, seed: int) -> ImageBuff
         return ImageBuffer(image.pixels.copy())
     rng = np.random.default_rng(seed)
     return ImageBuffer(image.pixels + rng.normal(0.0, sigma, image.pixels.shape))
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a ValueError naming ``name`` for a non-integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _check_sigma(sigma) -> None:

@@ -14,7 +14,7 @@ import dataclasses
 
 import numpy as np
 
-from .patches import ImageBuffer, _check_sigma
+from .patches import ImageBuffer, _check_sigma, _integer
 
 __all__ = ["SureConfig", "estimate_sigma_tilde_sq"]
 
@@ -31,7 +31,7 @@ class SureConfig:
             raise ValueError("delta must be positive and finite")
         if not 0 <= self.floor < np.inf:
             raise ValueError("floor must be nonnegative and finite")
-        if self.probes < 1:
+        if _integer("probes", self.probes) < 1:
             raise ValueError("probes must be at least 1")
 
 

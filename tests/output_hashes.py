@@ -1,0 +1,127 @@
+"""Print one SHA-256 per output group of patchprior, for bit-identity checks.
+
+    python tests/output_hashes.py
+
+Run it in two checkouts and compare the lines: a change that is meant to
+keep every output bit-identical prints the same hashes as its parent.  The
+inputs are the benchmark's synthetic ones (no downloads), at one BLAS
+thread, because the scoring and moment GEMMs change their last bits with
+the thread count.  The groups are ``em_fit`` on the 18,605-patch corpus,
+``adapt`` at sigma_tilde_sq 0 and 100, ``denoise`` pixels and mode
+histograms under the generic and the adapted prior, ``condition_psd``, and
+the files of the CLI chain ``noise`` -> ``adapt --sigma-tilde sure`` ->
+``denoise``.  pytest does not collect this file.
+"""
+
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+# BLAS reads its thread count when numpy is first imported.
+for _var in ("PATCHPRIOR_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+             "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
+
+import hashlib  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+import patchprior as pp  # noqa: E402
+import synthimages  # noqa: E402
+from patchprior.cli import cli_dispatch  # noqa: E402
+
+# The adapt manifest's result lines; the others are paths, flags and timings.
+_MANIFEST_RESULTS = ("sigma_tilde_sq", "objectives", "logliks", "log_priors", "alphas",
+                     "counts")
+
+
+def digest(*parts) -> str:
+    """SHA-256 over arrays (dtype, shape and bytes) and byte strings."""
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, bytes):
+            h.update(part)
+            continue
+        a = np.ascontiguousarray(part)
+        h.update(f"{a.dtype} {a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def model_parts(gmm):
+    return gmm.weights, gmm.means, gmm.covariances, gmm.eigenvalues, gmm.eigenvectors
+
+
+def adapt_parts(model, report):
+    return (*model_parts(model), np.array(report.logliks), np.array(report.log_priors),
+            report.alphas, report.counts)
+
+
+def denoise_lines(label, noisy, prior):
+    result = pp.denoise(noisy, 20.0, prior)
+    return [(f"denoise pixels {label}", digest(result.image.pixels)),
+            (f"denoise histograms {label}", digest(*result.mode_histograms))]
+
+
+def chain_lines(generic, work: Path):
+    pp.write_pgm(synthimages.make_smoke_image(96), work / "clean.pgm")
+    pp.save_model(generic, work / "generic.gmmp")
+    clean, noisy = str(work / "clean.pgm"), str(work / "noisy.pgm")
+    generic_path, adapted_path = str(work / "generic.gmmp"), str(work / "adapted.gmmp")
+    commands = [
+        ["noise", clean, "--sigma", "20", "--seed", "7", "--out", noisy],
+        ["adapt", generic_path, noisy, "--out", adapted_path,
+         "--sigma-tilde", "sure", "--sigma", "20"],
+        ["denoise", noisy, "--sigma", "20", "--model", generic_path,
+         "--out", str(work / "generic.pgm")],
+        ["denoise", noisy, "--sigma", "20", "--model", adapted_path,
+         "--out", str(work / "adapted.pgm")],
+    ]
+    for argv in commands:
+        if cli_dispatch(argv) != 0:
+            raise SystemExit(f"output_hashes: {' '.join(argv)} failed")
+    manifest = [line for line in (work / "adapted.gmmp.manifest").read_text().splitlines()
+                if line.split(" = ", 1)[0] in _MANIFEST_RESULTS]
+    files = [(work / name).read_bytes()
+             for name in ("noisy.pgm", "adapted.gmmp", "generic.pgm", "adapted.pgm")]
+    return [("cli chain", digest("\n".join(manifest).encode(), *files))]
+
+
+def main() -> None:
+    corpus = synthimages.corpus_patches(128, 8, 2)
+    generic, trace = pp.em_fit(corpus, pp.EmConfig(n_components=20, max_iters=5, seed=0))
+    lines = [("em_fit", digest(*model_parts(generic), np.array(trace)))]
+
+    clean = synthimages.make_piecewise_image(128)
+    noisy_smoke = pp.add_gaussian_noise(synthimages.make_smoke_image(128), 10.0, seed=1)
+    adapted = {}
+    for sigma_tilde_sq, image in ((0.0, clean), (100.0, noisy_smoke)):
+        config = pp.AdaptationConfig(sigma_tilde_sq=sigma_tilde_sq, iterations=2)
+        model, report = pp.adapt(generic, pp.extract_patches(image, 8), config)
+        adapted[sigma_tilde_sq] = model
+        lines.append((f"adapt sigma_tilde_sq {sigma_tilde_sq:g}",
+                      digest(*adapt_parts(model, report))))
+
+    noisy = pp.add_gaussian_noise(synthimages.make_smoke_image(128), 20.0, seed=2)
+    lines += denoise_lines("generic", noisy, generic)
+    lines += denoise_lines("adapted", noisy, adapted[0.0])
+
+    a = np.random.default_rng(0).standard_normal((6, 5, 5))
+    stack = a @ np.swapaxes(a, 1, 2)
+    stack[::2] -= 2.0 * np.eye(5)
+    lines.append(("condition_psd", digest(pp.condition_psd(stack, 1e-3),
+                                          pp.condition_psd(stack[0], 1e-3),
+                                          pp.condition_psd(generic.covariances, 1e-2))))
+
+    with tempfile.TemporaryDirectory() as work:
+        lines += chain_lines(generic, Path(work))
+    for label, value in lines:
+        print(f"{value}  {label}")
+
+
+if __name__ == "__main__":
+    main()

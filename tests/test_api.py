@@ -19,11 +19,14 @@ from patchprior import (
     HqsSchedule,
     ImageBuffer,
     SureConfig,
+    accumulate_patches,
     add_gaussian_noise,
     component_log_densities,
     condition_psd,
     denoise,
     estimate_sigma_tilde_sq,
+    extract_patches,
+    sufficient_stats,
 )
 
 MODULES = ["patchprior"] + [f"patchprior.{m.name}"
@@ -107,6 +110,30 @@ def _denoise(sigma):
 def test_nonfinite_parameters_rejected(build, value):
     with pytest.raises(ValueError, match="finite"):
         build(value)
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: AdaptationConfig(iterations=2.5), "iterations"),
+    (lambda: EmConfig(n_components=2.5), "n_components"),
+    (lambda: EmConfig(n_components=1, max_iters=3.0), "max_iters"),
+    (lambda: SureConfig(probes=1.5), "probes"),
+    (lambda: extract_patches(ImageBuffer(np.zeros((8, 8))), 3.7), "patch_size"),
+    (lambda: extract_patches(ImageBuffer(np.zeros((8, 8))), 3, 1.5), "stride"),
+    (lambda: accumulate_patches(np.zeros((36, 9)), 8, 8, 1.5), "stride"),
+    (lambda: sufficient_stats(np.ones((3, 2)), np.ones((3, 0))), "responsibility matrix"),
+    (lambda: sufficient_stats(np.ones((3, 0)), np.ones((3, 2))), "patch matrix"),
+], ids=["adapt-iterations", "em-components", "em-max-iters", "sure-probes",
+        "patch-size", "extract-stride", "accumulate-stride", "stats-no-components",
+        "stats-zero-width"])
+def test_nonintegral_counts_and_empty_widths_rejected(build, field):
+    with pytest.raises(ValueError, match=field):
+        build()
+
+
+def test_numpy_integer_counts_accepted():
+    assert EmConfig(n_components=np.int64(2), max_iters=np.int32(3)).max_iters == 3
+    image = ImageBuffer(np.zeros((8, 8)))
+    assert extract_patches(image, np.int32(3), np.int64(2)).shape == (16, 9)
 
 
 @pytest.mark.parametrize("sigma", [1e200, 1e-200, 2e154, 5e-155])

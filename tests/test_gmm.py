@@ -597,6 +597,25 @@ class TestBlockSkip:
         for n in (4, 16, 17, 50):  # one short block up to several
             assert_moments_within_bound(sufficient_stats(x[:n], g[:n]), x[:n], g[:n])
 
+    def test_exact_data_matches_dense_sums(self, sixteen_row_blocks):
+        # integer pixels and gamma in {0, 1/2, 1}: every product and sum is
+        # exact, so the skipping must give the dense moments bit for bit
+        rng = np.random.default_rng(41)
+        x = rng.integers(0, 256, (100, 3)).astype(np.float64)
+        g = rng.integers(0, 3, (100, 5)) / 2.0
+        g[::16] = 1.0            # every component is live in every block, except:
+        g[0:16, [1, 4]] = 0.0    # block 0: two live runs, {0} and {2, 3}
+        g[32:48] = 0.0           # block 2: no live component
+        g[48:64, :2] = 0.0       # block 3: one live run {2, 3, 4}, not at 0
+        g[96:, [0, 2]] = 0.0     # short block 6: live runs {1} and {3, 4}
+        stats = sufficient_stats(x, g)
+        counts = g.sum(axis=0)
+        means = (g.T @ x) / counts[:, None]
+        seconds = np.einsum("nk,ni,nj->kij", g, x, x) / counts[:, None, None]
+        assert np.array_equal(stats.counts, counts)
+        assert np.array_equal(stats.means, means)
+        assert np.array_equal(stats.second_moments, seconds)
+
     def test_dead_block_is_not_read(self, sixteen_row_blocks):
         # every term of block 2 is an exact zero, so its rows cannot matter
         x, g = self.sparse_case()
