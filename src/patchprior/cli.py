@@ -1,10 +1,10 @@
 """Command-line entry points for the patch-prior toolbox.
 
-Every run writes one manifest next to its primary output: flat
-``key = value`` lines holding the command, the library version, every
-parsed flag and argument merged with what the run computed, the BLAS
-thread settings, and per-phase wall-clock timings, so results can be
-traced back to exactly what produced them.
+Every run that succeeds writes one manifest next to its primary output,
+or else its first input: flat ``key = value`` lines holding the command,
+the library version, every parsed flag and argument merged with what the
+run computed, the BLAS thread settings, and per-phase wall-clock timings,
+so results can be traced back to exactly what produced them.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .adapt import AdaptationConfig, adapt
-from .denoise import HqsSchedule, denoise
+from .denoise import _STAGE_MULTIPLIERS, HqsSchedule, denoise
 from .em import EmConfig, em_fit
 from .ioutil import atomic_write_bytes
 from .model_io import load_model, save_model
@@ -42,12 +42,11 @@ class UsageError(ValueError):
     """Inconsistent flag combinations detected after parsing."""
 
 
-def _write_manifest(args, results: dict, seconds: dict, out, first_input) -> None:
-    """Write the run record: ``<out>.manifest``, or for a command with no
-    output file ``<first_input>.<command>.manifest`` beside its input.  Its
-    parameters are every parsed flag of ``args``, with ``results`` merged in,
-    and the BLAS thread settings, which change a model's last bits: each
-    variable as set in the environment, or ``unset``."""
+def _write_manifest(args, results: dict, seconds: dict, stem) -> None:
+    """Write the run record ``<stem>.manifest``.  Its parameters are every
+    parsed flag of ``args``, with ``results`` merged in, and the BLAS thread
+    settings, which change a model's last bits: each variable as set in the
+    environment, or ``unset``."""
     params = {k: v for k, v in {**vars(args), **results}.items()
               if k not in ("command", "func")}
     params.update((var, os.environ.get(var) or "unset") for var in (
@@ -55,58 +54,46 @@ def _write_manifest(args, results: dict, seconds: dict, out, first_input) -> Non
     lines = [f"command = {args.command}", f"version = {__version__}"]
     lines += [f"{key} = {params[key]}" for key in sorted(params)]
     lines += [f"time_{key}_seconds = {seconds[key]:.6f}" for key in sorted(seconds)]
-    if out is not None:
-        path = Path(f"{out}.manifest")
-    else:
-        first_input = Path(first_input)
-        path = first_input.with_name(f"{first_input.name}.{args.command}.manifest")
-    atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
+    atomic_write_bytes(f"{stem}.manifest", ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def _comma_list(values, spec: str) -> str:
     return ",".join(format(v, spec) for v in values)
 
 
-def _checked_float(text: str, ok, expected: str) -> float:
-    """The float ``text`` spells, if ``ok`` accepts it; else an argparse error."""
+def _checked(text: str, parse, ok, expected: str):
+    """``parse(text)`` if it parses and ``ok`` accepts it, else an argparse error."""
     try:
-        value = float(text)
+        value = parse(text)
+        if ok(value):
+            return value
     except ValueError:
-        value = np.nan
-    if not ok(value):
-        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
-    return value
+        pass
+    raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
 
 
 def _finite_float(text: str) -> float:
     """argparse type: a float that is neither NaN nor infinite."""
-    return _checked_float(text, np.isfinite, "a finite number")
+    return _checked(text, float, np.isfinite, "a finite number")
 
 
 def _sigma_tilde(text: str):
     """argparse type: 'sure', or a nonnegative number with a finite square."""
-    return text if text == "sure" else _checked_float(
-        text, lambda v: 0 <= v and v * v < np.inf,
+    return text if text == "sure" else _checked(
+        text, float, lambda v: 0 <= v and v * v < np.inf,
         "'sure' or a nonnegative number with a finite square")
 
 
 def _positive_int(text: str) -> int:
     """argparse type: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+    return _checked(text, int, lambda v: v >= 1, "a positive integer")
 
 
-def _parse_betas(text: str, sigma: float):
-    try:
-        multipliers = [float(tok) for tok in text.split(",") if tok.strip()]
-        return HqsSchedule.default(sigma, multipliers)
-    except ValueError as exc:
-        raise UsageError(f"--betas {text!r}: {exc}") from None
+def _betas(text: str) -> tuple:
+    """argparse type: a comma list of positive, finite numbers, not empty."""
+    return _checked(text, lambda t: tuple(float(tok) for tok in t.split(",") if tok.strip()),
+                    lambda m: m and all(0 < v < np.inf for v in m),
+                    "a comma list of positive, finite numbers")
 
 
 def _hqs_denoiser(prior, sigma: float):
@@ -115,18 +102,13 @@ def _hqs_denoiser(prior, sigma: float):
     return lambda img: denoise(img, sigma, prior).image
 
 
-def _corpus_paths(corpus: Path):
+def _cmd_train(args, laps):
+    corpus = Path(args.corpus)
     if not corpus.is_dir():
         raise UsageError(f"corpus {corpus} is not a directory")
     paths = sorted(corpus.glob("*.pgm"))
     if not paths:
         raise ValueError(f"no .pgm files in {corpus}")
-    return paths
-
-
-def _cmd_train(args) -> int:
-    laps = LapTimer()
-    paths = _corpus_paths(Path(args.corpus))
     blocks = [extract_patches(read_pgm(p), args.patch_size, args.stride) for p in paths]
     data = np.concatenate(blocks, axis=0)
     laps.lap("extract")
@@ -137,21 +119,20 @@ def _cmd_train(args) -> int:
     save_model(model, args.out)
     log.info("trained %d components on %d patches, %d iterations",
              args.k, data.shape[0], len(trace))
-    _write_manifest(args, {
+    return {
         "images": len(paths), "patches": data.shape[0], "iterations_run": len(trace),
         "logliks": _comma_list(trace, ".6f"),
-    }, laps.seconds, args.out, paths[0])
-    return 0
+    }, args.out
 
 
-def _cmd_adapt(args) -> int:
+def _cmd_adapt(args, laps):
     if args.sigma_tilde == "sure" and args.sigma is None:
         raise UsageError("--sigma-tilde sure requires --sigma")
     config = AdaptationConfig(rho=args.rho, iterations=args.iters)
     generic = load_model(args.model)
     side = _patch_side(generic.dim)
     image = read_pgm(args.image)
-    laps = LapTimer()
+    laps.lap("read")
     if args.sigma_tilde == "sure":
         sure_config = SureConfig(seed=args.seed, probes=args.probes)
         prefilter = denoise(image, args.sigma, generic)
@@ -171,26 +152,23 @@ def _cmd_adapt(args) -> int:
     laps.lap("adapt")
     laps.seconds.update(report.seconds)
     save_model(adapted, args.out)
-    _write_manifest(args, {
+    return {
         "sigma_tilde_sq": sigma_tilde_sq, "objectives": _comma_list(report.objectives, ".6f"),
         "logliks": _comma_list(report.logliks, ".6f"),
         "log_priors": _comma_list(report.log_priors, ".6f"),
         "alphas": _comma_list(report.alphas, ".6f"),
         "counts": _comma_list(report.counts, ".3f"),
-    }, laps.seconds, args.out, args.image)
-    return 0
+    }, args.out
 
 
-def _cmd_denoise(args) -> int:
+def _cmd_denoise(args, laps):
     if args.trace and args.ref is None:
         raise UsageError("--trace requires --ref")
-    schedule = HqsSchedule.default(args.sigma)  # a bad --sigma is not a --betas error
-    if args.betas:
-        schedule = _parse_betas(args.betas, args.sigma)
+    schedule = HqsSchedule.default(args.sigma, args.betas)
     prior = load_model(args.model)
     noisy = read_pgm(args.input)
     reference = read_pgm(args.ref) if args.ref else None
-    laps = LapTimer()
+    laps.lap("read")
     result = denoise(noisy, args.sigma, prior, schedule, reference=reference)
     laps.lap("denoise")
     laps.seconds.update(result.seconds)
@@ -199,58 +177,50 @@ def _cmd_denoise(args) -> int:
         print("stage,beta,psnr")
         for i, (beta, value) in enumerate(zip(schedule.betas, result.psnr_trace), start=1):
             print(f"{i},{beta:.8g},{value:.4f}")
-    _write_manifest(args, {
+    return {
         "betas": _comma_list(schedule.betas, ".8g"),
         "mode_inflations": _comma_list(schedule.mode_inflations, ".8g"),
-    }, laps.seconds, args.out, args.input)
-    return 0
+    }, args.out
 
 
-def _cmd_sure(args) -> int:
+def _cmd_sure(args, laps):
     prior = load_model(args.model)
     noisy = read_pgm(args.input)
-    laps = LapTimer()
+    laps.lap("read")
     estimate = estimate_sigma_tilde_sq(
         noisy, args.sigma, _hqs_denoiser(prior, args.sigma),
         SureConfig(delta=args.delta, seed=args.seed, probes=args.probes))
     laps.lap("sure")
     print(f"sigma_tilde_sq {estimate:.6f}")
     print(f"ratio {np.sqrt(estimate) / args.sigma:.6f}")
-    _write_manifest(args, {"sigma_tilde_sq": estimate}, laps.seconds, None, args.input)
-    return 0
+    return {"sigma_tilde_sq": estimate}, f"{args.input}.sure"
 
 
-def _cmd_noise(args) -> int:
+def _cmd_noise(args, laps):
     image = read_pgm(args.input)
-    laps = LapTimer()
+    laps.lap("read")
     noisy = add_gaussian_noise(image, args.sigma, args.seed)
     laps.lap("noise")
     write_pgm(noisy, args.out)
-    _write_manifest(args, {}, laps.seconds, args.out, args.input)
-    return 0
+    return {}, args.out
 
 
-def _cmd_psnr(args) -> int:
-    laps = LapTimer()
+def _cmd_psnr(args, laps):
     value = psnr(read_pgm(args.reference), read_pgm(args.test))
     laps.lap("psnr")
     print(f"{value:.4f}")
-    _write_manifest(args, {"psnr": f"{value:.4f}"}, laps.seconds, None, args.reference)
-    return 0
+    return {"psnr": f"{value:.4f}"}, f"{args.reference}.psnr"
 
 
-def _cmd_toy(args) -> int:
-    laps = LapTimer()
+def _cmd_toy(args, laps):
     trial = run_trial(args.seed, rho=args.rho)
     laps.lap("trial")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     points_path = out_dir / "toy_points.csv"
     lines = ["set,x,y"]
-    for x, y in trial.generic_points:
-        lines.append(f"generic,{x:.6f},{y:.6f}")
-    for x, y in trial.target_points:
-        lines.append(f"target,{x:.6f},{y:.6f}")
+    for name, points in (("generic", trial.generic_points), ("target", trial.target_points)):
+        lines += (f"{name},{x:.6f},{y:.6f}" for x, y in points)
     atomic_write_bytes(points_path, ("\n".join(lines) + "\n").encode("ascii"))
     models_path = out_dir / "toy_models.csv"
     lines = ["model,component,weight,mean_x,mean_y,cov_xx,cov_xy,cov_yy"]
@@ -265,9 +235,7 @@ def _cmd_toy(args) -> int:
     atomic_write_bytes(models_path, ("\n".join(lines) + "\n").encode("ascii"))
     print(f"scratch_error {trial.scratch_error:.6f}")
     print(f"adapted_error {trial.adapted_error:.6f}")
-    _write_manifest(args, {"points": str(points_path), "models": str(models_path)},
-                    laps.seconds, points_path, None)
-    return 0
+    return {"points": str(points_path), "models": str(models_path)}, points_path
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -275,6 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="patchprior",
         description="Patch-based denoising with adaptable Gaussian mixture priors.")
     sub = parser.add_subparsers(dest="command", required=True)
+    probe_seed = "seed of the SURE probe; must differ from the noise --seed"
 
     p = sub.add_parser("train", help="fit a generic prior to a corpus of PGM images")
     p.add_argument("corpus", help="directory of .pgm files")
@@ -301,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="observation noise scale, required with --sigma-tilde sure")
     p.add_argument("--iters", type=_positive_int, default=AdaptationConfig.iterations)
     p.add_argument("--stride", type=_positive_int, default=1)
-    p.add_argument("--seed", type=int, default=SureConfig.seed)
+    p.add_argument("--seed", type=int, default=SureConfig.seed, help=probe_seed)
     p.add_argument("--probes", type=_positive_int, default=SureConfig.probes)
     p.set_defaults(func=_cmd_adapt)
 
@@ -310,9 +279,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=_finite_float, required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--betas", default=None,
+    p.add_argument("--betas", type=_betas, default=_STAGE_MULTIPLIERS,
                    help="comma list of beta multipliers of 1/sigma^2 "
-                        "(default 1,4,8,16,32)")
+                        f"(default {_comma_list(_STAGE_MULTIPLIERS, 'g')})")
     p.add_argument("--trace", action="store_true",
                    help="print per-stage stage,beta,psnr CSV (needs --ref)")
     p.add_argument("--ref", default=None, help="clean reference image")
@@ -324,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=_finite_float, required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--delta", type=_finite_float, default=SureConfig.delta)
-    p.add_argument("--seed", type=int, default=SureConfig.seed)
+    p.add_argument("--seed", type=int, default=SureConfig.seed, help=probe_seed)
     p.add_argument("--probes", type=_positive_int, default=SureConfig.probes)
     p.set_defaults(func=_cmd_sure)
 
@@ -350,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cli_dispatch(argv) -> int:
-    """Parse argv and run one subcommand.
+    """Parse argv, run one subcommand and, if it succeeds, write its manifest.
 
     Returns 0 on success, 2 on usage errors, 1 on runtime failures.
     """
@@ -360,14 +329,17 @@ def cli_dispatch(argv) -> int:
         args = parser.parse_args(list(argv))
     except SystemExit as exit_:  # argparse prints its own message
         return int(exit_.code or 0)
+    laps = LapTimer()
     try:
-        return args.func(args)
+        results, stem = args.func(args, laps)
+        _write_manifest(args, results, laps.seconds, stem)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
     except (OSError, ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _FAILURE_EXIT
+    return 0
 
 
 def main() -> None:

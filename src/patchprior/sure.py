@@ -21,7 +21,7 @@ __all__ = ["SureConfig", "estimate_sigma_tilde_sq"]
 
 @dataclasses.dataclass(frozen=True)
 class SureConfig:
-    delta: float = 0.01
+    delta: float = 0.5
     seed: int = 0
     floor: float = 1.0
     probes: int = 1

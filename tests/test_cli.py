@@ -278,12 +278,19 @@ class TestDenoise:
         assert len(lines) == 6
         assert lines[1].startswith("1,")
 
-    @pytest.mark.parametrize("betas", ["1,nan", "1,inf", "1,-2"])
-    def test_bad_betas_is_usage_error(self, workspace, noisy, tmp_path, betas):
+    @pytest.mark.parametrize("betas", ["1,nan", "1,inf", "1,-2", "", ","])
+    def test_bad_betas_is_usage_error(self, workspace, noisy, tmp_path, capsys,
+                                      monkeypatch, betas):
+        # an empty --betas used to run the default schedule
+        reads = []
+        monkeypatch.setattr(cli_module, "read_pgm", lambda path: reads.append(path))
+        monkeypatch.setattr(cli_module, "load_model", lambda path: reads.append(path))
         rc = cli_dispatch(["denoise", str(noisy), "--sigma", "20",
                            "--model", str(workspace / "generic.gmmp"),
                            "--out", str(tmp_path / "d.pgm"), "--betas", betas])
         assert rc == 2
+        assert "--betas" in capsys.readouterr().err.strip().splitlines()[-1]
+        assert reads == []
 
     def test_custom_betas_in_manifest(self, workspace, noisy, tmp_path):
         out = tmp_path / "d.pgm"
@@ -363,15 +370,15 @@ MANIFEST_KEYS = {command: keys | THREAD_KEYS for command, keys in {
               "iters", "stride", "seed", "probes", "objectives", "logliks", "log_priors",
               "alphas", "counts",
               *(f"time_{name}_seconds" for name in (
-                  "prefilter", "prefilter_select", "prefilter_shrink",
+                  "read", "prefilter", "prefilter_select", "prefilter_shrink",
                   "prefilter_aggregate", "prefilter_update", "sure", "adapt",
                   "estep", "stats", "mstep", "objective"))},
     "denoise": {"input", "model", "out", "sigma", "betas", "mode_inflations", "ref",
                 "trace", *(f"time_{name}_seconds" for name in (
-                    "denoise", "select", "shrink", "aggregate", "update"))},
+                    "read", "denoise", "select", "shrink", "aggregate", "update"))},
     "sure": {"input", "model", "sigma", "delta", "seed", "probes", "sigma_tilde_sq",
-             "time_sure_seconds"},
-    "noise": {"input", "out", "sigma", "seed", "time_noise_seconds"},
+             "time_read_seconds", "time_sure_seconds"},
+    "noise": {"input", "out", "sigma", "seed", "time_read_seconds", "time_noise_seconds"},
     "psnr": {"reference", "test", "psnr", "time_psnr_seconds"},
     "toy": {"seed", "rho", "out_dir", "points", "models", "time_trial_seconds"},
 }.items()}
@@ -581,6 +588,7 @@ class TestUsageErrors:
                            "--out", str(tmp_path / "o.pgm")])
         assert rc == 1
         capsys.readouterr()
+        assert not (tmp_path / "o.pgm.manifest").exists()
 
 
 class TestConsoleScript:
