@@ -26,7 +26,6 @@ __all__ = [
 ]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
-_TINY = np.finfo(np.float64).tiny  # smallest normal float64, 2**-1022
 
 # Construction-time tolerances, absolute.
 WEIGHT_SUM_TOL = 1e-12
@@ -326,27 +325,33 @@ def _row_norms(a) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", a, a))
 
 
-def _normalize(scores):
-    """Posterior rows of a score matrix and each row's log normalizer.
-
-    Posteriors below the smallest normal float64, 2**-1022 (about
-    2.2e-308), are set to exactly 0.0 after the division; a subnormal
-    operand slows every product it enters on x86, and the moments are
-    built from such products.  Each flushed entry moves by less than
-    2**-1022, so over n rows a count moves by less than n * 2**-1022 and
-    a moment sum by less than that times max x**2: below one ulp of any
-    component with mass above about 1e-280.  The log normalizer comes
-    from the unflushed row sum.
-    """
+def _log_normalizer(scores):
+    """Each row's log-sum-exp, and the shifted exponentials and row sums it
+    is formed from.  Works in place on ``scores``, which must be a fresh
+    float64 array."""
     top = scores.max(axis=1)
     if not np.isfinite(top).all():
         bad = int(np.flatnonzero(~np.isfinite(top))[0])
         raise DegeneratePatchError(f"patch {bad} has no support under any component")
-    z = np.exp(scores - top[:, None])
+    z = np.exp(np.subtract(scores, top[:, None], out=scores), out=scores)
     total = z.sum(axis=1)
-    gamma = z / total[:, None]
-    gamma[gamma < _TINY] = 0.0
-    return gamma, top + np.log(total)
+    return z, total, top + np.log(total)
+
+
+def _normalize(scores):
+    """Posterior rows of a score matrix and each row's log normalizer.
+
+    With n rows, posteriors below 2**-53 / n are set to exactly 0.0 after
+    the division.  Over all n rows that moves each count by less than
+    2**-53, and each moment sum by less than 2**-53 max |x_i x_j|; the
+    moments skip every zero posterior (see ``sufficient_stats``).  It also
+    flushes every subnormal posterior, which would slow each product it
+    enters on x86.  The log normalizer comes from the unflushed row sum.
+    """
+    z, total, loglik = _log_normalizer(scores)
+    gamma = np.divide(z, total[:, None], out=z)
+    gamma[gamma < 2.0 ** -53 / gamma.shape[0]] = 0.0
+    return gamma, loglik
 
 
 def responsibilities(gmm: Gmm, patches, inflation: float = 0.0):
@@ -357,9 +362,8 @@ def responsibilities(gmm: Gmm, patches, inflation: float = 0.0):
     patch, which is the likelihood term of ``log_posterior_objective`` at
     no extra cost.  Computed through a shifted softmax so the result is
     exact up to rounding even when every density underflows.  Every entry
-    is either 0.0 or at least 2**-1022: subnormal posteriors are flushed to
-    zero, which moves a count by less than n * 2**-1022 (see
-    ``_normalize``).
+    is either 0.0 or at least 2**-53 / n: smaller posteriors are flushed to
+    zero, which moves each count by less than 2**-53 (see ``_normalize``).
     """
     gamma, loglik = _normalize(component_log_densities(gmm, patches, inflation))
     return gamma, gamma.sum(axis=0), loglik
@@ -405,7 +409,7 @@ def log_posterior_objective(gmm_tilde: Gmm, patches, generic: Gmm, rho: float,
     The likelihood term sums log mixture densities with each covariance
     inflated by ``inflation``; the prior term is ``_log_prior``.
     """
-    _, loglik = _normalize(component_log_densities(gmm_tilde, patches, inflation))
+    _, _, loglik = _log_normalizer(component_log_densities(gmm_tilde, patches, inflation))
     return float(loglik.sum()) + _log_prior(gmm_tilde, generic, rho)
 
 
@@ -436,23 +440,26 @@ def sufficient_stats(patches, gamma) -> SufficientStats:
     over the patches.
 
     ``gamma`` must be finite and nonnegative; a NaN, infinite or negative
-    entry raises ``ValueError``.  Subnormal entries give the same moments
-    as zeros, to within n * 2**-1022 per count (times max x**2 per moment
-    sum), but cost a microcode assist per product on x86;
-    ``responsibilities`` never returns them.
+    entry raises ``ValueError``.  Subnormal entries cost a microcode assist
+    per product on x86; ``responsibilities`` never returns them.
 
-    Rows go a block at a time.  A component is live in a block when any of
-    its gamma_nk there is positive; posteriors are mostly exact zeros once
-    components specialize.  The (b, m, d) products gamma_nk x_n of the m
-    live components go through one GEMM from the left by [x, 1]^T, and are
-    added into one (d+1, K, d) sum whose last row holds the first moments.
-    A block with no live component is skipped.  The skipped terms are
-    exact zeros, and each live component's sum is the same GEMM dot
-    product over the same rows as in a pass over all K components, so the
-    moments do not depend on the skipping.  Every sum has nonnegative
-    weights, so with v = 2^-53 each moment is within gamma_{2n+3}(v) times
-    sum_n gamma_nk |x_ni x_nj| / n_k of its exact value (x_nj for means).
-    A component with zero count keeps zero moments.
+    A row's support is the set of components where its gamma is positive;
+    posteriors are mostly exact zeros once components specialize, and
+    ``responsibilities`` flushes the tiny ones.  Rows go in the stable order
+    of their support, a block at a time, each block gathered through that
+    order into one buffer; rows with empty support are dropped.  Rows of
+    one block then share most of their support.  A component is live in a
+    block when any of its gamma there is positive.  The (b, m, d) products
+    gamma_nk x_n of the m live components go through one GEMM from the
+    left by [x, 1]^T, and are added into one (d+1, K, d) sum whose last row
+    holds the first moments.  The skipped terms are exact zeros, and each
+    live component's sum is the same GEMM dot product over the same rows
+    as in a pass over all K components, so the moments do not depend on the
+    skipping; the row order moves them only by rounding.  Every sum has
+    nonnegative weights, so with v = 2^-53 each moment is within
+    gamma_{2n+3}(v) times sum_n gamma_nk |x_ni x_nj| / n_k of its exact
+    value (x_nj for means), in any row order.  A component with zero count
+    keeps zero moments.
     """
     x = _patch_matrix(patches)
     g = np.asarray(gamma, dtype=np.float64)
@@ -466,22 +473,25 @@ def sufficient_stats(patches, gamma) -> SufficientStats:
         raise ValueError(f"responsibility [{i}, {j}] is {float(g[i, j])}; "
                          "responsibilities must be finite and nonnegative")
     counts = g.sum(axis=0)
+    key = np.packbits(g > 0.0, axis=1)
+    order = np.lexsort(key.T[::-1])
+    # the empty support sorts first
+    order = order[n - np.count_nonzero(key.any(axis=1)):]
     rows = max(1, _BLOCK_VALUES // (k * d))
-    # component k is live in a block where any of its gamma is positive
-    live = np.logical_or.reduceat(g > 0.0, np.arange(0, n, rows), axis=0)
-    lhs = np.ones((min(rows, n), d + 1))
-    buf = np.empty(min(rows, n) * k * d)
+    lhs = np.ones((min(rows, order.size), d + 1))
+    buf = np.empty(min(rows, order.size) * k * d)
     compact = np.empty((d + 1) * k * d)
     prod = np.empty((d + 1, k, d))
     sums = np.zeros((d + 1, k, d))
-    for lo, cols, m in zip(range(0, n, rows), live, live.sum(axis=1).tolist()):
-        if not m:
-            continue
-        block = x[lo:lo + rows]
-        b = block.shape[0]
-        lhs[:b, :d] = block
+    for lo in range(0, order.size, rows):
+        idx = order[lo:lo + rows]
+        b = idx.size
+        block = np.take(x, idx, axis=0, out=lhs[:b, :d])
+        weights = g[idx]
+        cols = weights.any(axis=0)
+        m = int(np.count_nonzero(cols))
         terms = buf[:b * m * d].reshape(b, m, d)
-        np.multiply((g[lo:lo + b] if m == k else g[lo:lo + b, cols])[:, :, None],
+        np.multiply((weights if m == k else weights[:, cols])[:, :, None],
                     block[:, None, :], out=terms)
         out = prod if m == k else compact[:(d + 1) * m * d].reshape(d + 1, m, d)
         np.matmul(lhs[:b].T, terms.reshape(b, m * d), out=out.reshape(d + 1, m * d))

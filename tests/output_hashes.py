@@ -8,7 +8,9 @@ inputs are the benchmark's synthetic ones (no downloads), at one BLAS
 thread, because the scoring and moment GEMMs change their last bits with
 the thread count.  The groups are ``em_fit`` on the 18,605-patch corpus,
 ``adapt`` at sigma_tilde_sq 0 and 100, ``denoise`` pixels and mode
-histograms under the generic and the adapted prior, ``condition_psd``, and
+histograms under the generic and the adapted prior and under a fixed prior
+that no EM or adaptation code builds (so a change to those alone must keep
+its lines), ``condition_psd``, and
 the files of the CLI chain ``noise`` -> ``adapt --sigma-tilde sure`` ->
 ``denoise``.  pytest does not collect this file.
 """
@@ -67,6 +69,17 @@ def denoise_lines(label, noisy, prior):
             (f"denoise histograms {label}", digest(*result.mode_histograms))]
 
 
+def fixed_prior(corpus, k=20):
+    """A mixture from plain sample moments: the corpus patches sorted by
+    their mean and cut into k equal bands, each band's covariance plus one
+    grey level squared on the diagonal."""
+    bands = np.array_split(corpus[np.argsort(corpus.mean(axis=1), kind="stable")], k)
+    covs = np.stack([np.cov(b, rowvar=False) for b in bands])
+    covs = 0.5 * (covs + np.swapaxes(covs, 1, 2)) + np.eye(corpus.shape[1])
+    return pp.Gmm(np.array([len(b) for b in bands]) / len(corpus),
+                  np.stack([b.mean(axis=0) for b in bands]), covs)
+
+
 def chain_lines(generic, work: Path):
     pp.write_pgm(synthimages.make_smoke_image(96), work / "clean.pgm")
     pp.save_model(generic, work / "generic.gmmp")
@@ -109,6 +122,7 @@ def main() -> None:
     noisy = pp.add_gaussian_noise(synthimages.make_smoke_image(128), 20.0, seed=2)
     lines += denoise_lines("generic", noisy, generic)
     lines += denoise_lines("adapted", noisy, adapted[0.0])
+    lines += denoise_lines("fixed", noisy, fixed_prior(corpus))
 
     a = np.random.default_rng(0).standard_normal((6, 5, 5))
     stack = a @ np.swapaxes(a, 1, 2)

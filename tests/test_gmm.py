@@ -183,8 +183,9 @@ def noisy_scene():
 
 
 class TestSubnormalFlush:
-    """Posteriors below 2**-1022 are exactly zero, and nothing built from
-    them moves."""
+    """Posteriors below 2**-53 / n are exactly zero: over the n rows no
+    count moves by 2**-53, the moments stay within their rounding bound
+    of the unflushed ones, and the log normalizer does not move."""
 
     def _unflushed(self, prior, patches):
         scores = component_log_densities(prior, patches, 100.0)
@@ -196,20 +197,21 @@ class TestSubnormalFlush:
     def test_subnormal_posteriors_flushed_to_zero(self, noisy_scene):
         prior, patches = noisy_scene
         raw, _ = self._unflushed(prior, patches)
+        threshold = 2.0 ** -53 / raw.shape[0]
         assert ((raw > 0.0) & (raw < TINY)).any()
         gamma, _, _ = responsibilities(prior, patches, 100.0)
-        assert ((gamma == 0.0) | (gamma >= TINY)).all()
-        assert np.array_equal(gamma, np.where(raw < TINY, 0.0, raw))
+        assert np.array_equal(gamma, np.where(raw < threshold, 0.0, raw))
+        assert ((raw >= TINY) & (raw < threshold) & (gamma == 0.0)).any()
         assert np.allclose(gamma.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
 
     def test_counts_and_moments_unchanged(self, noisy_scene):
         prior, patches = noisy_scene
         raw, _ = self._unflushed(prior, patches)
         gamma, counts, _ = responsibilities(prior, patches, 100.0)
-        assert np.array_equal(counts, raw.sum(axis=0))
-        flushed, unflushed = sufficient_stats(patches, gamma), sufficient_stats(patches, raw)
-        for field in ("counts", "means", "second_moments"):
-            assert np.array_equal(getattr(flushed, field), getattr(unflushed, field))
+        flushed_mass = np.where(gamma == 0.0, raw, 0.0).sum(axis=0)
+        assert flushed_mass.any() and (flushed_mass < 2.0 ** -53).all()
+        assert np.array_equal(counts, gamma.sum(axis=0))
+        assert_moments_within_bound(sufficient_stats(patches, gamma), patches, raw)
 
     def test_loglik_unchanged(self, noisy_scene):
         prior, patches = noisy_scene
@@ -567,10 +569,13 @@ def assert_moments_within_bound(stats, x, g):
 
 
 class TestBlockSkip:
-    """Moments when some components have no weight in some row blocks.
+    """Moments when rows have different supports, so that some components
+    have no weight in some row blocks.
 
-    K = 5 and d = 3 with 16-row blocks: 100 rows make six full blocks and
-    a short last one of 4 rows."""
+    K = 5 and d = 3 with 16-row blocks.  The pass visits the rows in the
+    order of their support and drops those whose support is empty: the
+    84 such rows of ``sparse_case`` make five full blocks and a short last
+    one of 4 rows."""
 
     @pytest.fixture
     def sixteen_row_blocks(self, monkeypatch):
@@ -582,11 +587,11 @@ class TestBlockSkip:
         x = rng.uniform(0.0, 255.0, (100, 3))
         g = rng.random((100, 5))
         g[:, 4] = 0.0           # a component with zero count
-        g[0:16, 1] = 0.0        # block 0: dead pair, live runs {0} and {2, 3}
-        g[32:48] = 0.0          # block 2: no live component
-        g[48:64, 2] = 0.0       # block 3: live runs {0, 1} and {3}
-        g[80:96, 0] = 0.0       # block 5: one live run {1, 2, 3}, not at 0
-        g[96:, [0, 2]] = 0.0    # short block 6: live runs {1} and {3}
+        g[0:16, 1] = 0.0        # support {0, 2, 3}: a dead column between live ones
+        g[32:48] = 0.0          # empty support
+        g[48:64, 2] = 0.0       # support {0, 1, 3}
+        g[80:96, 0] = 0.0       # support {1, 2, 3}, not at 0
+        g[96:, [0, 2]] = 0.0    # support {1, 3}
         return x, g
 
     def test_moments_within_bound(self, sixteen_row_blocks):
@@ -599,15 +604,16 @@ class TestBlockSkip:
 
     def test_exact_data_matches_dense_sums(self, sixteen_row_blocks):
         # integer pixels and gamma in {0, 1/2, 1}: every product and sum is
-        # exact, so the skipping must give the dense moments bit for bit
+        # exact, so the reordered and skipping pass must give the dense
+        # moments bit for bit
         rng = np.random.default_rng(41)
         x = rng.integers(0, 256, (100, 3)).astype(np.float64)
-        g = rng.integers(0, 3, (100, 5)) / 2.0
-        g[::16] = 1.0            # every component is live in every block, except:
-        g[0:16, [1, 4]] = 0.0    # block 0: two live runs, {0} and {2, 3}
-        g[32:48] = 0.0           # block 2: no live component
-        g[48:64, :2] = 0.0       # block 3: one live run {2, 3, 4}, not at 0
-        g[96:, [0, 2]] = 0.0     # short block 6: live runs {1} and {3, 4}
+        g = rng.integers(1, 3, (100, 5)) / 2.0   # full supports, except:
+        g[0:16, [1, 4]] = 0.0    # {0, 2, 3}
+        g[16:32] = 0.0           # empty
+        g[32:64:2, :2] = 0.0     # interleaved: {2, 3, 4} ...
+        g[33:64:2, 2:] = 0.0     # ... and {0, 1}
+        g[80:96, [0, 2]] = 0.0   # {1, 3, 4}
         stats = sufficient_stats(x, g)
         counts = g.sum(axis=0)
         means = (g.T @ x) / counts[:, None]
@@ -617,10 +623,14 @@ class TestBlockSkip:
         assert np.array_equal(stats.second_moments, seconds)
 
     def test_dead_block_is_not_read(self, sixteen_row_blocks):
-        # every term of block 2 is an exact zero, so its rows cannot matter
+        # rows with empty support are dropped wherever they fall: a dead
+        # 16-row run and scattered rows off the block boundaries
         x, g = self.sparse_case()
+        dead = [3, 17, 18, 50, 77, 99]
+        g[dead] = 0.0
         poisoned = x.copy()
         poisoned[32:48] = np.nan
+        poisoned[dead] = np.nan
         for a, b in zip(dataclasses.astuple(sufficient_stats(x, g)),
                         dataclasses.astuple(sufficient_stats(poisoned, g))):
             assert np.array_equal(a, b)
