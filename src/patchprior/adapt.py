@@ -15,7 +15,6 @@ import numpy as np
 from .gmm import (
     Gmm,
     SufficientStats,
-    log_posterior_objective,
     responsibilities,
     sufficient_stats,
     _log_prior,
@@ -54,7 +53,11 @@ class AdaptationReport:
     """Diagnostics from one adapt() call.
 
     ``logliks`` and ``log_priors`` hold the two terms of the penalized log
-    objective after each iteration's update, and ``objectives`` their sums;
+    objective, and ``objectives`` their sums, of the model that each
+    iteration's E-step scored, as ``em_fit``'s trace holds the model at the
+    start of each iteration: ``objectives[0]`` is the generic prior's and
+    ``objectives[i]`` that of the model after ``i`` updates.  The returned
+    model is never scored; ``log_posterior_objective`` gives its objective.
     ``alphas`` and ``counts`` come from the final E-step.  The objectives
     are guaranteed to ascend only when ``sigma_tilde_sq`` is 0: with a
     positive value the M-step deflates the data covariance and floors its
@@ -62,7 +65,7 @@ class AdaptationReport:
     mostly through the log prior.  ``seconds`` maps each phase to its
     wall-clock total over all iterations: ``estep`` (responsibilities),
     ``stats`` (sufficient statistics), ``mstep`` (update, PSD floor and the
-    new model's factorization) and ``objective``.
+    new model's factorization) and ``objective`` (the log prior).
     """
 
     logliks: tuple[float, ...]
@@ -140,15 +143,14 @@ def adapt(generic: Gmm, patches, config: AdaptationConfig | None = None):
     logliks, log_priors = [], []
     laps = LapTimer()
     alphas = counts = None
-    for i in range(config.iterations):
+    for _ in range(config.iterations):
         gamma, counts, loglik = responsibilities(current, x, config.sigma_tilde_sq)
         laps.lap("estep")
-        if i:
-            # The previous iteration's model scored under the same inflation:
-            # its objective's likelihood term is this E-step's normalizer.
-            logliks.append(float(loglik.sum()))
-            log_priors.append(_log_prior(current, generic, config.rho))
-            laps.lap("objective")
+        # this E-step's normalizer is the likelihood term of the objective of
+        # the model it scored
+        logliks.append(float(loglik.sum()))
+        log_priors.append(_log_prior(current, generic, config.rho))
+        laps.lap("objective")
         stats = sufficient_stats(x, gamma)
         laps.lap("stats")
         weights, means, covs = adaptation_mstep(generic, stats, n, config.rho,
@@ -159,10 +161,5 @@ def adapt(generic: Gmm, patches, config: AdaptationConfig | None = None):
         alphas = counts / (counts + config.rho)
         current = Gmm._factored(weights / total, means, *_psd_factors(covs))
         laps.lap("mstep")
-    # the final model has no next E-step: one full objective pass, less its prior
-    log_priors.append(_log_prior(current, generic, config.rho))
-    logliks.append(log_posterior_objective(current, x, generic, config.rho,
-                                           config.sigma_tilde_sq) - log_priors[-1])
-    laps.lap("objective")
     return current, AdaptationReport(logliks=tuple(logliks), log_priors=tuple(log_priors),
                                      alphas=alphas, counts=counts, seconds=laps.seconds)

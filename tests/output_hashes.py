@@ -6,13 +6,16 @@ Run it in two checkouts and compare the lines: a change that is meant to
 keep every output bit-identical prints the same hashes as its parent.  The
 inputs are the benchmark's synthetic ones (no downloads), at one BLAS
 thread, because the scoring and moment GEMMs change their last bits with
-the thread count.  The groups are ``em_fit`` on the 18,605-patch corpus,
-``adapt`` at sigma_tilde_sq 0 and 100, ``denoise`` pixels and mode
-histograms under the generic and the adapted prior and under a fixed prior
-that no EM or adaptation code builds (so a change to those alone must keep
-its lines), ``condition_psd``, and
-the files of the CLI chain ``noise`` -> ``adapt --sigma-tilde sure`` ->
-``denoise``.  pytest does not collect this file.
+the thread count.  The groups are ``em_fit`` on the 18,605-patch corpus;
+``adapt`` at sigma_tilde_sq 0 and 100, split into the ``model`` (its
+parts, ``alphas`` and ``counts``) and the ``report`` (``logliks`` and
+``log_priors``), so a change to what the report holds keeps the model
+lines; ``denoise`` pixels and mode histograms under the generic and the
+adapted prior and under a fixed prior that no EM or adaptation code builds
+(so a change to those alone must keep its lines); ``condition_psd`` on
+fixed stacks; and the files of the CLI chain ``noise`` ->
+``adapt --sigma-tilde sure`` -> ``denoise``.  pytest does not collect this
+file.
 """
 
 import os
@@ -56,11 +59,6 @@ def digest(*parts) -> str:
 
 def model_parts(gmm):
     return gmm.weights, gmm.means, gmm.covariances, gmm.eigenvalues, gmm.eigenvectors
-
-
-def adapt_parts(model, report):
-    return (*model_parts(model), np.array(report.logliks), np.array(report.log_priors),
-            report.alphas, report.counts)
 
 
 def denoise_lines(label, noisy, prior):
@@ -116,20 +114,25 @@ def main() -> None:
         config = pp.AdaptationConfig(sigma_tilde_sq=sigma_tilde_sq, iterations=2)
         model, report = pp.adapt(generic, pp.extract_patches(image, 8), config)
         adapted[sigma_tilde_sq] = model
-        lines.append((f"adapt sigma_tilde_sq {sigma_tilde_sq:g}",
-                      digest(*adapt_parts(model, report))))
+        label = f"adapt sigma_tilde_sq {sigma_tilde_sq:g}"
+        lines += [(f"{label} model", digest(*model_parts(model), report.alphas,
+                                            report.counts)),
+                  (f"{label} report", digest(np.array(report.logliks),
+                                             np.array(report.log_priors)))]
 
     noisy = pp.add_gaussian_noise(synthimages.make_smoke_image(128), 20.0, seed=2)
     lines += denoise_lines("generic", noisy, generic)
     lines += denoise_lines("adapted", noisy, adapted[0.0])
-    lines += denoise_lines("fixed", noisy, fixed_prior(corpus))
+    fixed = fixed_prior(corpus)
+    lines += denoise_lines("fixed", noisy, fixed)
 
     a = np.random.default_rng(0).standard_normal((6, 5, 5))
     stack = a @ np.swapaxes(a, 1, 2)
     stack[::2] -= 2.0 * np.eye(5)
+    # about half of the fixed prior's 1,280 eigenvalues lie below 2
     lines.append(("condition_psd", digest(pp.condition_psd(stack, 1e-3),
                                           pp.condition_psd(stack[0], 1e-3),
-                                          pp.condition_psd(generic.covariances, 1e-2))))
+                                          pp.condition_psd(fixed.covariances, 2.0))))
 
     with tempfile.TemporaryDirectory() as work:
         lines += chain_lines(generic, Path(work))

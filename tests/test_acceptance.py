@@ -29,6 +29,7 @@ from patchprior import (
     extract_patches,
     ImageBuffer,
     load_model,
+    log_posterior_objective,
     mstep_covariance_fast,
     psnr,
     responsibilities,
@@ -267,8 +268,9 @@ def test_criterion_05_adaptation_converges_and_plateaus(desk_prior):
     start = time.perf_counter()
     smoke = make_smoke_image(256)
     pats = extract_patches(smoke, 8, 1)
-    _, rep = adapt(generic, pats, AdaptationConfig(rho=1.0, iterations=5))
-    objectives = rep.objectives
+    m5, rep = adapt(generic, pats, AdaptationConfig(rho=1.0, iterations=5))
+    # the report scores the generic prior and updates 1-4; update 5 is m5
+    objectives = (*rep.objectives, log_posterior_objective(m5, pats, generic, 1.0))
     diffs = np.diff(objectives)
     mono_ok = bool(np.all(diffs >= -1e-6 * np.abs(np.asarray(objectives[:-1]))))
 
@@ -356,7 +358,7 @@ def test_criterion_08_adapted_priors_beat_generic(desk_prior):
 
         s2 = estimate_sigma_tilde_sq(
             noisy, 20.0, lambda im: denoise(im, 20.0, generic, schedule).image,
-            SureConfig(seed=100 + seed))
+            SureConfig(seed=100 + seed), baseline=prefiltered)
         a_pre, _ = adapt(generic, extract_patches(prefiltered, 8, 1),
                          AdaptationConfig(rho=1.0, sigma_tilde_sq=s2))
         p_pre = psnr(clean, denoise(noisy, 20.0, a_pre, schedule).image)
@@ -393,8 +395,9 @@ def test_criterion_09_sure_tracks_true_mse(desk_prior):
         def run(img, s=sigma, sch=schedule):
             return denoise(img, s, generic, sch).image
 
-        true_mse = float(np.mean((run(noisy).pixels - smoke.pixels) ** 2))
-        est = estimate_sigma_tilde_sq(noisy, sigma, run, config)
+        baseline = run(noisy)
+        true_mse = float(np.mean((baseline.pixels - smoke.pixels) ** 2))
+        est = estimate_sigma_tilde_sq(noisy, sigma, run, config, baseline=baseline)
         rels[sigma] = abs(est - true_mse) / true_mse
     worst = max(rels.values())
     elapsed = time.perf_counter() - start

@@ -409,22 +409,26 @@ class TestAdaptLoop:
 
     @pytest.mark.parametrize("sigma_tilde_sq", [0.0, 0.3])
     def test_reused_objectives_match_fresh_passes(self, sigma_tilde_sq):
-        # every objective but the last comes from the next E-step's scores;
-        # each must equal a fresh objective pass over the same model, and
-        # each likelihood term a fresh density pass
+        # objectives[i] comes from iteration i's E-step, which scores the
+        # model after i updates (the generic prior at i = 0); it must equal a
+        # fresh objective pass over that model, and each likelihood term a
+        # fresh density pass
         rng = np.random.default_rng(19)
         generic = random_gmm(rng, 3, 2, mean_scale=3.0)
         x = sample_gmm(random_gmm(rng, 3, 2, mean_scale=3.0), 300, rng)
         _, report = adapt(generic, x, AdaptationConfig(
             rho=1.5, iterations=4, sigma_tilde_sq=sigma_tilde_sq))
-        for i in range(1, 4):
-            model, _ = adapt(generic, x, AdaptationConfig(
-                rho=1.5, iterations=i, sigma_tilde_sq=sigma_tilde_sq))
+        assert len(report.objectives) == 4
+        model = generic
+        for i in range(4):
+            if i:
+                model, _ = adapt(generic, x, AdaptationConfig(
+                    rho=1.5, iterations=i, sigma_tilde_sq=sigma_tilde_sq))
             fresh = log_posterior_objective(model, x, generic, 1.5, sigma_tilde_sq)
-            assert report.objectives[i - 1] == pytest.approx(fresh, rel=1e-9)
+            assert report.objectives[i] == pytest.approx(fresh, rel=1e-9)
             loglik = float(responsibilities(model, x, sigma_tilde_sq)[2].sum())
-            assert report.logliks[i - 1] == pytest.approx(loglik, rel=1e-12)
-            assert report.log_priors[i - 1] == _log_prior(model, generic, 1.5)
+            assert report.logliks[i] == pytest.approx(loglik, rel=1e-12)
+            assert report.log_priors[i] == _log_prior(model, generic, 1.5)
 
     def test_weight_drift_off_simplex_raises(self, monkeypatch):
         # a real check, so python -O cannot strip it
@@ -451,10 +455,13 @@ class TestClosedFormLogPrior:
     @pytest.mark.parametrize("sigma_tilde_sq", [0.0, 30.0])
     def test_matches_general_form(self, block_prior, rho, sigma_tilde_sq):
         # K = 20, d = 64 with spectra down to the floor and one zero-weight
-        # component, adapted twice; its weight stays exactly 0, so its term
-        # must be skipped, not taken as 0 * log 0
+        # component, adapted once and then scored by the second iteration's
+        # E-step; its weight stays exactly 0, so its term must be skipped,
+        # not taken as 0 * log 0
         patches = extract_patches(make_smoke_image(48), 8, 1) + 50.0
-        model, report = adapt(block_prior, patches, AdaptationConfig(
+        model, _ = adapt(block_prior, patches, AdaptationConfig(
+            rho=rho, iterations=1, sigma_tilde_sq=sigma_tilde_sq))
+        _, report = adapt(block_prior, patches, AdaptationConfig(
             rho=rho, iterations=2, sigma_tilde_sq=sigma_tilde_sq))
         zero = np.flatnonzero(block_prior.weights == 0.0)
         assert zero.size == 1 and model.weights[zero[0]] == 0.0
