@@ -7,10 +7,12 @@ why this block runs ahead of any submodule import.
 
 import os as _os
 
+# Set from PATCHPRIOR_THREADS here, and recorded in every CLI manifest.
+_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                     "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 _threads = _os.environ.get("PATCHPRIOR_THREADS")
 if _threads is not None:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    for _var in _THREAD_VARIABLES:
         _os.environ.setdefault(_var, _threads)
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import _THREAD_VARIABLES, __version__
 from .adapt import AdaptationConfig, adapt
 from .denoise import _STAGE_MULTIPLIERS, HqsSchedule, denoise
 from .em import EmConfig, em_fit
@@ -49,8 +49,8 @@ def _write_manifest(args, results: dict, seconds: dict, stem) -> None:
     environment, or ``unset``."""
     params = {k: v for k, v in {**vars(args), **results}.items()
               if k not in ("command", "func")}
-    params.update((var, os.environ.get(var) or "unset") for var in (
-        "PATCHPRIOR_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+    params.update((var, os.environ.get(var) or "unset")
+                  for var in ("PATCHPRIOR_THREADS", *_THREAD_VARIABLES))
     lines = [f"command = {args.command}", f"version = {__version__}"]
     lines += [f"{key} = {params[key]}" for key in sorted(params)]
     lines += [f"time_{key}_seconds = {seconds[key]:.6f}" for key in sorted(seconds)]
@@ -96,10 +96,19 @@ def _betas(text: str) -> tuple:
                     "a comma list of positive, finite numbers")
 
 
-def _hqs_denoiser(prior, sigma: float):
-    """The default-schedule HQS denoiser as an image -> image function, the
-    prefilter that SURE probes."""
-    return lambda img: denoise(img, sigma, prior).image
+def _prefilter_and_sure(args, noisy, prior, laps):
+    """Prefilter ``noisy`` by HQS, estimate its residual variance by SURE with
+    the prefilter as baseline, and return both.  The probe stream is spawned
+    off ``args.seed``, so it is not the noise that ``noise --seed`` draws."""
+    prefilter = denoise(noisy, args.sigma, prior)
+    laps.lap("prefilter")
+    laps.seconds.update({f"prefilter_{k}": v for k, v in prefilter.seconds.items()})
+    estimate = estimate_sigma_tilde_sq(
+        noisy, args.sigma, lambda img: denoise(img, args.sigma, prior).image,
+        SureConfig(seed=np.random.SeedSequence(args.seed).spawn(1)[0], probes=args.probes),
+        baseline=prefilter.image)
+    laps.lap("sure")
+    return estimate, prefilter.image
 
 
 def _cmd_train(args, laps):
@@ -134,15 +143,7 @@ def _cmd_adapt(args, laps):
     image = read_pgm(args.image)
     laps.lap("read")
     if args.sigma_tilde == "sure":
-        sure_config = SureConfig(seed=args.seed, probes=args.probes)
-        prefilter = denoise(image, args.sigma, generic)
-        target = prefilter.image
-        laps.lap("prefilter")
-        laps.seconds.update({f"prefilter_{k}": v for k, v in prefilter.seconds.items()})
-        sigma_tilde_sq = estimate_sigma_tilde_sq(
-            image, args.sigma, _hqs_denoiser(generic, args.sigma), sure_config,
-            baseline=target)
-        laps.lap("sure")
+        sigma_tilde_sq, target = _prefilter_and_sure(args, image, generic, laps)
     else:
         sigma_tilde_sq = args.sigma_tilde ** 2
         target = image
@@ -162,8 +163,6 @@ def _cmd_adapt(args, laps):
 
 
 def _cmd_denoise(args, laps):
-    if args.trace and args.ref is None:
-        raise UsageError("--trace requires --ref")
     schedule = HqsSchedule.default(args.sigma, args.betas)
     prior = load_model(args.model)
     noisy = read_pgm(args.input)
@@ -173,24 +172,21 @@ def _cmd_denoise(args, laps):
     laps.lap("denoise")
     laps.seconds.update(result.seconds)
     write_pgm(result.image, args.out)
-    if args.trace:
+    results = {"betas": _comma_list(schedule.betas, ".8g"),
+               "mode_inflations": _comma_list(schedule.mode_inflations, ".8g")}
+    if reference is not None:
         print("stage,beta,psnr")
         for i, (beta, value) in enumerate(zip(schedule.betas, result.psnr_trace), start=1):
             print(f"{i},{beta:.8g},{value:.4f}")
-    return {
-        "betas": _comma_list(schedule.betas, ".8g"),
-        "mode_inflations": _comma_list(schedule.mode_inflations, ".8g"),
-    }, args.out
+        results["psnr_trace"] = _comma_list(result.psnr_trace, ".4f")
+    return results, args.out
 
 
 def _cmd_sure(args, laps):
     prior = load_model(args.model)
     noisy = read_pgm(args.input)
     laps.lap("read")
-    estimate = estimate_sigma_tilde_sq(
-        noisy, args.sigma, _hqs_denoiser(prior, args.sigma),
-        SureConfig(delta=args.delta, seed=args.seed, probes=args.probes))
-    laps.lap("sure")
+    estimate, _ = _prefilter_and_sure(args, noisy, prior, laps)
     print(f"sigma_tilde_sq {estimate:.6f}")
     print(f"ratio {np.sqrt(estimate) / args.sigma:.6f}")
     return {"sigma_tilde_sq": estimate}, f"{args.input}.sure"
@@ -243,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="patchprior",
         description="Patch-based denoising with adaptable Gaussian mixture priors.")
     sub = parser.add_subparsers(dest="command", required=True)
-    probe_seed = "seed of the SURE probe; must differ from the noise --seed"
+    probe_seed = "seed of the SURE probe"
 
     p = sub.add_parser("train", help="fit a generic prior to a corpus of PGM images")
     p.add_argument("corpus", help="directory of .pgm files")
@@ -282,9 +278,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--betas", type=_betas, default=_STAGE_MULTIPLIERS,
                    help="comma list of beta multipliers of 1/sigma^2 "
                         f"(default {_comma_list(_STAGE_MULTIPLIERS, 'g')})")
-    p.add_argument("--trace", action="store_true",
-                   help="print per-stage stage,beta,psnr CSV (needs --ref)")
-    p.add_argument("--ref", default=None, help="clean reference image")
+    p.add_argument("--ref", default=None,
+                   help="clean reference image; print the per-stage stage,beta,psnr CSV")
     p.set_defaults(func=_cmd_denoise)
 
     p = sub.add_parser("sure", help="estimate residual noise variance of the "
@@ -292,7 +287,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--sigma", type=_finite_float, required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--delta", type=_finite_float, default=SureConfig.delta)
     p.add_argument("--seed", type=int, default=SureConfig.seed, help=probe_seed)
     p.add_argument("--probes", type=_positive_int, default=SureConfig.probes)
     p.set_defaults(func=_cmd_sure)

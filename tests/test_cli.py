@@ -261,22 +261,20 @@ class TestDenoise:
         mse_after = np.mean((clean.pixels - after.pixels) ** 2)
         assert mse_after < mse_before
 
-    def test_trace_requires_ref(self, workspace, noisy, tmp_path):
-        rc = cli_dispatch(["denoise", str(noisy), "--sigma", "20",
-                           "--model", str(workspace / "generic.gmmp"),
-                           "--out", str(tmp_path / "d.pgm"), "--trace"])
-        assert rc == 2
-
     def test_trace_prints_stage_csv(self, workspace, noisy, tmp_path, capsys):
+        out = tmp_path / "d.pgm"
         rc = cli_dispatch(["denoise", str(noisy), "--sigma", "20",
                            "--model", str(workspace / "generic.gmmp"),
-                           "--out", str(tmp_path / "d.pgm"), "--trace",
-                           "--ref", str(workspace / "clean.pgm")])
+                           "--out", str(out), "--ref", str(workspace / "clean.pgm")])
         assert rc == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "stage,beta,psnr"
         assert len(lines) == 6
         assert lines[1].startswith("1,")
+        manifest = manifest_params(str(out) + ".manifest")
+        trace = manifest["psnr_trace"].split(",")
+        assert len(trace) == len(manifest["betas"].split(",")) == 5
+        assert trace == [line.split(",")[2] for line in lines[1:]]
 
     @pytest.mark.parametrize("betas", ["1,nan", "1,inf", "1,-2", "", ","])
     def test_bad_betas_is_usage_error(self, workspace, noisy, tmp_path, capsys,
@@ -344,6 +342,46 @@ class TestSure:
         manifest = manifest_params(tmp_path / "noisy.pgm.sure.manifest")
         assert manifest["command"] == "sure"
 
+    def test_runs_prefilter_and_one_probe(self, workspace, noisy, monkeypatch):
+        runs = []
+        real_denoise = cli_module.denoise
+
+        def counted_denoise(*args, **kwargs):
+            runs.append(args)
+            return real_denoise(*args, **kwargs)
+        monkeypatch.setattr(cli_module, "denoise", counted_denoise)
+        rc = cli_dispatch(["sure", str(noisy), "--sigma", "20",
+                           "--model", str(workspace / "generic.gmmp")])
+        assert rc == 0
+        manifest = read_manifest(f"{noisy}.sure.manifest")
+        assert float(manifest["sigma_tilde_sq"]) > 0.0
+        assert "time_prefilter_seconds" in manifest
+        assert "time_sure_seconds" in manifest
+        # the prefilter doubles as SURE's baseline, as in adapt --sigma-tilde sure
+        assert len(runs) == 2
+
+    @pytest.mark.parametrize("command", ["adapt", "sure"])
+    def test_probe_is_not_the_noise_of_the_same_seed(self, workspace, noisy, tmp_path,
+                                                     monkeypatch, command):
+        # noise --seed N draws default_rng(N) normals; a probe drawn from the
+        # same stream is the noise itself, and SURE overestimates
+        configs = []
+
+        def captured(image, sigma, denoiser, config, baseline=None):
+            configs.append(config)
+            return 1.0
+        monkeypatch.setattr(cli_module, "estimate_sigma_tilde_sq", captured)
+        model = str(workspace / "generic.gmmp")
+        argv = {
+            "adapt": ["adapt", model, str(noisy), "--out", str(tmp_path / "a.gmmp"),
+                      "--sigma-tilde", "sure", "--sigma", "20", "--iters", "1"],
+            "sure": ["sure", str(noisy), "--sigma", "20", "--model", model],
+        }[command]
+        assert cli_dispatch([*argv, "--seed", "2"]) == 0
+        (config,) = configs
+        probe = np.random.default_rng(config.seed).standard_normal(8)
+        assert not np.allclose(probe, np.random.default_rng(2).standard_normal(8))
+
 
 class TestToy:
     def test_writes_csvs(self, tmp_path, capsys):
@@ -361,7 +399,8 @@ class TestToy:
 
 # The exact keys of each command's manifest, past `command` and `version`;
 # `time_` keys name the phases that the command times.
-THREAD_KEYS = {"PATCHPRIOR_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
+THREAD_KEYS = {"PATCHPRIOR_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+               "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"}
 MANIFEST_KEYS = {command: keys | THREAD_KEYS for command, keys in {
     "train": {"corpus", "images", "patches", "k", "patch_size", "stride", "seed",
               "max_iters", "tol", "iterations_run", "logliks", "out",
@@ -374,10 +413,12 @@ MANIFEST_KEYS = {command: keys | THREAD_KEYS for command, keys in {
                   "prefilter_aggregate", "prefilter_update", "sure", "adapt",
                   "estep", "stats", "mstep", "objective"))},
     "denoise": {"input", "model", "out", "sigma", "betas", "mode_inflations", "ref",
-                "trace", *(f"time_{name}_seconds" for name in (
+                *(f"time_{name}_seconds" for name in (
                     "read", "denoise", "select", "shrink", "aggregate", "update"))},
-    "sure": {"input", "model", "sigma", "delta", "seed", "probes", "sigma_tilde_sq",
-             "time_read_seconds", "time_sure_seconds"},
+    "sure": {"input", "model", "sigma", "seed", "probes", "sigma_tilde_sq",
+             *(f"time_{name}_seconds" for name in (
+                 "read", "prefilter", "prefilter_select", "prefilter_shrink",
+                 "prefilter_aggregate", "prefilter_update", "sure"))},
     "noise": {"input", "out", "sigma", "seed", "time_read_seconds", "time_noise_seconds"},
     "psnr": {"reference", "test", "psnr", "time_psnr_seconds"},
     "toy": {"seed", "rho", "out_dir", "points", "models", "time_trial_seconds"},
@@ -458,10 +499,11 @@ class TestManifests:
         patches = (96 - 6 + 1) ** 2
         counts = [float(v) for v in adapt["counts"].split(",")]
         assert sum(counts) == pytest.approx(patches, abs=k * 5e-4)  # 3 decimals each
-        layers = manifest_seconds(f"{adapted}.manifest", [
-            f"prefilter_{layer}" for layer in ("select", "shrink", "aggregate", "update")])
-        prefilter = float(adapt["time_prefilter_seconds"])
-        assert sum(layers.values()) <= prefilter + 5 * _PRINTED
+        for command in ("adapt", "sure"):
+            layers = manifest_seconds(paths[command], [
+                f"prefilter_{layer}" for layer in ("select", "shrink", "aggregate", "update")])
+            prefilter = float(manifests[command]["time_prefilter_seconds"])
+            assert sum(layers.values()) <= prefilter + 5 * _PRINTED
 
         # sigma_tilde_sq is written in full by both commands that estimate it,
         # and the same seed gives the same estimate; stdout keeps 6 decimals
@@ -532,16 +574,14 @@ class TestUsageErrors:
     @pytest.mark.parametrize("command, flag, value", [
         ("train", "--tol", "nan"),
         ("adapt", "--rho", "inf"),
-        ("sure", "--delta", "nan"),
         ("toy", "--rho", "-inf"),
-    ], ids=["train-tol", "adapt-rho", "sure-delta", "toy-rho"])
+    ], ids=["train-tol", "adapt-rho", "toy-rho"])
     def test_nonfinite_setting_is_usage_error(self, workspace, tmp_path, capsys,
                                               command, flag, value):
         model, clean = str(workspace / "generic.gmmp"), str(workspace / "clean.pgm")
         argv = {
             "train": ["train", str(tmp_path), "--out", str(tmp_path / "o.gmmp")],
             "adapt": ["adapt", model, clean, "--out", str(tmp_path / "o.gmmp")],
-            "sure": ["sure", clean, "--model", model, "--sigma", "20"],
             "toy": ["toy", "--out-dir", str(tmp_path)],
         }[command]
         rc = cli_dispatch([*argv, f"{flag}={value}"])
@@ -573,6 +613,16 @@ class TestUsageErrors:
         assert rc == 2
         assert flag in message and "positive integer" in message
         assert reads == []
+
+    @pytest.mark.parametrize("argv, removed", [
+        (["denoise", "in.pgm", "--sigma", "20", "--model", "m.gmmp", "--out", "o.pgm",
+          "--ref", "c.pgm"], ["--trace"]),
+        (["sure", "in.pgm", "--sigma", "20", "--model", "m.gmmp"], ["--delta", "0.5"]),
+    ], ids=["denoise-trace", "sure-delta"])
+    def test_removed_flag_is_usage_error(self, capsys, argv, removed):
+        # --ref alone asks for the PSNR trace; sure probes with adapt's settings
+        assert cli_dispatch([*argv, *removed]) == 2
+        assert f"unrecognized arguments: {' '.join(removed)}" in capsys.readouterr().err
 
     def test_missing_input_file_is_runtime_error(self, workspace, tmp_path, capsys):
         rc = cli_dispatch(["psnr", str(tmp_path / "absent.pgm"),
