@@ -17,6 +17,7 @@ from .gmm import (
     SufficientStats,
     responsibilities,
     sufficient_stats,
+    _distinct_rows,
     _log_prior,
     _patch_matrix,
     _psd_factors,
@@ -58,12 +59,15 @@ class AdaptationReport:
     start of each iteration: ``objectives[0]`` is the generic prior's and
     ``objectives[i]`` that of the model after ``i`` updates.  The returned
     model is never scored; ``log_posterior_objective`` gives its objective.
-    ``alphas`` and ``counts`` come from the final E-step.  The objectives
+    ``alphas`` and ``counts`` come from the final E-step.  Counts and
+    log-likelihoods are sums over all n patches, repeated rows included,
+    although each distinct row is scored once.  The objectives
     are guaranteed to ascend only when ``sigma_tilde_sq`` is 0: with a
     positive value the M-step deflates the data covariance and floors its
     spectrum, which is not the objective's maximizer and can lower it,
     mostly through the log prior.  ``seconds`` maps each phase to its
-    wall-clock total over all iterations: ``estep`` (responsibilities),
+    wall-clock total over all iterations: ``estep`` (responsibilities, and
+    finding the distinct rows before the first),
     ``stats`` (sufficient statistics), ``mstep`` (update, PSD floor and the
     new model's factorization) and ``objective`` (the log prior).
     """
@@ -133,25 +137,29 @@ def adapt(generic: Gmm, patches, config: AdaptationConfig | None = None):
     residual noise, pass its variance as ``sigma_tilde_sq``: the E-step
     then scores them under inflated covariances and the data part of the
     covariance update is deflated by the same amount before flooring.
+    Every E-step and moment pass runs over the distinct rows once, each
+    weighted by how often it occurs (see ``responsibilities``); without
+    repeated rows this is the plain pass over every patch.
 
     Returns the adapted model and an AdaptationReport.
     """
     config = config or AdaptationConfig()
+    laps = LapTimer()
     x = _patch_matrix(patches)
     n = x.shape[0]
+    rows, copies = _distinct_rows(x)
     current = generic
     logliks, log_priors = [], []
-    laps = LapTimer()
     alphas = counts = None
     for _ in range(config.iterations):
-        gamma, counts, loglik = responsibilities(current, x, config.sigma_tilde_sq)
+        gamma, counts, loglik = responsibilities(current, rows, config.sigma_tilde_sq, copies)
         laps.lap("estep")
         # this E-step's normalizer is the likelihood term of the objective of
         # the model it scored
         logliks.append(float(loglik.sum()))
         log_priors.append(_log_prior(current, generic, config.rho))
         laps.lap("objective")
-        stats = sufficient_stats(x, gamma)
+        stats = sufficient_stats(rows, gamma)
         laps.lap("stats")
         weights, means, covs = adaptation_mstep(generic, stats, n, config.rho,
                                                 config.sigma_tilde_sq)

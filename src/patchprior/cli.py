@@ -135,8 +135,9 @@ def _cmd_train(args, laps):
 
 
 def _cmd_adapt(args, laps):
-    if args.sigma_tilde == "sure" and args.sigma is None:
-        raise UsageError("--sigma-tilde sure requires --sigma")
+    if (args.sigma_tilde == "sure") != (args.sigma is not None):
+        raise UsageError("--sigma-tilde sure requires --sigma, and --sigma is used "
+                         "only with --sigma-tilde sure")
     config = AdaptationConfig(rho=args.rho, iterations=args.iters)
     generic = load_model(args.model)
     side = _patch_side(generic.dim)
@@ -263,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="residual noise scale of the adaptation image, or 'sure' "
                         "to pre-filter the image and estimate it")
     p.add_argument("--sigma", type=_finite_float, default=None,
-                   help="observation noise scale, required with --sigma-tilde sure")
+                   help="observation noise scale; only and always with --sigma-tilde sure")
     p.add_argument("--iters", type=_positive_int, default=AdaptationConfig.iterations)
     p.add_argument("--stride", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=SureConfig.seed, help=probe_seed)

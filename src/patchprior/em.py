@@ -15,6 +15,7 @@ from .gmm import (
     Gmm,
     responsibilities,
     sufficient_stats,
+    _distinct_rows,
     _patch_matrix,
     _psd_factors,
 )
@@ -83,10 +84,10 @@ def _kmeanspp_centers(x, k, rng):
     return centers
 
 
-def _mstep(x, gamma, rng) -> Gmm:
-    """Closed-form ML update with starved-component reseeds."""
+def _mstep(x, stats, rng) -> Gmm:
+    """Closed-form ML update from the moments of all n rows of x, with
+    starved components reseeded to rows of x."""
     n, d = x.shape
-    stats = sufficient_stats(x, gamma)
     weights = stats.counts / n
     means = stats.means.copy()
     covs = stats.second_moments - means[:, :, None] * means[:, None, :]
@@ -113,8 +114,12 @@ def em_fit(patches, config: EmConfig):
     """Fit a mixture to patches; returns the model and the trace.
 
     The trace holds the mean per-patch log-likelihood of the model at the
-    start of every iteration.  Residual noise in the patches is not
-    compensated here; ``adapt`` does that for one image.
+    start of every iteration.  Every E-step and moment pass runs over the
+    distinct rows once, each weighted by how often it occurs; k-means++
+    seeding, the initial covariance and the reseeds use all n rows, and
+    the trace, weights and moments are those of all n.  Without repeated
+    rows this is the plain pass over every patch.  Residual noise in the
+    patches is not compensated here; ``adapt`` does that for one image.
     """
     x = _patch_matrix(patches)
     n = x.shape[0]
@@ -123,11 +128,12 @@ def em_fit(patches, config: EmConfig):
             f"{n} patches cannot support {config.n_components} components")
     rng = np.random.default_rng(config.seed)
     model = _initialize(x, config, rng)
+    rows, copies = _distinct_rows(x)
     trace: list[float] = []
     for _ in range(config.max_iters):
-        gamma, _, loglik = responsibilities(model, x)
-        trace.append(float(loglik.mean()))
+        gamma, _, loglik = responsibilities(model, rows, multiplicities=copies)
+        trace.append(float(loglik.sum()) / n)
         if len(trace) > 1 and abs(trace[-1] - trace[-2]) <= config.tol * abs(trace[-2]):
             break
-        model = _mstep(x, gamma, rng)
+        model = _mstep(x, sufficient_stats(rows, gamma), rng)
     return model, trace

@@ -62,6 +62,36 @@ def _patch_matrix(patches) -> np.ndarray:
     return mat
 
 
+def _distinct_rows(x):
+    """The distinct rows of x in order of first occurrence and the number of
+    times each occurs, or ``(x, None)`` when no row repeats.
+
+    Rows are equal when their bytes are.  Each row is keyed by a sum of its
+    32-bit words times fixed random odd numbers, modulo 2**64, which equal
+    rows share; the rows whose keys tie after sorting are compared
+    bytewise.  Should two different rows share a key, nothing is merged,
+    which costs time but no accuracy.
+    """
+    n = x.shape[0]
+    words = np.ascontiguousarray(x).view(np.uint32)
+    odd = 2 * np.random.default_rng(0).integers(2 ** 63, size=words.shape[1],
+                                                dtype=np.uint64) + 1
+    keys = np.einsum("ij,j->i", words, odd)
+    order = np.argsort(keys)
+    ranked = keys[order]
+    tie = ranked[1:] == ranked[:-1]
+    if not tie.any():
+        return x, None
+    bits = x.view(np.uint64)
+    i = np.flatnonzero(tie)
+    if not (bits[order[i]] == bits[order[i + 1]]).all():
+        return x, None
+    start = np.flatnonzero(np.concatenate(([True], ~tie)))
+    firsts = np.minimum.reduceat(order, start)
+    by_first = np.argsort(firsts)
+    return x[firsts[by_first]], np.diff(np.append(start, n))[by_first].astype(np.float64)
+
+
 @dataclasses.dataclass(frozen=True)
 class Gmm:
     """Weighted full-covariance Gaussian mixture over d-dimensional vectors.
@@ -338,11 +368,12 @@ def _log_normalizer(scores):
     return z, total, top + np.log(total)
 
 
-def _normalize(scores):
+def _normalize(scores, n):
     """Posterior rows of a score matrix and each row's log normalizer.
 
-    With n rows, posteriors below 2**-53 / n are set to exactly 0.0 after
-    the division.  Over all n rows that moves each count by less than
+    Posteriors below 2**-53 / n are set to exactly 0.0 after the division,
+    where n is the number of patches the rows represent, at least their
+    number.  Over those n patches that moves each count by less than
     2**-53, and each moment sum by less than 2**-53 max |x_i x_j|; the
     moments skip every zero posterior (see ``sufficient_stats``).  It also
     flushes every subnormal posterior, which would slow each product it
@@ -350,22 +381,40 @@ def _normalize(scores):
     """
     z, total, loglik = _log_normalizer(scores)
     gamma = np.divide(z, total[:, None], out=z)
-    gamma[gamma < 2.0 ** -53 / gamma.shape[0]] = 0.0
+    gamma[gamma < 2.0 ** -53 / n] = 0.0
     return gamma, loglik
 
 
-def responsibilities(gmm: Gmm, patches, inflation: float = 0.0):
+def responsibilities(gmm: Gmm, patches, inflation: float = 0.0, multiplicities=None):
     """Posterior component memberships for each patch.
 
-    Returns the (n, K) responsibility matrix (rows sum to one), the
-    per-component soft counts and the (n,) log mixture density of each
-    patch, which is the likelihood term of ``log_posterior_objective`` at
-    no extra cost.  Computed through a shifted softmax so the result is
-    exact up to rounding even when every density underflows.  Every entry
-    is either 0.0 or at least 2**-53 / n: smaller posteriors are flushed to
-    zero, which moves each count by less than 2**-53 (see ``_normalize``).
+    Returns the (m, K) responsibility matrix, the per-component soft counts
+    and the (m,) log mixture density of each of the m rows, which is the
+    likelihood term of ``log_posterior_objective`` at no extra cost.
+    Computed through a shifted softmax so the result is exact up to
+    rounding even when every density underflows.
+
+    ``multiplicities``, if given, is a positive (m,) array: row i stands for
+    that many equal patches, and is scored once.  Its posteriors and log
+    density are then multiplied by it, so that rows sum to the
+    multiplicities, and the counts and ``loglik.sum()`` are those of all n
+    represented patches; ``sufficient_stats`` takes such a matrix as it is.
+    Without it every row stands for one patch and n = m.  Before that
+    scaling every posterior is either 0.0 or at least 2**-53 / n: smaller
+    ones are flushed to zero, which moves each count by less than 2**-53
+    (see ``_normalize``).  A ``DegeneratePatchError`` names the row.
     """
-    gamma, loglik = _normalize(component_log_densities(gmm, patches, inflation))
+    x = _patch_matrix(patches)
+    n = x.shape[0]
+    if multiplicities is not None:
+        copies = np.asarray(multiplicities, dtype=np.float64)
+        if copies.shape != (n,) or not ((copies > 0.0) & (copies < np.inf)).all():
+            raise ValueError(f"multiplicities must be {n} positive finite numbers")
+        n = float(copies.sum())
+    gamma, loglik = _normalize(component_log_densities(gmm, x, inflation), n)
+    if multiplicities is not None:
+        gamma *= copies[:, None]
+        loglik *= copies
     return gamma, gamma.sum(axis=0), loglik
 
 
@@ -440,8 +489,12 @@ def sufficient_stats(patches, gamma) -> SufficientStats:
     over the patches.
 
     ``gamma`` must be finite and nonnegative; a NaN, infinite or negative
-    entry raises ``ValueError``.  Subnormal entries cost a microcode assist
-    per product on x86; ``responsibilities`` never returns them.
+    entry raises ``ValueError``.  Its rows may sum to more than one: a row
+    of posteriors scaled by a multiplicity, as ``responsibilities`` returns
+    it, stands for that many copies of its patch, and the counts then sum
+    to the number of patches represented.  Subnormal entries cost a
+    microcode assist per product on x86; ``responsibilities`` never
+    returns them.
 
     A row's support is the set of components where its gamma is positive;
     posteriors are mostly exact zeros once components specialize, and

@@ -10,10 +10,13 @@ the thread count.  The groups are ``em_fit`` on the 18,605-patch corpus;
 ``adapt`` at sigma_tilde_sq 0 and 100, split into the ``model`` (its
 parts, ``alphas`` and ``counts``) and the ``report`` (``logliks`` and
 ``log_priors``), so a change to what the report holds keeps the model
-lines; ``denoise`` pixels and mode histograms under the generic and the
-adapted prior and under a fixed prior that no EM or adaptation code builds
-(so a change to those alone must keep its lines); ``condition_psd`` on
-fixed stacks; and the files of the CLI chain ``noise`` ->
+lines; the same ``em_fit`` and ``adapt`` groups on the stride-1 patches of
+a noisy scene, which repeat no row, so that the ``distinct`` lines keep
+their hashes through a change to how repeated rows are handled;
+``denoise`` pixels and mode histograms under the generic and the adapted
+prior and under a fixed prior that no EM or adaptation code builds (so a
+change to those alone must keep its lines); ``condition_psd`` on fixed
+stacks; and the files of the CLI chain ``noise`` ->
 ``adapt --sigma-tilde sure`` -> ``denoise``.  pytest does not collect this
 file.
 """
@@ -67,6 +70,18 @@ def denoise_lines(label, noisy, prior):
             (f"denoise histograms {label}", digest(*result.mode_histograms))]
 
 
+def adapt_lines(lines, label, generic, image, sigma_tilde_sq):
+    """Append the model and report lines of a 2-iteration ``adapt`` to the
+    stride-1 patches of ``image``; returns the adapted model."""
+    config = pp.AdaptationConfig(sigma_tilde_sq=sigma_tilde_sq, iterations=2)
+    model, report = pp.adapt(generic, pp.extract_patches(image, 8), config)
+    label = f"adapt{label} sigma_tilde_sq {sigma_tilde_sq:g}"
+    lines += [(f"{label} model", digest(*model_parts(model), report.alphas, report.counts)),
+              (f"{label} report", digest(np.array(report.logliks),
+                                         np.array(report.log_priors)))]
+    return model
+
+
 def fixed_prior(corpus, k=20):
     """A mixture from plain sample moments: the corpus patches sorted by
     their mean and cut into k equal bands, each band's covariance plus one
@@ -111,14 +126,13 @@ def main() -> None:
     noisy_smoke = pp.add_gaussian_noise(synthimages.make_smoke_image(128), 10.0, seed=1)
     adapted = {}
     for sigma_tilde_sq, image in ((0.0, clean), (100.0, noisy_smoke)):
-        config = pp.AdaptationConfig(sigma_tilde_sq=sigma_tilde_sq, iterations=2)
-        model, report = pp.adapt(generic, pp.extract_patches(image, 8), config)
-        adapted[sigma_tilde_sq] = model
-        label = f"adapt sigma_tilde_sq {sigma_tilde_sq:g}"
-        lines += [(f"{label} model", digest(*model_parts(model), report.alphas,
-                                            report.counts)),
-                  (f"{label} report", digest(np.array(report.logliks),
-                                             np.array(report.log_priors)))]
+        adapted[sigma_tilde_sq] = adapt_lines(lines, "", generic, image, sigma_tilde_sq)
+
+    distinct = pp.extract_patches(noisy_smoke, 8)
+    own, trace = pp.em_fit(distinct, pp.EmConfig(n_components=20, max_iters=5, seed=0))
+    lines.append(("em_fit distinct", digest(*model_parts(own), np.array(trace))))
+    for sigma_tilde_sq in (0.0, 100.0):
+        adapt_lines(lines, " distinct", own, noisy_smoke, sigma_tilde_sq)
 
     noisy = pp.add_gaussian_noise(synthimages.make_smoke_image(128), 20.0, seed=2)
     lines += denoise_lines("generic", noisy, generic)

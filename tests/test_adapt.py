@@ -36,7 +36,7 @@ from mstep_reference import (
     posterior_hyperparams,
 )
 from synthimages import make_smoke_image
-from test_em import assert_factors_are_eigh, record_eigh
+from test_em import assert_factors_are_eigh, record_eigh, record_scored_rows, rows_with_repeats
 from test_gmm import block_prior, random_gmm, random_spd  # noqa: F401 (fixture)
 
 
@@ -392,20 +392,39 @@ class TestAdaptLoop:
         generic = random_gmm(rng, 3, 2)
         x = sample_gmm(generic, 150, rng)
         config = AdaptationConfig(rho=1.5)
-        fast, _ = adapt(generic, x, config)
-        # one iteration rebuilt by hand on the two-pass reference
-        gamma, counts, _ = responsibilities(generic, x)
-        alphas = counts / (counts + config.rho)
-        weights = (counts + config.rho * 3 * generic.weights) / (150 + config.rho * 3)
-        means = (alphas[:, None] * (gamma.T @ x) / counts[:, None]
-                 + (1.0 - alphas)[:, None] * generic.means)
-        covs = [condition_psd(mstep_covariance_direct(
-                    x, gamma[:, k], means[k], generic.means[k],
-                    generic.covariances[k], float(alphas[k])), PSD_FLOOR)
-                for k in range(3)]
-        assert np.allclose(fast.weights, weights / weights.sum(), atol=1e-12)
-        assert np.allclose(fast.means, means, atol=1e-12)
-        assert np.allclose(fast.covariances, covs, atol=1e-9)
+        # the second input repeats rows, which adapt scores once and weights
+        for patches in (x, x[np.arange(150) % 40]):
+            fast, _ = adapt(generic, patches, config)
+            # one iteration rebuilt by hand on the two-pass reference
+            gamma, counts, _ = responsibilities(generic, patches)
+            alphas = counts / (counts + config.rho)
+            weights = (counts + config.rho * 3 * generic.weights) / (150 + config.rho * 3)
+            means = (alphas[:, None] * (gamma.T @ patches) / counts[:, None]
+                     + (1.0 - alphas)[:, None] * generic.means)
+            covs = [condition_psd(mstep_covariance_direct(
+                        patches, gamma[:, k], means[k], generic.means[k],
+                        generic.covariances[k], float(alphas[k])), PSD_FLOOR)
+                    for k in range(3)]
+            assert np.allclose(fast.weights, weights / weights.sum(), atol=1e-12)
+            assert np.allclose(fast.means, means, atol=1e-12)
+            assert np.allclose(fast.covariances, covs, atol=1e-9)
+
+    @pytest.mark.parametrize("sigma_tilde_sq", [0.0, 0.3])
+    def test_scores_only_the_distinct_rows(self, monkeypatch, sigma_tilde_sq):
+        rng = np.random.default_rng(32)
+        generic = random_gmm(rng, 3, 3, mean_scale=3.0)
+        x, distinct = rows_with_repeats(rng, 300, 3)
+        scored = record_scored_rows(monkeypatch)
+        _, report = adapt(generic, x, AdaptationConfig(iterations=3,
+                                                       sigma_tilde_sq=sigma_tilde_sq))
+        assert len(scored) == 3
+        for points in scored:
+            assert np.array_equal(points, distinct)
+        # the report still covers all 300 patches
+        assert report.counts.sum() == pytest.approx(300.0, rel=1e-12)
+        monkeypatch.undo()
+        want = responsibilities(generic, x, sigma_tilde_sq)[2].sum()
+        assert report.logliks[0] == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("sigma_tilde_sq", [0.0, 0.3])
     def test_reused_objectives_match_fresh_passes(self, sigma_tilde_sq):

@@ -571,6 +571,25 @@ class TestUsageErrors:
         assert ("--sigma" if code == 2 else "sigma") in message
         assert "--betas" not in message
 
+    @pytest.mark.parametrize("sigma_tilde", [[], ["--sigma-tilde", "3"]],
+                             ids=["default", "known"])
+    def test_sigma_without_sure_is_usage_error(self, workspace, tmp_path, capsys,
+                                               monkeypatch, sigma_tilde):
+        # adapt reads --sigma only to prefilter for SURE; without it the flag
+        # was recorded in the manifest as if it had been used
+        reads = []
+        monkeypatch.setattr(cli_module, "read_pgm", lambda path: reads.append(path))
+        monkeypatch.setattr(cli_module, "load_model", lambda path: reads.append(path))
+        out = tmp_path / "x.gmmp"
+        rc = cli_dispatch(["adapt", str(workspace / "generic.gmmp"),
+                           str(workspace / "clean.pgm"), "--out", str(out),
+                           *sigma_tilde, "--sigma", "20"])
+        message = capsys.readouterr().err.strip().splitlines()[-1]
+        assert rc == 2
+        assert "--sigma " in message and "--sigma-tilde sure" in message
+        assert reads == []
+        assert not Path(f"{out}.manifest").exists()
+
     @pytest.mark.parametrize("command, flag, value", [
         ("train", "--tol", "nan"),
         ("adapt", "--rho", "inf"),

@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 
 import patchprior.em as em_module
+import patchprior.gmm as gmm_module
 from patchprior.em import EmConfig, InsufficientDataError, em_fit
-from patchprior.gmm import PSD_FLOOR, Gmm, condition_psd, responsibilities, sample_gmm
+from patchprior.gmm import (
+    PSD_FLOOR,
+    Gmm,
+    condition_psd,
+    responsibilities,
+    sample_gmm,
+    sufficient_stats,
+)
 
 
 def record_eigh(monkeypatch):
@@ -26,6 +34,29 @@ def assert_factors_are_eigh(model):
     evals, evecs = np.linalg.eigh(model.covariances)
     assert np.array_equal(model.eigenvalues, evals)
     assert np.array_equal(model.eigenvectors, evecs)
+
+
+def record_scored_rows(monkeypatch):
+    """Record a copy of the points of every component_log_densities call."""
+    scored = []
+    real = gmm_module.component_log_densities
+
+    def recorded(gmm, points, *args, **kwargs):
+        scored.append(np.array(points))
+        return real(gmm, points, *args, **kwargs)
+
+    monkeypatch.setattr(gmm_module, "component_log_densities", recorded)
+    return scored
+
+
+def rows_with_repeats(rng, n, d):
+    """n rows drawn with replacement from n // 4 distinct ones, and those
+    that occur, in order of first occurrence."""
+    pool = np.concatenate([rng.normal(-3.0, 1.0, (n // 8, d)),
+                           rng.normal(3.0, 1.0, (n // 4 - n // 8, d))])
+    x = pool[rng.integers(0, pool.shape[0], n)]
+    _, first = np.unique(x, axis=0, return_index=True)
+    return x, x[np.sort(first)]
 
 
 def kmeanspp_by_formula(x, k, rng):
@@ -155,6 +186,35 @@ class TestDeterminismAndEquivariance:
         order_b = np.argsort(b.means[:, 0])
         assert np.allclose(a.means[order_a], b.means[order_b], atol=1e-6)
         assert np.allclose(a.weights[order_a], b.weights[order_b], atol=1e-6)
+
+
+class TestRepeatedRows:
+    def test_scores_only_the_distinct_rows(self, monkeypatch):
+        x, distinct = rows_with_repeats(np.random.default_rng(30), 400, 3)
+        assert distinct.shape[0] < 100
+        scored = record_scored_rows(monkeypatch)
+        _, trace = em_fit(x, EmConfig(n_components=2, max_iters=4, tol=1e-14, seed=0))
+        assert len(scored) == len(trace) == 4
+        for points in scored:
+            assert np.array_equal(points, distinct)
+
+    def test_matches_em_over_every_row(self):
+        # the reference runs the same initialization, E-steps and M-steps
+        # over all 400 rows; the weighted pass agrees with it to rounding
+        x, _ = rows_with_repeats(np.random.default_rng(31), 400, 3)
+        config = EmConfig(n_components=3, max_iters=5, tol=1e-14, seed=2)
+        model, trace = em_fit(x, config)
+        rng = np.random.default_rng(config.seed)
+        want = em_module._initialize(x, config, rng)
+        want_trace = []
+        for _ in range(config.max_iters):
+            gamma, _, loglik = responsibilities(want, x)
+            want_trace.append(loglik.mean())
+            want = em_module._mstep(x, sufficient_stats(x, gamma), rng)
+        assert np.allclose(trace, want_trace, rtol=1e-10, atol=0.0)
+        assert np.allclose(model.weights, want.weights, rtol=1e-9, atol=1e-12)
+        assert np.allclose(model.means, want.means, rtol=1e-9, atol=1e-9)
+        assert np.allclose(model.covariances, want.covariances, rtol=1e-9, atol=1e-9)
 
 
 class TestEdgeCases:

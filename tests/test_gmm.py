@@ -163,6 +163,42 @@ class TestResponsibilities:
         gamma_b, _, _ = responsibilities(inflated, x)
         assert np.allclose(gamma_a, gamma_b, atol=1e-12)
 
+    def test_multiplicities_stand_for_repeated_rows(self):
+        # the distinct rows scored once and weighted, against the same rows
+        # expanded by np.repeat: the same posteriors per patch, counts and
+        # summed log-likelihood, to rounding
+        rng = np.random.default_rng(23)
+        gmm = random_gmm(rng, 4, 3)
+        x = rng.normal(0.0, 2.0, (60, 3))
+        copies = rng.integers(1, 6, 60)
+        gamma, counts, loglik = responsibilities(gmm, x, 0.5, copies)
+        gamma_all, counts_all, loglik_all = responsibilities(
+            gmm, np.repeat(x, copies, axis=0), 0.5)
+        assert np.allclose(gamma.sum(axis=1), copies, rtol=1e-12, atol=0.0)
+        per_patch = np.repeat(gamma / copies[:, None], copies, axis=0)
+        assert np.allclose(per_patch, gamma_all, rtol=1e-12, atol=0.0)
+        assert np.allclose(counts, counts_all, rtol=1e-12, atol=0.0)
+        assert loglik.sum() == pytest.approx(loglik_all.sum(), rel=1e-12)
+        assert np.allclose(loglik / copies, loglik_all[np.cumsum(copies) - 1],
+                           rtol=1e-12, atol=0.0)
+
+    def test_unit_multiplicities_change_nothing(self):
+        rng = np.random.default_rng(24)
+        gmm = random_gmm(rng, 3, 2)
+        x = rng.standard_normal((40, 2))
+        for got, want in zip(responsibilities(gmm, x, multiplicities=np.ones(40)),
+                             responsibilities(gmm, x)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("copies", [np.ones(4), np.array([1.0, 2.0, 0.0, 1.0, 1.0]),
+                                        np.array([1.0, np.nan, 1.0, 1.0, 1.0]),
+                                        np.array([1.0, 1.0, np.inf, 1.0, 1.0])],
+                             ids=["short", "zero", "nan", "inf"])
+    def test_bad_multiplicities_rejected(self, copies):
+        gmm = random_gmm(np.random.default_rng(25), 2, 2)
+        with pytest.raises(ValueError, match="multiplicities must be 5 positive finite"):
+            responsibilities(gmm, np.zeros((5, 2)), multiplicities=copies)
+
     def test_degenerate_patch_raises(self):
         gmm = Gmm(weights=np.array([1.0]), means=np.zeros((1, 1)),
                   covariances=np.ones((1, 1, 1)))
@@ -183,9 +219,10 @@ def noisy_scene():
 
 
 class TestSubnormalFlush:
-    """Posteriors below 2**-53 / n are exactly zero: over the n rows no
-    count moves by 2**-53, the moments stay within their rounding bound
-    of the unflushed ones, and the log normalizer does not move."""
+    """Posteriors below 2**-53 / n are exactly zero, n being the number of
+    patches the rows represent: over those n no count moves by 2**-53, the
+    moments stay within their rounding bound of the unflushed ones, and
+    the log normalizer does not move."""
 
     def _unflushed(self, prior, patches):
         scores = component_log_densities(prior, patches, 100.0)
@@ -194,29 +231,43 @@ class TestSubnormalFlush:
         total = z.sum(axis=1)
         return z / total[:, None], top + np.log(total)
 
+    def _cases(self, patches):
+        """The multiplicities to hand over and the patches each row stands
+        for: the rows as they are, and each standing for 1 to 4 copies."""
+        copies = np.random.default_rng(26).integers(1, 5, patches.shape[0]).astype(float)
+        return [(None, np.ones(patches.shape[0])), (copies, copies)]
+
     def test_subnormal_posteriors_flushed_to_zero(self, noisy_scene):
         prior, patches = noisy_scene
         raw, _ = self._unflushed(prior, patches)
-        threshold = 2.0 ** -53 / raw.shape[0]
         assert ((raw > 0.0) & (raw < TINY)).any()
-        gamma, _, _ = responsibilities(prior, patches, 100.0)
-        assert np.array_equal(gamma, np.where(raw < threshold, 0.0, raw))
-        assert ((raw >= TINY) & (raw < threshold) & (gamma == 0.0)).any()
-        assert np.allclose(gamma.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+        for weights, scale in self._cases(patches):
+            threshold = 2.0 ** -53 / scale.sum()
+            gamma, _, _ = responsibilities(prior, patches, 100.0, weights)
+            assert np.array_equal(gamma, np.where(raw < threshold, 0.0, raw) * scale[:, None])
+            assert ((raw >= TINY) & (raw < threshold) & (gamma == 0.0)).any()
+            assert np.allclose(gamma.sum(axis=1), scale, rtol=1e-12, atol=0.0)
+            # with copies, n is the represented count and not the row count
+            kept = (raw >= threshold) & (raw < 2.0 ** -53 / patches.shape[0]) & (gamma > 0.0)
+            assert kept.any() == (weights is not None)
 
     def test_counts_and_moments_unchanged(self, noisy_scene):
         prior, patches = noisy_scene
         raw, _ = self._unflushed(prior, patches)
-        gamma, counts, _ = responsibilities(prior, patches, 100.0)
-        flushed_mass = np.where(gamma == 0.0, raw, 0.0).sum(axis=0)
-        assert flushed_mass.any() and (flushed_mass < 2.0 ** -53).all()
-        assert np.array_equal(counts, gamma.sum(axis=0))
-        assert_moments_within_bound(sufficient_stats(patches, gamma), patches, raw)
+        for weights, scale in self._cases(patches):
+            gamma, counts, _ = responsibilities(prior, patches, 100.0, weights)
+            flushed_mass = np.where(gamma == 0.0, raw * scale[:, None], 0.0).sum(axis=0)
+            assert flushed_mass.any() and (flushed_mass < 2.0 ** -53).all()
+            assert np.array_equal(counts, gamma.sum(axis=0))
+            assert_moments_within_bound(sufficient_stats(patches, gamma), patches,
+                                        raw * scale[:, None])
 
     def test_loglik_unchanged(self, noisy_scene):
         prior, patches = noisy_scene
         _, loglik = self._unflushed(prior, patches)
-        assert np.array_equal(responsibilities(prior, patches, 100.0)[2], loglik)
+        for weights, scale in self._cases(patches):
+            assert np.array_equal(responsibilities(prior, patches, 100.0, weights)[2],
+                                  loglik * scale)
 
 
 class TestConditionPsd:
