@@ -13,12 +13,14 @@ import dataclasses
 import numpy as np
 
 from .gmm import (
+    DegeneratePatchError,
     Gmm,
     SufficientStats,
     responsibilities,
     sufficient_stats,
     _distinct_rows,
     _log_prior,
+    _no_support,
     _patch_matrix,
     _psd_factors,
 )
@@ -113,12 +115,15 @@ def adaptation_mstep(generic: Gmm, stats: SufficientStats, n: int, rho: float,
     The weight update is the exact maximizer of the penalized objective;
     its components sum to one by construction.  Covariances come from the
     one-pass formula of ``mstep_covariance_fast``; for a component with no
-    mass (alpha 0) that is the generic covariance.
+    mass (alpha 0) that is the generic covariance.  ``n`` must be an
+    integer of at least 1, and ``rho`` and ``sigma_tilde_sq`` are checked
+    as ``AdaptationConfig`` checks them; a ValueError names a bad one.
     """
     if stats.n_components != generic.n_components or stats.dim != generic.dim:
         raise ValueError("statistics do not match the generic model shape")
-    if n < 1:
-        raise ValueError("n must be positive")
+    if _integer("n", n) < 1:
+        raise ValueError("n must be at least 1")
+    AdaptationConfig(rho=rho, sigma_tilde_sq=sigma_tilde_sq)
     k = generic.n_components
     counts = stats.counts
     alphas = counts / (counts + rho)
@@ -147,12 +152,15 @@ def adapt(generic: Gmm, patches, config: AdaptationConfig | None = None):
     laps = LapTimer()
     x = _patch_matrix(patches)
     n = x.shape[0]
-    rows, copies = _distinct_rows(x)
+    rows, copies, firsts = _distinct_rows(x)
     current = generic
     logliks, log_priors = [], []
     alphas = counts = None
     for _ in range(config.iterations):
-        gamma, counts, loglik = responsibilities(current, rows, config.sigma_tilde_sq, copies)
+        try:
+            gamma, counts, loglik = responsibilities(current, rows, config.sigma_tilde_sq, copies)
+        except DegeneratePatchError as err:
+            raise _no_support(err.row, firsts) from None
         laps.lap("estep")
         # this E-step's normalizer is the likelihood term of the objective of
         # the model it scored

@@ -135,9 +135,16 @@ def _cmd_train(args, laps):
 
 
 def _cmd_adapt(args, laps):
-    if (args.sigma_tilde == "sure") != (args.sigma is not None):
-        raise UsageError("--sigma-tilde sure requires --sigma, and --sigma is used "
-                         "only with --sigma-tilde sure")
+    if args.sigma_tilde == "sure":
+        if args.sigma is None:
+            raise UsageError("--sigma-tilde sure requires --sigma")
+        args.seed = SureConfig.seed if args.seed is None else args.seed
+        args.probes = SureConfig.probes if args.probes is None else args.probes
+    else:
+        given = [f"--{name}" for name in ("sigma", "seed", "probes")
+                 if getattr(args, name) is not None]
+        if given:
+            raise UsageError(f"{' and '.join(given)} can be used only with --sigma-tilde sure")
     config = AdaptationConfig(rho=args.rho, iterations=args.iters)
     generic = load_model(args.model)
     side = _patch_side(generic.dim)
@@ -267,8 +274,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="observation noise scale; only and always with --sigma-tilde sure")
     p.add_argument("--iters", type=_positive_int, default=AdaptationConfig.iterations)
     p.add_argument("--stride", type=_positive_int, default=1)
-    p.add_argument("--seed", type=int, default=SureConfig.seed, help=probe_seed)
-    p.add_argument("--probes", type=_positive_int, default=SureConfig.probes)
+    p.add_argument("--seed", type=int,
+                   help=f"{probe_seed}, only with --sigma-tilde sure (default {SureConfig.seed})")
+    p.add_argument("--probes", type=_positive_int,
+                   help=f"only with --sigma-tilde sure (default {SureConfig.probes})")
     p.set_defaults(func=_cmd_adapt)
 
     p = sub.add_parser("denoise", help="restore a noisy image")

@@ -12,10 +12,12 @@ import numpy as np
 
 from .gmm import (
     PSD_FLOOR,
+    DegeneratePatchError,
     Gmm,
     responsibilities,
     sufficient_stats,
     _distinct_rows,
+    _no_support,
     _patch_matrix,
     _psd_factors,
 )
@@ -128,10 +130,13 @@ def em_fit(patches, config: EmConfig):
             f"{n} patches cannot support {config.n_components} components")
     rng = np.random.default_rng(config.seed)
     model = _initialize(x, config, rng)
-    rows, copies = _distinct_rows(x)
+    rows, copies, firsts = _distinct_rows(x)
     trace: list[float] = []
     for _ in range(config.max_iters):
-        gamma, _, loglik = responsibilities(model, rows, multiplicities=copies)
+        try:
+            gamma, _, loglik = responsibilities(model, rows, multiplicities=copies)
+        except DegeneratePatchError as err:
+            raise _no_support(err.row, firsts) from None
         trace.append(float(loglik.sum()) / n)
         if len(trace) > 1 and abs(trace[-1] - trace[-2]) <= config.tol * abs(trace[-2]):
             break

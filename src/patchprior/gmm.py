@@ -12,6 +12,8 @@ import dataclasses
 
 import numpy as np
 
+from .patches import _integer
+
 __all__ = [
     "Gmm",
     "SufficientStats",
@@ -48,6 +50,15 @@ class DegeneratePatchError(ValueError):
     """A patch has zero likelihood under every mixture component."""
 
 
+def _no_support(row: int, firsts=None) -> DegeneratePatchError:
+    """The error for a row with no support, kept as ``.row``; it names patch
+    ``firsts[row]`` given the first occurrences of distinct rows, else ``row``."""
+    patch = row if firsts is None else int(firsts[row])
+    err = DegeneratePatchError(f"patch {patch} has no support under any component")
+    err.row = row
+    return err
+
+
 def _frozen(array, dtype=np.float64) -> np.ndarray:
     out = np.array(array, dtype=dtype, order="C")
     out.flags.writeable = False
@@ -63,8 +74,9 @@ def _patch_matrix(patches) -> np.ndarray:
 
 
 def _distinct_rows(x):
-    """The distinct rows of x in order of first occurrence and the number of
-    times each occurs, or ``(x, None)`` when no row repeats.
+    """The distinct rows of x in order of first occurrence, the number of
+    times each occurs and the index of its first occurrence, or
+    ``(x, None, None)`` when no row repeats.
 
     Rows are equal when their bytes are.  Each row is keyed by a sum of its
     32-bit words times fixed random odd numbers, modulo 2**64, which equal
@@ -81,15 +93,16 @@ def _distinct_rows(x):
     ranked = keys[order]
     tie = ranked[1:] == ranked[:-1]
     if not tie.any():
-        return x, None
+        return x, None, None
     bits = x.view(np.uint64)
     i = np.flatnonzero(tie)
     if not (bits[order[i]] == bits[order[i + 1]]).all():
-        return x, None
+        return x, None, None
     start = np.flatnonzero(np.concatenate(([True], ~tie)))
     firsts = np.minimum.reduceat(order, start)
     by_first = np.argsort(firsts)
-    return x[firsts[by_first]], np.diff(np.append(start, n))[by_first].astype(np.float64)
+    firsts = firsts[by_first]
+    return x[firsts], np.diff(np.append(start, n))[by_first].astype(np.float64), firsts
 
 
 @dataclasses.dataclass(frozen=True)
@@ -355,44 +368,15 @@ def _row_norms(a) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", a, a))
 
 
-def _log_normalizer(scores):
-    """Each row's log-sum-exp, and the shifted exponentials and row sums it
-    is formed from.  Works in place on ``scores``, which must be a fresh
-    float64 array."""
-    top = scores.max(axis=1)
-    if not np.isfinite(top).all():
-        bad = int(np.flatnonzero(~np.isfinite(top))[0])
-        raise DegeneratePatchError(f"patch {bad} has no support under any component")
-    z = np.exp(np.subtract(scores, top[:, None], out=scores), out=scores)
-    total = z.sum(axis=1)
-    return z, total, top + np.log(total)
-
-
-def _normalize(scores, n):
-    """Posterior rows of a score matrix and each row's log normalizer.
-
-    Posteriors below 2**-53 / n are set to exactly 0.0 after the division,
-    where n is the number of patches the rows represent, at least their
-    number.  Over those n patches that moves each count by less than
-    2**-53, and each moment sum by less than 2**-53 max |x_i x_j|; the
-    moments skip every zero posterior (see ``sufficient_stats``).  It also
-    flushes every subnormal posterior, which would slow each product it
-    enters on x86.  The log normalizer comes from the unflushed row sum.
-    """
-    z, total, loglik = _log_normalizer(scores)
-    gamma = np.divide(z, total[:, None], out=z)
-    gamma[gamma < 2.0 ** -53 / n] = 0.0
-    return gamma, loglik
-
-
 def responsibilities(gmm: Gmm, patches, inflation: float = 0.0, multiplicities=None):
-    """Posterior component memberships for each patch.
+    """Posterior component memberships for each patch: the E-step's softmax.
 
     Returns the (m, K) responsibility matrix, the per-component soft counts
-    and the (m,) log mixture density of each of the m rows, which is the
-    likelihood term of ``log_posterior_objective`` at no extra cost.
-    Computed through a shifted softmax so the result is exact up to
-    rounding even when every density underflows.
+    and the (m,) log normalizer of each of the m rows, its log mixture
+    density, whose sum is the likelihood term of ``log_posterior_objective``.
+    Rows of scores are shifted by their maximum before ``exp``, so the result
+    is exact up to rounding even when every density underflows.  A
+    ``DegeneratePatchError`` names a row with no support.
 
     ``multiplicities``, if given, is a positive (m,) array: row i stands for
     that many equal patches, and is scored once.  Its posteriors and log
@@ -400,9 +384,11 @@ def responsibilities(gmm: Gmm, patches, inflation: float = 0.0, multiplicities=N
     multiplicities, and the counts and ``loglik.sum()`` are those of all n
     represented patches; ``sufficient_stats`` takes such a matrix as it is.
     Without it every row stands for one patch and n = m.  Before that
-    scaling every posterior is either 0.0 or at least 2**-53 / n: smaller
-    ones are flushed to zero, which moves each count by less than 2**-53
-    (see ``_normalize``).  A ``DegeneratePatchError`` names the row.
+    scaling, posteriors below 2**-53 / n are flushed to 0.0 (the log
+    normalizer keeps the unflushed row sum).  Over the n patches that moves
+    each count by less than 2**-53 and each moment sum by less than 2**-53
+    max |x_i x_j|, and leaves no subnormal posterior to slow the products
+    of ``sufficient_stats`` on x86, which skips every zero.
     """
     x = _patch_matrix(patches)
     n = x.shape[0]
@@ -411,7 +397,15 @@ def responsibilities(gmm: Gmm, patches, inflation: float = 0.0, multiplicities=N
         if copies.shape != (n,) or not ((copies > 0.0) & (copies < np.inf)).all():
             raise ValueError(f"multiplicities must be {n} positive finite numbers")
         n = float(copies.sum())
-    gamma, loglik = _normalize(component_log_densities(gmm, x, inflation), n)
+    scores = component_log_densities(gmm, x, inflation)
+    top = scores.max(axis=1)
+    if not np.isfinite(top).all():
+        raise _no_support(int(np.flatnonzero(~np.isfinite(top))[0]))
+    z = np.exp(np.subtract(scores, top[:, None], out=scores), out=scores)
+    total = z.sum(axis=1)
+    loglik = top + np.log(total)
+    gamma = np.divide(z, total[:, None], out=z)
+    gamma[gamma < 2.0 ** -53 / n] = 0.0
     if multiplicities is not None:
         gamma *= copies[:, None]
         loglik *= copies
@@ -455,11 +449,12 @@ def log_posterior_objective(gmm_tilde: Gmm, patches, generic: Gmm, rho: float,
                             inflation: float = 0.0) -> float:
     """Data log-likelihood plus the log adaptation prior, up to a constant.
 
-    The likelihood term sums log mixture densities with each covariance
-    inflated by ``inflation``; the prior term is ``_log_prior``.
+    The likelihood term is the sum of the log normalizers that
+    ``responsibilities`` returns, with each covariance inflated by
+    ``inflation``; the prior term is ``_log_prior``.
     """
-    _, _, loglik = _log_normalizer(component_log_densities(gmm_tilde, patches, inflation))
-    return float(loglik.sum()) + _log_prior(gmm_tilde, generic, rho)
+    return (float(responsibilities(gmm_tilde, patches, inflation)[2].sum())
+            + _log_prior(gmm_tilde, generic, rho))
 
 
 def _log_prior(gmm: Gmm, generic: Gmm, rho: float) -> float:
@@ -562,9 +557,10 @@ def sufficient_stats(patches, gamma) -> SufficientStats:
 
 
 def sample_gmm(gmm: Gmm, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n rows from the mixture with the generator ``rng``."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    """Draw n rows from the mixture with the generator ``rng``; ``n`` must be
+    an integer of at least 1, else a ValueError names it."""
+    if _integer("n", n) < 1:
+        raise ValueError("n must be at least 1")
     labels = rng.choice(gmm.n_components, size=n, p=gmm.weights)
     out = np.empty((n, gmm.dim))
     for k in np.unique(labels):

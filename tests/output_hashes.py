@@ -10,9 +10,11 @@ the thread count.  The groups are ``em_fit`` on the 18,605-patch corpus;
 ``adapt`` at sigma_tilde_sq 0 and 100, split into the ``model`` (its
 parts, ``alphas`` and ``counts``) and the ``report`` (``logliks`` and
 ``log_priors``), so a change to what the report holds keeps the model
-lines; the same ``em_fit`` and ``adapt`` groups on the stride-1 patches of
-a noisy scene, which repeat no row, so that the ``distinct`` lines keep
-their hashes through a change to how repeated rows are handled;
+lines; ``objective``, ``log_posterior_objective`` of the generic and both
+adapted models on the patches of each adaptation image at its
+sigma_tilde_sq; the same ``em_fit`` and ``adapt`` groups on the stride-1
+patches of a noisy scene, which repeat no row, so that the ``distinct``
+lines keep their hashes through a change to how repeated rows are handled;
 ``denoise`` pixels and mode histograms under the generic and the adapted
 prior and under a fixed prior that no EM or adaptation code builds (so a
 change to those alone must keep its lines); ``condition_psd`` on fixed
@@ -125,8 +127,15 @@ def main() -> None:
     clean = synthimages.make_piecewise_image(128)
     noisy_smoke = pp.add_gaussian_noise(synthimages.make_smoke_image(128), 10.0, seed=1)
     adapted = {}
-    for sigma_tilde_sq, image in ((0.0, clean), (100.0, noisy_smoke)):
+    images = {0.0: clean, 100.0: noisy_smoke}
+    for sigma_tilde_sq, image in images.items():
         adapted[sigma_tilde_sq] = adapt_lines(lines, "", generic, image, sigma_tilde_sq)
+    rho = pp.AdaptationConfig().rho
+    lines.append(("objective", digest(np.array([
+        pp.log_posterior_objective(model, pp.extract_patches(image, 8), generic, rho,
+                                   sigma_tilde_sq)
+        for sigma_tilde_sq, image in images.items()
+        for model in (generic, *adapted.values())]))))
 
     distinct = pp.extract_patches(noisy_smoke, 8)
     own, trace = pp.em_fit(distinct, pp.EmConfig(n_components=20, max_iters=5, seed=0))

@@ -16,6 +16,7 @@ from patchprior.adapt import (
 )
 from patchprior.gmm import (
     PSD_FLOOR,
+    DegeneratePatchError,
     Gmm,
     condition_psd,
     log_posterior_objective,
@@ -443,11 +444,25 @@ class TestAdaptLoop:
             if i:
                 model, _ = adapt(generic, x, AdaptationConfig(
                     rho=1.5, iterations=i, sigma_tilde_sq=sigma_tilde_sq))
+            # the objective's likelihood term is the E-step's normalizer, and
+            # x repeats no row, so the E-step scores the same rows
             fresh = log_posterior_objective(model, x, generic, 1.5, sigma_tilde_sq)
-            assert report.objectives[i] == pytest.approx(fresh, rel=1e-9)
+            assert report.objectives[i] == fresh
             loglik = float(responsibilities(model, x, sigma_tilde_sq)[2].sum())
-            assert report.logliks[i] == pytest.approx(loglik, rel=1e-12)
+            assert report.logliks[i] == loglik
             assert report.log_priors[i] == _log_prior(model, generic, 1.5)
+
+    @pytest.mark.parametrize("rows, bad", [
+        ([[0.0, 0.0]] * 4 + [[1e300, 1e300]], 4),
+        ([[0.0, 0.0], [1e300, 1e300], [0.0, 0.0], [1.0, 1.0]], 1),
+        ([[0.0, 0.0], [1.0, 0.0], [1e300, 1e300], [1.0, 1.0]], 2),
+    ], ids=["after-repeats", "before-repeats", "no-repeats"])
+    def test_degenerate_patch_is_named_by_the_callers_index(self, rows, bad):
+        # the E-step scores distinct rows; the error must still name the
+        # patch as it was handed in
+        generic = random_gmm(np.random.default_rng(33), 2, 2)
+        with pytest.raises(DegeneratePatchError, match=f"^patch {bad} has no support"):
+            adapt(generic, np.array(rows))
 
     def test_weight_drift_off_simplex_raises(self, monkeypatch):
         # a real check, so python -O cannot strip it

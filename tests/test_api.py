@@ -20,12 +20,14 @@ from patchprior import (
     ImageBuffer,
     SureConfig,
     accumulate_patches,
+    adaptation_mstep,
     add_gaussian_noise,
     component_log_densities,
     condition_psd,
     denoise,
     estimate_sigma_tilde_sq,
     extract_patches,
+    sample_gmm,
     sufficient_stats,
 )
 
@@ -87,6 +89,12 @@ def _denoise(sigma):
     return denoise(ImageBuffer(np.zeros((4, 4))), sigma, prior)
 
 
+def _mstep(n=3, rho=1.0, sigma_tilde_sq=0.0):
+    generic = Gmm(np.full(2, 0.5), np.zeros((2, 2)), np.stack([np.eye(2)] * 2))
+    stats = sufficient_stats(np.ones((3, 2)), np.full((3, 2), 0.5))
+    return adaptation_mstep(generic, stats, n, rho, sigma_tilde_sq)
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("build", [
     lambda v: HqsSchedule(betas=(1.0, v)),
@@ -98,6 +106,8 @@ def _denoise(sigma):
     lambda v: add_gaussian_noise(ImageBuffer(np.zeros((4, 4))), v, seed=0),
     lambda v: AdaptationConfig(rho=v),
     lambda v: AdaptationConfig(sigma_tilde_sq=v),
+    lambda v: _mstep(rho=v),
+    lambda v: _mstep(sigma_tilde_sq=v),
     lambda v: EmConfig(n_components=1, tol=v),
     lambda v: SureConfig(floor=v),
     lambda v: condition_psd(-np.eye(2), v),
@@ -105,7 +115,7 @@ def _denoise(sigma):
                                       np.zeros((3, 2)), v),
 ], ids=["schedule-betas", "schedule-sigma", "schedule-multipliers", "denoise-sigma",
         "sure-delta", "sure-sigma", "noise-sigma", "adapt-rho", "adapt-sigma-tilde-sq",
-        "em-tol", "sure-floor",
+        "mstep-rho", "mstep-sigma-tilde-sq", "em-tol", "sure-floor",
         "condition-psd-floor", "score-inflation"])
 def test_nonfinite_parameters_rejected(build, value):
     with pytest.raises(ValueError, match="finite"):
@@ -122,12 +132,26 @@ def test_nonfinite_parameters_rejected(build, value):
     (lambda: accumulate_patches(np.zeros((36, 9)), 8, 8, 1.5), "stride"),
     (lambda: sufficient_stats(np.ones((3, 2)), np.ones((3, 0))), "responsibility matrix"),
     (lambda: sufficient_stats(np.ones((3, 0)), np.ones((3, 2))), "patch matrix"),
+    (lambda: _mstep(n=2.5), "n must be an integer"),
+    (lambda: sample_gmm(Gmm(np.ones(1), np.zeros((1, 2)), np.eye(2)[None]), 2.5,
+                        np.random.default_rng(0)), "n must be an integer"),
 ], ids=["adapt-iterations", "em-components", "em-max-iters", "sure-probes",
         "patch-size", "extract-stride", "accumulate-stride", "stats-no-components",
-        "stats-zero-width"])
+        "stats-zero-width", "mstep-n", "sample-n"])
 def test_nonintegral_counts_and_empty_widths_rejected(build, field):
     with pytest.raises(ValueError, match=field):
         build()
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"rho": 0.0}, "rho"), ({"rho": -1.0}, "rho"), ({"sigma_tilde_sq": -4.0}, "sigma_tilde_sq"),
+    ({"n": 0}, "n must be"),
+], ids=["rho-zero", "rho-negative", "sigma-tilde-sq-negative", "n-zero"])
+def test_mstep_parameters_out_of_range_rejected(kwargs, field):
+    # adaptation_mstep is public; it used to return NaN or unnormalized weights
+    assert np.isclose(_mstep()[0].sum(), 1.0)
+    with pytest.raises(ValueError, match=field):
+        _mstep(**kwargs)
 
 
 def test_numpy_integer_counts_accepted():

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from patchprior import ImageBuffer, load_model, read_pgm, save_model, write_pgm
+from patchprior import ImageBuffer, SureConfig, load_model, read_pgm, save_model, write_pgm
 import patchprior.cli as cli_module
 from patchprior.cli import cli_dispatch
 from patchprior.toy import GENERIC_TRUTH
@@ -182,6 +182,9 @@ class TestAdapt:
         assert rc == 0
         manifest = read_manifest(str(out) + ".manifest")
         assert float(manifest["sigma_tilde_sq"]) > 0.0
+        # the probe seed and count it used, defaults included
+        assert (manifest["seed"], manifest["probes"]) == (str(SureConfig.seed),
+                                                          str(SureConfig.probes))
         assert "time_prefilter_seconds" in manifest
         assert "time_sure_seconds" in manifest
         # the prefilter doubles as SURE's baseline: prefilter + one probe
@@ -571,22 +574,30 @@ class TestUsageErrors:
         assert ("--sigma" if code == 2 else "sigma") in message
         assert "--betas" not in message
 
-    @pytest.mark.parametrize("sigma_tilde", [[], ["--sigma-tilde", "3"]],
-                             ids=["default", "known"])
+    @pytest.mark.parametrize("sigma_tilde, flags", [
+        ([], ["--sigma", "20"]),
+        (["--sigma-tilde", "3"], ["--sigma", "20"]),
+        ([], ["--seed", "7"]),
+        (["--sigma-tilde", "3"], ["--seed", "7"]),
+        (["--sigma-tilde", "3"], ["--probes", "5"]),
+        (["--sigma-tilde", "3"], ["--seed", "7", "--probes", "5"]),
+    ], ids=["default", "known", "seed-default", "seed-known", "probes-known",
+            "seed-probes-known"])
     def test_sigma_without_sure_is_usage_error(self, workspace, tmp_path, capsys,
-                                               monkeypatch, sigma_tilde):
-        # adapt reads --sigma only to prefilter for SURE; without it the flag
-        # was recorded in the manifest as if it had been used
+                                               monkeypatch, sigma_tilde, flags):
+        # adapt reads --sigma, --seed and --probes only to prefilter and probe
+        # for SURE; without it each was recorded in the manifest as if used
         reads = []
         monkeypatch.setattr(cli_module, "read_pgm", lambda path: reads.append(path))
         monkeypatch.setattr(cli_module, "load_model", lambda path: reads.append(path))
         out = tmp_path / "x.gmmp"
         rc = cli_dispatch(["adapt", str(workspace / "generic.gmmp"),
                            str(workspace / "clean.pgm"), "--out", str(out),
-                           *sigma_tilde, "--sigma", "20"])
+                           *sigma_tilde, *flags])
         message = capsys.readouterr().err.strip().splitlines()[-1]
         assert rc == 2
-        assert "--sigma " in message and "--sigma-tilde sure" in message
+        assert all(f"{flag} " in message for flag in flags[::2])
+        assert "--sigma-tilde sure" in message
         assert reads == []
         assert not Path(f"{out}.manifest").exists()
 
