@@ -96,10 +96,18 @@ def _betas(text: str) -> tuple:
                     "a comma list of positive, finite numbers")
 
 
+def _mode_histograms(histograms, prefix="") -> dict:
+    """Manifest entries ``<prefix>mode_histogram_<stage>``: per HQS stage, the
+    comma list of how many patches each component was the mode of."""
+    return {f"{prefix}mode_histogram_{stage}": _comma_list(counts, "d")
+            for stage, counts in enumerate(histograms, start=1)}
+
+
 def _prefilter_and_sure(args, noisy, prior, laps):
     """Prefilter ``noisy`` by HQS, estimate its residual variance by SURE with
-    the prefilter as baseline, and return both.  The probe stream is spawned
-    off ``args.seed``, so it is not the noise that ``noise --seed`` draws."""
+    the prefilter as baseline, and return both with the prefilter's mode
+    histograms as manifest entries.  The probe stream is spawned off
+    ``args.seed``, so it is not the noise that ``noise --seed`` draws."""
     prefilter = denoise(noisy, args.sigma, prior)
     laps.lap("prefilter")
     laps.seconds.update({f"prefilter_{k}": v for k, v in prefilter.seconds.items()})
@@ -108,7 +116,7 @@ def _prefilter_and_sure(args, noisy, prior, laps):
         SureConfig(seed=np.random.SeedSequence(args.seed).spawn(1)[0], probes=args.probes),
         baseline=prefilter.image)
     laps.lap("sure")
-    return estimate, prefilter.image
+    return estimate, prefilter.image, _mode_histograms(prefilter.mode_histograms, "prefilter_")
 
 
 def _cmd_train(args, laps):
@@ -151,10 +159,9 @@ def _cmd_adapt(args, laps):
     image = read_pgm(args.image)
     laps.lap("read")
     if args.sigma_tilde == "sure":
-        sigma_tilde_sq, target = _prefilter_and_sure(args, image, generic, laps)
+        sigma_tilde_sq, target, results = _prefilter_and_sure(args, image, generic, laps)
     else:
-        sigma_tilde_sq = args.sigma_tilde ** 2
-        target = image
+        sigma_tilde_sq, target, results = args.sigma_tilde ** 2, image, {}
     patches = extract_patches(target, side, args.stride)
     config = dataclasses.replace(config, sigma_tilde_sq=sigma_tilde_sq)
     adapted, report = adapt(generic, patches, config)
@@ -162,6 +169,7 @@ def _cmd_adapt(args, laps):
     laps.seconds.update(report.seconds)
     save_model(adapted, args.out)
     return {
+        **results,
         "sigma_tilde_sq": sigma_tilde_sq, "objectives": _comma_list(report.objectives, ".6f"),
         "logliks": _comma_list(report.logliks, ".6f"),
         "log_priors": _comma_list(report.log_priors, ".6f"),
@@ -181,7 +189,8 @@ def _cmd_denoise(args, laps):
     laps.seconds.update(result.seconds)
     write_pgm(result.image, args.out)
     results = {"betas": _comma_list(schedule.betas, ".8g"),
-               "mode_inflations": _comma_list(schedule.mode_inflations, ".8g")}
+               "mode_inflations": _comma_list(schedule.mode_inflations, ".8g"),
+               **_mode_histograms(result.mode_histograms)}
     if reference is not None:
         print("stage,beta,psnr")
         for i, (beta, value) in enumerate(zip(schedule.betas, result.psnr_trace), start=1):
@@ -194,10 +203,10 @@ def _cmd_sure(args, laps):
     prior = load_model(args.model)
     noisy = read_pgm(args.input)
     laps.lap("read")
-    estimate, _ = _prefilter_and_sure(args, noisy, prior, laps)
+    estimate, _, histograms = _prefilter_and_sure(args, noisy, prior, laps)
     print(f"sigma_tilde_sq {estimate:.6f}")
     print(f"ratio {np.sqrt(estimate) / args.sigma:.6f}")
-    return {"sigma_tilde_sq": estimate}, f"{args.input}.sure"
+    return {"sigma_tilde_sq": estimate, **histograms}, f"{args.input}.sure"
 
 
 def _cmd_noise(args, laps):

@@ -122,9 +122,15 @@ def em_fit(patches, config: EmConfig):
     the trace, weights and moments are those of all n.  Without repeated
     rows this is the plain pass over every patch.  Residual noise in the
     patches is not compensated here; ``adapt`` does that for one image.
+    A patch with a non-finite entry or squared norm is a ValueError that
+    names it, raised before seeding.
     """
     x = _patch_matrix(patches)
     n = x.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        unfit = np.flatnonzero(~np.isfinite(np.einsum("ij,ij->i", x, x)))
+    if unfit.size:
+        raise ValueError(f"patch {int(unfit[0])} has a non-finite entry or squared norm")
     if n < config.n_components:
         raise InsufficientDataError(
             f"{n} patches cannot support {config.n_components} components")

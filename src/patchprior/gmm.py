@@ -234,11 +234,29 @@ def component_log_densities(gmm: Gmm, points, inflation: float = 0.0) -> np.ndar
     in Euclidean norm.  Its squared norm q is then off by at most
     gamma_d q + (1 + gamma_d)(2 e_k sqrt(q) + e_k^2), and the score by half
     that plus the rounding of its offset and of the final subtraction.
+
+    With ``inflation`` s > 0 a component folds when at least a quarter of
+    its axes (and two), not counting its last, have lambda_kj + s within
+    2^-40 (lambda_k,min + s) of its smallest: a floored spectrum, inflated,
+    is then one isotropic block to within rounding.  Its merged axes share
+    a_k = 1 / mean(lambda_kj + s), and
+        q = a_k |x - mu_k|^2 - sum_free w_j (u_j . (x - mu_k))^2,
+    w_j = max(a_k - 1 / (lambda_kj + s), 0), is formed from one column
+    per free axis plus one for |x - mu_k|^2, expanded about c.  Replacing
+    1 / (lambda_kj + s) by a_k moves the merged terms by at most 2^-40 of
+    their sum, so with R = |x - c| + |mu_k - c| a folded q is off by at
+    most
+        2^-40 q + (2 sqrt(d) + 2) gamma_{2d+12} R^2 / (lambda_k,min + s),
+    to first order: the free axes' GEMM as above, with each w_j at most
+    a_k, and the cancellation of the expanded norm, weighed by a_k.  The
+    components that do not fold keep their whitened columns in the same
+    GEMM; a model in which nothing folds, and every call at s = 0, is
+    scored exactly as above.
     """
     x = _checked_points(gmm, points, inflation)
-    centre, basis, base = _scoring_layout(gmm, inflation, np.float64)
+    centre, basis, base, fold = _scoring_layout(gmm, inflation, np.float64)
     out = np.empty((x.shape[0], gmm.n_components))
-    for lo, _, q in _blocked_forms(x, centre, basis):
+    for lo, _, q in _blocked_forms(x, centre, basis, fold):
         out[lo:lo + q.shape[0]] = base - 0.5 * q
     return out
 
@@ -253,45 +271,108 @@ def _checked_points(gmm: Gmm, points, inflation: float) -> np.ndarray:
 
 
 def _scoring_layout(gmm: Gmm, inflation: float, dtype):
-    """The centre c, the (d+1, K d) scoring basis in ``dtype`` and the (K,)
-    score offsets.
+    """The centre c, the scoring basis in ``dtype``, the (K,) score offsets
+    and the fold, None when no component folds.
 
-    Columns k d .. k d + d - 1 of the basis hold the whitened basis
-    U_k diag(lambda_k + inflation)^-1/2 of component k; its last row holds
-    -(mu_k - c) times that basis.  A row [x - c, 1] times the basis is
-    every component's whitened deviation of x from its mean, and
+    Columns k d .. k d + d - 1 of the (d+1, K d) basis hold the whitened
+    basis U_k diag(lambda_k + inflation)^-1/2 of component k; its last row
+    holds -(mu_k - c) times that basis.  A row [x - c, 1] times the basis
+    is every component's whitened deviation of x from its mean, and
     log w_k - (d log 2 pi + sum_j log(lambda_kj + inflation)) / 2 minus
     half its squared norm is the joint score.  The constants are formed in
     float64 and cast once.
+
+    A float64 layout at inflation > 0 in which some component folds (see
+    ``component_log_densities``) holds instead the whitened columns of the
+    components that do not fold, d each; then, per folded component, one
+    column u_kj sqrt(w_j) per axis that is not merged, above -(mu_k - c)
+    times it; then one column [-2 (mu_k - c), |mu_k - c|^2] per folded
+    component.  The fold holds the indices of the plain and the folded
+    components, the first ragged column of each folded one and its a_k.
     """
     d, k = gmm.dim, gmm.n_components
     spectra = gmm.eigenvalues + inflation
     with np.errstate(divide="ignore"):
         base = np.log(gmm.weights) - 0.5 * (d * _LOG_2PI + np.log(spectra).sum(axis=1))
     centre = gmm.means.mean(axis=0)
-    white = gmm.eigenvectors / np.sqrt(spectra)[:, None, :]
-    basis = np.empty((d + 1, k, d), dtype=dtype)
-    basis[:d] = white.transpose(1, 0, 2)
-    basis[d] = -np.einsum("kd,kde->ke", gmm.means - centre, white)
-    return centre, basis.reshape(d + 1, k * d), base
+    dev = gmm.means - centre
+    merged = _merged_axes(spectra) if dtype == np.float64 and inflation > 0 else None
+    if merged is None:
+        white = gmm.eigenvectors / np.sqrt(spectra)[:, None, :]
+        basis = np.empty((d + 1, k, d), dtype=dtype)
+        basis[:d] = white.transpose(1, 0, 2)
+        basis[d] = -np.einsum("kd,kde->ke", dev, white)
+        return centre, basis.reshape(d + 1, k * d), base, None
+    folding = merged.any(axis=1)
+    folds, plain = np.flatnonzero(folding), np.flatnonzero(~folding)
+    merged = merged[folds]
+    scale = np.count_nonzero(merged, axis=1) / np.where(merged, spectra[folds], 0.0).sum(axis=1)
+    kept = ~merged
+    columns = np.count_nonzero(kept, axis=1)
+    wide, free = plain.size * d, int(columns.sum())
+    basis = np.empty((d + 1, wide + free + folds.size))
+    white = gmm.eigenvectors[plain] / np.sqrt(spectra[plain])[:, None, :]
+    basis[:d, :wide] = white.transpose(1, 0, 2).reshape(d, wide)
+    basis[d, :wide] = -np.einsum("kd,kde->ke", dev[plain], white).ravel()
+    ragged = basis[:, wide:wide + free]
+    ragged[:d] = gmm.eigenvectors[folds].transpose(1, 0, 2)[:, kept]
+    ragged[d] = -np.einsum("kd,kde->ke", dev[folds], gmm.eigenvectors[folds])[kept]
+    ragged *= np.sqrt(np.maximum(scale[:, None] - 1.0 / spectra[folds], 0.0)[kept])
+    basis[:d, wide + free:] = -2.0 * dev[folds].T
+    basis[d, wide + free:] = np.einsum("kd,kd->k", dev[folds], dev[folds])
+    return centre, basis, base, (plain, folds, np.cumsum(columns) - columns, scale)
 
 
-def _blocked_forms(x, centre, basis):
+def _merged_axes(spectra):
+    """The (K, d) mask of the axes that each component folds (see
+    ``component_log_densities``), or None when no component folds.
+
+    A kept column of a folded component costs more than a plain one, its
+    square and ragged sum against the plain einsum, so a component folds
+    only when it merges at least a quarter of its axes (at d = 64, K = 20:
+    requiring 12 to 28 merged axes ran alike, and requiring 2 ran slower
+    than no fold at inflation 12.5)."""
+    d = spectra.shape[1]
+    low = spectra.min(axis=1, keepdims=True)
+    merged = spectra - low <= 2.0 ** -40 * low
+    merged[:, -1] = False
+    merged &= np.count_nonzero(merged, axis=1)[:, None] >= max(2, d // 4)
+    return merged if merged.any() else None
+
+
+def _blocked_forms(x, centre, basis, fold=None):
     """Yield ``(lo, centred, q)`` for each block of rows of x from row lo:
-    the float64 rows minus the centre, and the (b, K) squared whitened
-    norms, computed in the basis dtype by one GEMM per block."""
+    the float64 rows minus the centre, and the (b, K) quadratic forms,
+    computed in the basis dtype by one GEMM per block: the squared
+    whitened norms, or, with a ``fold`` from ``_scoring_layout``, those of
+    the plain components and the folded forms
+    a_k |x - mu_k|^2 - sum_free w_j (u_j . (x - mu_k))^2 of the rest."""
     n, d = x.shape
-    k = basis.shape[1] // d
+    if fold is None:
+        k = basis.shape[1] // d
+    else:
+        plain, folds, starts, scale = fold
+        k, wide = plain.size + folds.size, plain.size * d
+        free = basis.shape[1] - wide - folds.size
     rows = max(1, _BLOCK_VALUES // (k * d))
     lhs = np.ones((min(rows, n), d + 1), dtype=basis.dtype)
-    buf = np.empty((min(rows, n), k * d), dtype=basis.dtype)
+    buf = np.empty((min(rows, n), basis.shape[1]), dtype=basis.dtype)
     for lo in range(0, n, rows):
         centred = x[lo:lo + rows] - centre
         b = centred.shape[0]
         lhs[:b, :d] = centred
         with np.errstate(over="ignore", invalid="ignore"):
-            y = np.matmul(lhs[:b], basis, out=buf[:b]).reshape(b, k, d)
-            q = np.einsum("bkd,bkd->bk", y, y)
+            y = np.matmul(lhs[:b], basis, out=buf[:b])
+            if fold is None:
+                y = y.reshape(b, k, d)
+                q = np.einsum("bkd,bkd->bk", y, y)
+            else:
+                q = np.empty((b, k))
+                whitened = y[:, :wide].reshape(b, plain.size, d)
+                q[:, plain] = np.einsum("bkd,bkd->bk", whitened, whitened)
+                ragged = np.square(y[:, wide:wide + free], out=y[:, wide:wide + free])
+                norms = np.einsum("ij,ij->i", centred, centred)[:, None] + y[:, wide + free:]
+                q[:, folds] = scale * norms - np.add.reduceat(ragged, starts, axis=1)
         yield lo, centred, q
 
 
@@ -329,14 +410,17 @@ def select_modes(gmm: Gmm, points, inflation: float) -> np.ndarray:
     component raised by its own B + 1e-6: then the float64 scores order
     the same way.  Every other patch, including any with a non-finite
     float32 value, is rescored by ``component_log_densities`` (about 1% of
-    the patches on natural scenes).  So the modes equal the float64 argmax
-    wherever its top two scores differ by more than that kernel's own
-    rounding; only such rounding-level ties, which the BLAS blocking of a
-    float64 call can already flip, may fall either way.
+    the patches on natural scenes), which at inflation > 0 folds each
+    component's floored axes.  A certified winner is the argmax of the
+    exact scores.  So the modes equal that argmax wherever its top two
+    exact scores differ by more than twice the float64 kernel's bound,
+    the fold's 2^-40 merge included (see its docstring); only such
+    rounding-level ties, which the BLAS blocking of a float64 call can
+    already flip, may fall either way.
     """
     x = _checked_points(gmm, points, inflation)
     n, d = x.shape
-    centre, basis, base = _scoring_layout(gmm, inflation, np.float32)
+    centre, basis, base, _ = _scoring_layout(gmm, inflation, np.float32)
     root_l = np.sqrt((1.0 / (gmm.eigenvalues + inflation)).sum(axis=1))
     g32, g64 = _gamma(d + 4, _U32), _gamma(2 * d + 4, _U64)
     mean_err = (g32 + g64) * _row_norms(gmm.means - centre)
@@ -507,7 +591,9 @@ def sufficient_stats(patches, gamma) -> SufficientStats:
     nonnegative weights, so with v = 2^-53 each moment is within
     gamma_{2n+3}(v) times sum_n gamma_nk |x_ni x_nj| / n_k of its exact
     value (x_nj for means), in any row order.  A component with zero count
-    keeps zero moments.
+    keeps zero moments; one whose moments come out non-finite, from a
+    non-finite or overflowing patch in its support, is a ValueError that
+    names it.
     """
     x = _patch_matrix(patches)
     g = np.asarray(gamma, dtype=np.float64)
@@ -551,6 +637,9 @@ def sufficient_stats(patches, gamma) -> SufficientStats:
     sums = sums.transpose(1, 0, 2)
     filled = (counts > 0.0)[:, None, None]
     moments = np.divide(sums, counts[:, None, None], out=np.zeros(sums.shape), where=filled)
+    bad = np.flatnonzero(~np.isfinite(moments).all(axis=(1, 2)))
+    if bad.size:
+        raise ValueError(f"moments of component {int(bad[0])} are not finite")
     seconds = moments[:, :d]
     return SufficientStats(counts=counts, means=moments[:, d],
                            second_moments=0.5 * (seconds + seconds.transpose(0, 2, 1)))

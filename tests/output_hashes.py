@@ -12,9 +12,13 @@ parts, ``alphas`` and ``counts``) and the ``report`` (``logliks`` and
 ``log_priors``), so a change to what the report holds keeps the model
 lines; ``objective``, ``log_posterior_objective`` of the generic and both
 adapted models on the patches of each adaptation image at its
-sigma_tilde_sq; the same ``em_fit`` and ``adapt`` groups on the stride-1
-patches of a noisy scene, which repeat no row, so that the ``distinct``
-lines keep their hashes through a change to how repeated rows are handled;
+sigma_tilde_sq; ``scores inflated``, ``component_log_densities`` of the
+generic prior and of the fixed prior below at inflation 100 on the
+stride-1 patches of a noisy scene, where the generic prior folds most
+components and the fixed one a single component beside 19 plain ones;
+the same ``em_fit`` and ``adapt`` groups on those patches, which repeat
+no row, so that the ``distinct`` lines keep their hashes through a
+change to how repeated rows are handled;
 ``denoise`` pixels and mode histograms under the generic and the adapted
 prior and under a fixed prior that no EM or adaptation code builds (so a
 change to those alone must keep its lines); ``condition_psd`` on fixed
@@ -138,6 +142,9 @@ def main() -> None:
         for model in (generic, *adapted.values())]))))
 
     distinct = pp.extract_patches(noisy_smoke, 8)
+    fixed = fixed_prior(corpus)
+    lines.append(("scores inflated", digest(*(pp.component_log_densities(model, distinct, 100.0)
+                                              for model in (generic, fixed)))))
     own, trace = pp.em_fit(distinct, pp.EmConfig(n_components=20, max_iters=5, seed=0))
     lines.append(("em_fit distinct", digest(*model_parts(own), np.array(trace))))
     for sigma_tilde_sq in (0.0, 100.0):
@@ -146,7 +153,6 @@ def main() -> None:
     noisy = pp.add_gaussian_noise(synthimages.make_smoke_image(128), 20.0, seed=2)
     lines += denoise_lines("generic", noisy, generic)
     lines += denoise_lines("adapted", noisy, adapted[0.0])
-    fixed = fixed_prior(corpus)
     lines += denoise_lines("fixed", noisy, fixed)
 
     a = np.random.default_rng(0).standard_normal((6, 5, 5))

@@ -404,21 +404,25 @@ class TestToy:
 # `time_` keys name the phases that the command times.
 THREAD_KEYS = {"PATCHPRIOR_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"}
+# one mode histogram per stage of the default five-stage HQS schedule
+PREFILTER_HISTOGRAMS = {f"prefilter_mode_histogram_{stage}" for stage in range(1, 6)}
 MANIFEST_KEYS = {command: keys | THREAD_KEYS for command, keys in {
     "train": {"corpus", "images", "patches", "k", "patch_size", "stride", "seed",
               "max_iters", "tol", "iterations_run", "logliks", "out",
               "time_extract_seconds", "time_fit_seconds"},
     "adapt": {"model", "image", "out", "rho", "sigma_tilde", "sigma_tilde_sq", "sigma",
               "iters", "stride", "seed", "probes", "objectives", "logliks", "log_priors",
-              "alphas", "counts",
+              "alphas", "counts", *PREFILTER_HISTOGRAMS,
               *(f"time_{name}_seconds" for name in (
                   "read", "prefilter", "prefilter_select", "prefilter_shrink",
                   "prefilter_aggregate", "prefilter_update", "sure", "adapt",
                   "estep", "stats", "mstep", "objective"))},
     "denoise": {"input", "model", "out", "sigma", "betas", "mode_inflations", "ref",
+                *(f"mode_histogram_{stage}" for stage in range(1, 6)),
                 *(f"time_{name}_seconds" for name in (
                     "read", "denoise", "select", "shrink", "aggregate", "update"))},
     "sure": {"input", "model", "sigma", "seed", "probes", "sigma_tilde_sq",
+             *PREFILTER_HISTOGRAMS,
              *(f"time_{name}_seconds" for name in (
                  "read", "prefilter", "prefilter_select", "prefilter_shrink",
                  "prefilter_aggregate", "prefilter_update", "sure"))},
@@ -502,6 +506,15 @@ class TestManifests:
         patches = (96 - 6 + 1) ** 2
         counts = [float(v) for v in adapt["counts"].split(",")]
         assert sum(counts) == pytest.approx(patches, abs=k * 5e-4)  # 3 decimals each
+        # every stage's histogram counts each stride-1 patch of the image once
+        histograms = [manifests["denoise"][f"mode_histogram_{stage}"] for stage in range(1, 6)]
+        for command in ("adapt", "sure"):
+            prefilter = [manifests[command][f"prefilter_mode_histogram_{stage}"]
+                         for stage in range(1, 6)]
+            assert prefilter == histograms, command
+        for line in histograms:
+            modes = [int(v) for v in line.split(",")]
+            assert len(modes) == k and min(modes) >= 0 and sum(modes) == patches
         for command in ("adapt", "sure"):
             layers = manifest_seconds(paths[command], [
                 f"prefilter_{layer}" for layer in ("select", "shrink", "aggregate", "update")])

@@ -98,7 +98,7 @@ def float64_modes(prior, patches, inflation):
 
 def float32_modes(prior, patches, inflation):
     """The argmax of the float32 scores alone, before any re-check."""
-    centre, basis, base = _scoring_layout(prior, inflation, np.float32)
+    centre, basis, base, _ = _scoring_layout(prior, inflation, np.float32)
     return np.concatenate([(base - 0.5 * q).argmax(axis=1)
                            for _, _, q in _blocked_forms(patches, centre, basis)])
 

@@ -223,6 +223,16 @@ class TestEdgeCases:
         with pytest.raises(InsufficientDataError):
             em_fit(x, EmConfig(n_components=5))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e300], ids=["nan", "inf", "1e300"])
+    def test_nonfinite_patch_is_named_before_seeding(self, value, monkeypatch):
+        def seeding(*args):
+            raise AssertionError("k-means++ ran on a non-finite patch")
+        monkeypatch.setattr(em_module, "_kmeanspp_centers", seeding)
+        x = np.random.default_rng(3).standard_normal((50, 4))
+        x[7, 2] = value
+        with pytest.raises(ValueError, match=r"^patch 7 has a non-finite entry or squared norm$"):
+            em_fit(x, EmConfig(n_components=3))
+
     def test_mstep_projects_all_components_with_one_eigh(self, monkeypatch):
         shapes = record_eigh(monkeypatch)
         rng = np.random.default_rng(10)

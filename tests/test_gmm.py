@@ -23,7 +23,7 @@ from patchprior.gmm import (
     sample_gmm,
     sufficient_stats,
 )
-from patchprior.gmm import _BLOCK_VALUES
+from patchprior.gmm import PSD_FLOOR, _BLOCK_VALUES, _psd_factors, _scoring_layout
 import patchprior.gmm as gmm_module
 
 from mstep_reference import HyperParams, derive_hyperparams, log_posterior_objective_general
@@ -583,6 +583,19 @@ class TestSufficientStats:
         assert np.all(stats.means[1] == 0.0)
         assert np.all(stats.second_moments[1] == 0.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e300], ids=["nan", "inf", "1e300"])
+    def test_nonfinite_moments_name_the_component(self, value):
+        x = np.random.default_rng(19).standard_normal((50, 3))
+        x[7] = value
+        gamma = np.zeros((50, 4))
+        gamma[np.arange(50), np.arange(50) % 4] = 1.0
+        # 0 times a NaN or infinite entry spoils every component live in its
+        # block; 1e300 overflows only its own component's moments
+        named = "3" if value == 1e300 else r"\d+"
+        with np.errstate(all="ignore"), pytest.raises(
+                ValueError, match=rf"^moments of component {named} are not finite$"):
+            sufficient_stats(x, gamma)
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-3])
     def test_bad_responsibilities_rejected(self, value):
         gamma = np.full((5, 2), 0.5)
@@ -708,6 +721,30 @@ def block_prior():
     return Gmm(weights / weights.sum(), rng.uniform(50.0, 200.0, (k, d)), np.stack(covs))
 
 
+@pytest.fixture(scope="module")
+def floored_prior():
+    """K = 20, d = 64 on the grey scale: components of rank 4 to 61 with
+    spectra from 1 to 1e4, floored at PSD_FLOOR as the M-steps floor them,
+    and one at PSD_FLOOR I, as em_fit reseeds a starved component.  One
+    also has eight eigenvalues 1e-7 apart just above the floor, which the
+    2^-40 test must keep apart."""
+    rng = np.random.default_rng(33)
+    k, d = 20, 64
+    covs = np.empty((k, d, d))
+    ranks = rng.integers(4, 62, k)
+    ranks[11] = 20
+    for j, rank in enumerate(ranks):
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        spectrum = np.zeros(d)
+        spectrum[:rank] = np.logspace(0, 4, rank)
+        if j == 11:
+            spectrum[rank:rank + 8] = PSD_FLOOR + 1e-7 * np.arange(1, 9)
+        covs[j] = (q * spectrum) @ q.T
+    covs[5] = 0.0
+    return Gmm._factored(rng.dirichlet(np.ones(k)), rng.uniform(50.0, 200.0, (k, d)),
+                         *_psd_factors(covs))
+
+
 def block_rows(gmm):
     rows = _BLOCK_VALUES // (gmm.n_components * gmm.dim)
     assert rows == 409
@@ -745,18 +782,43 @@ class TestBlockedKernelAccuracy:
         return offsets - q / 2, q.astype(np.float64)
 
     @staticmethod
-    def score_bound(gmm, x, inflation, q, ref):
+    def score_bound(gmm, x, inflation, q, ref, folded=()):
+        """The score bound of the component_log_densities docstring, with
+        the folded q bound for the ``folded`` components."""
         d = gmm.dim
         spectra = gmm.eigenvalues + inflation
         centre = gmm.means.mean(axis=0)
-        e = gamma_n(2 * d + 4) * (np.linalg.norm(x - centre, axis=1)[:, None]
-                                  + np.linalg.norm(gmm.means - centre, axis=1))
-        e *= np.sqrt((1.0 / spectra).sum(axis=1))
+        r = (np.linalg.norm(x - centre, axis=1)[:, None]
+             + np.linalg.norm(gmm.means - centre, axis=1))
+        e = gamma_n(2 * d + 4) * r * np.sqrt((1.0 / spectra).sum(axis=1))
         q_err = gamma_n(d) * q + (1.0 + gamma_n(d)) * (2.0 * e * np.sqrt(q) + e * e)
+        q_err[:, folded] = (2.0 ** -40 * q + (2.0 * np.sqrt(d) + 2.0) * gamma_n(2 * d + 12)
+                            * r * r / spectra.min(axis=1))[:, folded]
         with np.errstate(divide="ignore"):
             offset_err = gamma_n(d + 4) * (np.abs(np.log(gmm.weights)) + d * np.log(2 * np.pi)
                                            + np.abs(np.log(spectra)).sum(axis=1) + d)
         return 0.5 * q_err + offset_err + 2.0 * V * np.abs(ref)
+
+    @pytest.mark.parametrize("inflation", [12.5, 40.0, 100.0])
+    def test_folded_scores_within_bound(self, floored_prior, points, inflation):
+        plain, folded, _, _ = _scoring_layout(floored_prior, inflation, np.float64)[3]
+        # most floored components merge their axes; the fullest ones stay plain
+        assert folded.size >= 10 and plain.size >= 1
+        ref, q = self.reference_scores(floored_prior, points, inflation)
+        bound = self.score_bound(floored_prior, points, inflation, q, ref.astype(np.float64),
+                                 folded)
+        for n in block_rows(floored_prior):
+            err = np.abs(component_log_densities(floored_prior, points[:n], inflation)
+                         - ref[:n]).astype(np.float64)
+            assert np.all(err <= bound[:n]), (n, float(err.max()))
+
+    def test_plain_layout_without_a_fold(self, block_prior, floored_prior):
+        # distinct spectra, no inflation and the float32 screen never fold
+        for gmm, inflation, dtype in ((block_prior, 100.0, np.float64),
+                                      (floored_prior, 0.0, np.float64),
+                                      (floored_prior, 100.0, np.float32)):
+            _, basis, _, fold = _scoring_layout(gmm, inflation, dtype)
+            assert fold is None and basis.shape == (65, 20 * 64)
 
     @pytest.mark.parametrize("inflation", [0.0, 100.0])
     def test_scores_within_bound(self, block_prior, points, inflation):
