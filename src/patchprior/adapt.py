@@ -18,10 +18,10 @@ from .gmm import (
     SufficientStats,
     responsibilities,
     sufficient_stats,
+    _checked_points,
     _distinct_rows,
     _log_prior,
     _no_support,
-    _patch_matrix,
     _psd_factors,
 )
 from .patches import _integer
@@ -144,13 +144,15 @@ def adapt(generic: Gmm, patches, config: AdaptationConfig | None = None):
     covariance update is deflated by the same amount before flooring.
     Every E-step and moment pass runs over the distinct rows once, each
     weighted by how often it occurs (see ``responsibilities``); without
-    repeated rows this is the plain pass over every patch.
+    repeated rows this is the plain pass over every patch.  A patch with a
+    NaN or infinite entry is a ValueError that names it, raised before the
+    first E-step.
 
     Returns the adapted model and an AdaptationReport.
     """
     config = config or AdaptationConfig()
     laps = LapTimer()
-    x = _patch_matrix(patches)
+    x = _checked_points(generic, patches, config.sigma_tilde_sq)
     n = x.shape[0]
     rows, copies, firsts = _distinct_rows(x)
     current = generic

@@ -96,17 +96,20 @@ def _betas(text: str) -> tuple:
                     "a comma list of positive, finite numbers")
 
 
-def _mode_histograms(histograms, prefix="") -> dict:
-    """Manifest entries ``<prefix>mode_histogram_<stage>``: per HQS stage, the
-    comma list of how many patches each component was the mode of."""
-    return {f"{prefix}mode_histogram_{stage}": _comma_list(counts, "d")
-            for stage, counts in enumerate(histograms, start=1)}
+def _mode_records(result, prefix="") -> dict:
+    """Manifest entries of a ``DenoiseResult``: ``<prefix>mode_histogram_<stage>``,
+    per HQS stage the comma list of how many patches each component was the
+    mode of, and ``<prefix>mode_paths``, the comma list of the stages'
+    selection paths."""
+    return {f"{prefix}mode_paths": ",".join(result.mode_paths),
+            **{f"{prefix}mode_histogram_{stage}": _comma_list(counts, "d")
+               for stage, counts in enumerate(result.mode_histograms, start=1)}}
 
 
 def _prefilter_and_sure(args, noisy, prior, laps):
     """Prefilter ``noisy`` by HQS, estimate its residual variance by SURE with
     the prefilter as baseline, and return both with the prefilter's mode
-    histograms as manifest entries.  The probe stream is spawned off
+    histograms and paths as manifest entries.  The probe stream is spawned off
     ``args.seed``, so it is not the noise that ``noise --seed`` draws."""
     prefilter = denoise(noisy, args.sigma, prior)
     laps.lap("prefilter")
@@ -116,7 +119,7 @@ def _prefilter_and_sure(args, noisy, prior, laps):
         SureConfig(seed=np.random.SeedSequence(args.seed).spawn(1)[0], probes=args.probes),
         baseline=prefilter.image)
     laps.lap("sure")
-    return estimate, prefilter.image, _mode_histograms(prefilter.mode_histograms, "prefilter_")
+    return estimate, prefilter.image, _mode_records(prefilter, "prefilter_")
 
 
 def _cmd_train(args, laps):
@@ -190,7 +193,7 @@ def _cmd_denoise(args, laps):
     write_pgm(result.image, args.out)
     results = {"betas": _comma_list(schedule.betas, ".8g"),
                "mode_inflations": _comma_list(schedule.mode_inflations, ".8g"),
-               **_mode_histograms(result.mode_histograms)}
+               **_mode_records(result)}
     if reference is not None:
         print("stage,beta,psnr")
         for i, (beta, value) in enumerate(zip(schedule.betas, result.psnr_trace), start=1):
@@ -203,10 +206,10 @@ def _cmd_sure(args, laps):
     prior = load_model(args.model)
     noisy = read_pgm(args.input)
     laps.lap("read")
-    estimate, _, histograms = _prefilter_and_sure(args, noisy, prior, laps)
+    estimate, _, records = _prefilter_and_sure(args, noisy, prior, laps)
     print(f"sigma_tilde_sq {estimate:.6f}")
     print(f"ratio {np.sqrt(estimate) / args.sigma:.6f}")
-    return {"sigma_tilde_sq": estimate, **histograms}, f"{args.input}.sure"
+    return {"sigma_tilde_sq": estimate, **records}, f"{args.input}.sure"
 
 
 def _cmd_noise(args, laps):

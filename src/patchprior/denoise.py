@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 # component_log_densities is unused: perfbench/test_perfbench.py looks it up here
-from .gmm import Gmm, component_log_densities, select_modes  # noqa: F401
+from .gmm import Gmm, _mode_path, component_log_densities, select_modes  # noqa: F401
 from .patches import (ImageBuffer, _check_sigma, _patch_side, accumulate_patches,
                       extract_patches, psnr)
 from .timing import LapTimer
@@ -59,15 +59,17 @@ class DenoiseResult:
 
     ``psnr_trace`` is present only when a reference image was supplied;
     ``mode_histograms`` counts the patches assigned to each component at
-    every stage.  ``seconds`` maps each layer to its wall-clock total over
-    all stages: ``select`` (patch extraction and mode selection),
-    ``shrink`` (the Wiener step), ``aggregate``, and ``update`` (the pixel
-    update with its checks and PSNR).
+    every stage, and ``mode_paths`` names the path that ``select_modes``
+    took at every stage, "fold" or "screen".  ``seconds`` maps each layer
+    to its wall-clock total over all stages: ``select`` (patch extraction
+    and mode selection), ``shrink`` (the Wiener step), ``aggregate``, and
+    ``update`` (the pixel update with its checks and PSNR).
     """
 
     image: ImageBuffer
     psnr_trace: tuple | None
     mode_histograms: tuple
+    mode_paths: tuple
     seconds: dict
 
 
@@ -111,13 +113,14 @@ def denoise(noisy: ImageBuffer, sigma: float, prior: Gmm,
     observed = noisy.pixels
     x = observed.copy()
     trace = [] if reference is not None else None
-    histograms = []
+    histograms, paths = [], []
     laps = LapTimer()
     for stage, (beta, delta) in enumerate(zip(schedule.betas, schedule.mode_inflations)):
         patches = extract_patches(ImageBuffer(x), side, 1)
         modes = select_modes(prior, patches, delta)
         counts = np.bincount(modes, minlength=prior.n_components)
         histograms.append(counts)
+        paths.append(_mode_path(prior, delta))
         laps.lap("select")
         for j in np.flatnonzero(counts):
             idx = np.flatnonzero(modes == j)
@@ -133,4 +136,5 @@ def denoise(noisy: ImageBuffer, sigma: float, prior: Gmm,
         laps.lap("update")
     return DenoiseResult(image=ImageBuffer(x),
                          psnr_trace=tuple(trace) if trace is not None else None,
-                         mode_histograms=tuple(histograms), seconds=laps.seconds)
+                         mode_histograms=tuple(histograms), mode_paths=tuple(paths),
+                         seconds=laps.seconds)

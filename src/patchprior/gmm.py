@@ -115,6 +115,13 @@ class Gmm:
     selection and Wiener step reuses that factorization.  The EM and
     adaptation M-steps floor their covariances at ``PSD_FLOOR`` and build
     their models with ``_factored``, from the eigh of that floor.
+
+    Every eigenvalue within d 2^-52 lambda_k,max of ``PSD_FLOOR`` is then
+    set to ``PSD_FLOOR``, with lambda_k,max the largest of its component:
+    eigh resolves no finer, and the eigh of a floored reconstruction
+    scatters its floored axes about the floor by up to about 4 of those
+    units.  Both ways in take the same factors to the same spectrum, so a
+    saved and loaded model keeps the factors of the model saved.
     """
 
     weights: np.ndarray      # (K,) nonnegative, sums to one
@@ -148,13 +155,14 @@ class Gmm:
         if factors is None:
             evals, evecs = np.linalg.eigh(c)
         else:
-            evals, evecs = (_frozen(f) for f in factors)
+            evals, evecs = (np.array(f, dtype=np.float64, order="C") for f in factors)
             if evals.shape != (k, d) or evecs.shape != c.shape:
                 raise ValueError("eigen-factors do not match the covariances")
         bad = np.flatnonzero(evals[:, 0] <= 0.0)
         if bad.size:
             raise ValueError(f"covariance of component {int(bad[0])} is not positive-definite "
                              f"(smallest eigenvalue {evals[bad[0], 0]:g})")
+        evals[np.abs(evals - PSD_FLOOR) <= d * 2.0 ** -52 * evals[:, -1:]] = PSD_FLOOR
         evals.flags.writeable = evecs.flags.writeable = False
         for name, a in (("weights", w), ("means", m), ("covariances", c),
                         ("eigenvalues", evals), ("eigenvectors", evecs)):
@@ -164,8 +172,8 @@ class Gmm:
     def _factored(cls, weights, means, covariances, eigenvalues, eigenvectors) -> "Gmm":
         """A model from covariances and their ``np.linalg.eigh`` factors, as
         ``_psd_factors`` returns them: every check of ``Gmm()`` runs, the
-        positive-definite one on the handed spectrum, but nothing is
-        decomposed."""
+        positive-definite one on the handed spectrum, and the floor snap,
+        but nothing is decomposed."""
         gmm = cls.__new__(cls)
         for name, a in (("weights", weights), ("means", means), ("covariances", covariances)):
             object.__setattr__(gmm, name, a)
@@ -222,6 +230,7 @@ def component_log_densities(gmm: Gmm, points, inflation: float = 0.0) -> np.ndar
     are the scores that posteriors and mode selection normalize or
     maximize.  Rows are scored a block at a time by one GEMM against all
     K components (see ``_scoring_layout``); no (n, K, d) array is formed.
+    A point with a NaN or infinite entry is a ValueError that names it.
 
     Rounding, with v = 2^-53, gamma_n = n v / (1 - n v), c the mean of the
     means and L_k = sum_j 1 / (lambda_kj + inflation): coordinate j of the
@@ -236,37 +245,40 @@ def component_log_densities(gmm: Gmm, points, inflation: float = 0.0) -> np.ndar
     that plus the rounding of its offset and of the final subtraction.
 
     With ``inflation`` s > 0 a component folds when at least a quarter of
-    its axes (and two), not counting its last, have lambda_kj + s within
-    2^-40 (lambda_k,min + s) of its smallest: a floored spectrum, inflated,
-    is then one isotropic block to within rounding.  Its merged axes share
-    a_k = 1 / mean(lambda_kj + s), and
+    its axes (and two), not counting its last, have lambda_kj + s equal to
+    its smallest, lambda_k,min + s: ``Gmm`` puts floored eigenvalues at
+    ``PSD_FLOOR`` exactly, so a floored spectrum, inflated, is one
+    isotropic block.  Its merged axes share a_k = 1 / (lambda_k,min + s),
+    and
         q = a_k |x - mu_k|^2 - sum_free w_j (u_j . (x - mu_k))^2,
-    w_j = max(a_k - 1 / (lambda_kj + s), 0), is formed from one column
-    per free axis plus one for |x - mu_k|^2, expanded about c.  Replacing
-    1 / (lambda_kj + s) by a_k moves the merged terms by at most 2^-40 of
-    their sum, so with R = |x - c| + |mu_k - c| a folded q is off by at
-    most
-        2^-40 q + (2 sqrt(d) + 2) gamma_{2d+12} R^2 / (lambda_k,min + s),
+    w_j = a_k - 1 / (lambda_kj + s), which monotone rounding keeps
+    nonnegative, is formed from one column per free axis plus one for
+    |x - mu_k|^2, expanded about c.  With R = |x - c| + |mu_k - c| a
+    folded q is off by at most
+        (2 sqrt(d) + 2) gamma_{2d+12} R^2 / (lambda_k,min + s),
     to first order: the free axes' GEMM as above, with each w_j at most
-    a_k, and the cancellation of the expanded norm, weighed by a_k.  The
+    a_k, and the cancellation of the expanded norm, weighed by a_k; the
+    rounding of a_k and of the w_j, a few v a_k R^2, lies inside it.  The
     components that do not fold keep their whitened columns in the same
     GEMM; a model in which nothing folds, and every call at s = 0, is
     scored exactly as above.
     """
     x = _checked_points(gmm, points, inflation)
-    centre, basis, base, fold = _scoring_layout(gmm, inflation, np.float64)
-    out = np.empty((x.shape[0], gmm.n_components))
-    for lo, _, q in _blocked_forms(x, centre, basis, fold):
-        out[lo:lo + q.shape[0]] = base - 0.5 * q
-    return out
+    return _layout_scores(x, _scoring_layout(gmm, inflation, np.float64))
 
 
 def _checked_points(gmm: Gmm, points, inflation: float) -> np.ndarray:
+    """The points as a float64 (n, d) matrix for ``gmm``, with a finite
+    ``inflation``; a ValueError names the first point with a NaN or
+    infinite entry."""
     x = _patch_matrix(points)
     if x.shape[1] != gmm.dim:
         raise ValueError(f"points have dimension {x.shape[1]}, model has {gmm.dim}")
     if not 0 <= inflation < np.inf:
         raise ValueError("inflation must be nonnegative and finite")
+    if not np.isfinite(x).all():
+        bad = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
+        raise ValueError(f"patch {bad} has a non-finite entry")
     return x
 
 
@@ -280,7 +292,8 @@ def _scoring_layout(gmm: Gmm, inflation: float, dtype):
     is every component's whitened deviation of x from its mean, and
     log w_k - (d log 2 pi + sum_j log(lambda_kj + inflation)) / 2 minus
     half its squared norm is the joint score.  The constants are formed in
-    float64 and cast once.
+    float64 and cast once, so a float32 layout is a float64 one that does
+    not fold, rounded.
 
     A float64 layout at inflation > 0 in which some component folds (see
     ``component_log_densities``) holds instead the whitened columns of the
@@ -305,9 +318,8 @@ def _scoring_layout(gmm: Gmm, inflation: float, dtype):
         return centre, basis.reshape(d + 1, k * d), base, None
     folding = merged.any(axis=1)
     folds, plain = np.flatnonzero(folding), np.flatnonzero(~folding)
-    merged = merged[folds]
-    scale = np.count_nonzero(merged, axis=1) / np.where(merged, spectra[folds], 0.0).sum(axis=1)
-    kept = ~merged
+    kept = ~merged[folds]
+    scale = 1.0 / spectra[folds].min(axis=1)
     columns = np.count_nonzero(kept, axis=1)
     wide, free = plain.size * d, int(columns.sum())
     basis = np.empty((d + 1, wide + free + folds.size))
@@ -317,14 +329,15 @@ def _scoring_layout(gmm: Gmm, inflation: float, dtype):
     ragged = basis[:, wide:wide + free]
     ragged[:d] = gmm.eigenvectors[folds].transpose(1, 0, 2)[:, kept]
     ragged[d] = -np.einsum("kd,kde->ke", dev[folds], gmm.eigenvectors[folds])[kept]
-    ragged *= np.sqrt(np.maximum(scale[:, None] - 1.0 / spectra[folds], 0.0)[kept])
+    ragged *= np.sqrt((scale[:, None] - 1.0 / spectra[folds])[kept])
     basis[:d, wide + free:] = -2.0 * dev[folds].T
     basis[d, wide + free:] = np.einsum("kd,kd->k", dev[folds], dev[folds])
     return centre, basis, base, (plain, folds, np.cumsum(columns) - columns, scale)
 
 
 def _merged_axes(spectra):
-    """The (K, d) mask of the axes that each component folds (see
+    """The (K, d) mask of the axes that each component folds, those but
+    its last whose inflated eigenvalue equals its smallest (see
     ``component_log_densities``), or None when no component folds.
 
     A kept column of a folded component costs more than a plain one, its
@@ -333,8 +346,7 @@ def _merged_axes(spectra):
     requiring 12 to 28 merged axes ran alike, and requiring 2 ran slower
     than no fold at inflation 12.5)."""
     d = spectra.shape[1]
-    low = spectra.min(axis=1, keepdims=True)
-    merged = spectra - low <= 2.0 ** -40 * low
+    merged = spectra == spectra.min(axis=1, keepdims=True)
     merged[:, -1] = False
     merged &= np.count_nonzero(merged, axis=1)[:, None] >= max(2, d // 4)
     return merged if merged.any() else None
@@ -376,10 +388,31 @@ def _blocked_forms(x, centre, basis, fold=None):
         yield lo, centred, q
 
 
+def _layout_scores(x, layout) -> np.ndarray:
+    """The (n, K) joint scores of the rows of x in a float64 ``_scoring_layout``."""
+    centre, basis, base, fold = layout
+    out = np.empty((x.shape[0], base.size))
+    for lo, _, q in _blocked_forms(x, centre, basis, fold):
+        out[lo:lo + q.shape[0]] = base - 0.5 * q
+    return out
+
+
 def _gamma(n: int, u: float) -> float:
     """Higham's gamma_n = n u / (1 - n u), the relative error bound of an
     n-term dot product at unit roundoff u."""
     return n * u / (1.0 - n * u)
+
+
+def _mode_path(gmm: Gmm, inflation: float) -> str:
+    """The path of ``select_modes`` at this inflation: "fold" when the
+    float64 layout folds to at most K d / 2 columns (d per plain
+    component; per folded one, one per free axis and its norm column),
+    else "screen"."""
+    merged = _merged_axes(gmm.eigenvalues + inflation) if inflation > 0 else None
+    if merged is None:
+        return "screen"
+    columns = merged.size - np.count_nonzero(merged) + np.count_nonzero(merged.any(axis=1))
+    return "fold" if 2 * columns <= merged.size else "screen"
 
 
 def select_modes(gmm: Gmm, points, inflation: float) -> np.ndarray:
@@ -387,15 +420,32 @@ def select_modes(gmm: Gmm, points, inflation: float) -> np.ndarray:
 
     Scores are weight times density under the component covariance plus
     ``inflation`` on the diagonal; rescaling all weights by a positive
-    constant shifts every score equally and cannot change the argmax.
+    constant shifts every score equally and cannot change the argmax.  A
+    patch with a NaN or infinite entry is a ValueError that names it.
 
     The result is the argmax of the float64 ``component_log_densities``,
-    found mostly in float32: in that kernel's block layout, on patches and
-    means centred on the mean of the means c, the quadratic form q of
-    every patch x under every component k is formed in float32.  With
-    u = 2^-24, the float64 unit roundoff v = 2^-53, gamma_n(u) = n u /
-    (1 - n u) and L_k = sum_j 1 / (lambda_kj + inflation), each
-    eigen-coordinate of x - mu_k is off by at most
+    and the call builds that kernel's layout once.  The modes equal the
+    argmax of the exact scores wherever its top two exact scores differ by
+    more than twice the float64 kernel's bound (see its docstring); only
+    such rounding-level ties, which the BLAS blocking of a float64 call
+    can already flip, may fall either way.  ``_mode_path`` names the path
+    that a call takes.
+
+    Fold: at inflation > 0, when the layout folds to at most K d / 2 GEMM
+    columns, the modes are the argmax of its float64 scores.  That
+    threshold was measured on a 14,641-patch stage at d = 64, K = 20 and
+    one BLAS thread, on a floored prior with more or fewer components
+    unfloored: the fold took 26 ms at 369 columns, 33 ms at 600 and
+    37-41 ms at 695, the screen 34-37 ms at every width, so break-even lay
+    between 600 and 695 of the 1,280 columns.
+
+    Screen: every other layout is screened in float32, in the plain layout
+    of that kernel: on patches and means centred on the mean of the means
+    c, the quadratic form q of every patch x under every component k is
+    formed in float32.  With u = 2^-24, the float64 unit roundoff
+    v = 2^-53, gamma_n(u) = n u / (1 - n u) and L_k = sum_j 1 /
+    (lambda_kj + inflation), each eigen-coordinate of x - mu_k is off by
+    at most
         E = (gamma_{d+4}(u) + gamma_{2d+4}(v)) (|x - c| + |mu_k - c|)
     (Cauchy-Schwarz on each unit eigenvector; the gamma(v) term is the
     error of the float64 kernel, which forms the same centred products
@@ -409,18 +459,18 @@ def select_modes(gmm: Gmm, points, inflation: float) -> np.ndarray:
     its float32 winner, lowered by B + 1e-6, still beats every other
     component raised by its own B + 1e-6: then the float64 scores order
     the same way.  Every other patch, including any with a non-finite
-    float32 value, is rescored by ``component_log_densities`` (about 1% of
-    the patches on natural scenes), which at inflation > 0 folds each
-    component's floored axes.  A certified winner is the argmax of the
-    exact scores.  So the modes equal that argmax wherever its top two
-    exact scores differ by more than twice the float64 kernel's bound,
-    the fold's 2^-40 merge included (see its docstring); only such
-    rounding-level ties, which the BLAS blocking of a float64 call can
-    already flip, may fall either way.
+    float32 value, is rescored in the float64 layout of the call (about 1%
+    of the patches on natural scenes).
     """
     x = _checked_points(gmm, points, inflation)
+    layout = _scoring_layout(gmm, inflation, np.float64)
+    if _mode_path(gmm, inflation) == "fold":
+        return _layout_scores(x, layout).argmax(axis=1)
     n, d = x.shape
-    centre, basis, base, _ = _scoring_layout(gmm, inflation, np.float32)
+    centre, basis, base, fold = layout
+    if fold is not None:
+        basis = _scoring_layout(gmm, inflation, np.float32)[1]
+    basis = basis.astype(np.float32, copy=False)
     root_l = np.sqrt((1.0 / (gmm.eigenvalues + inflation)).sum(axis=1))
     g32, g64 = _gamma(d + 4, _U32), _gamma(2 * d + 4, _U64)
     mean_err = (g32 + g64) * _row_norms(gmm.means - centre)
@@ -444,7 +494,7 @@ def select_modes(gmm: Gmm, points, inflation: float) -> np.ndarray:
             unsure.append(lo + np.flatnonzero(~sure))
     unsure = np.concatenate(unsure)
     if unsure.size:
-        modes[unsure] = component_log_densities(gmm, x[unsure], inflation).argmax(axis=1)
+        modes[unsure] = _layout_scores(x[unsure], layout).argmax(axis=1)
     return modes
 
 

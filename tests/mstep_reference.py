@@ -30,7 +30,7 @@ import dataclasses
 import numpy as np
 from scipy.special import logsumexp
 
-from patchprior.gmm import Gmm, SufficientStats
+from patchprior.gmm import PSD_FLOOR, Gmm, SufficientStats
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -87,26 +87,39 @@ def derive_hyperparams(gmm: Gmm, rho: float) -> HyperParams:
     )
 
 
+def snapped_eigh(covariances):
+    """``np.linalg.eigh`` of a (K, d, d) stack, then the floor snap that the
+    ``Gmm`` docstring states: each eigenvalue within d 2^-52 lambda_max of
+    ``PSD_FLOOR``, lambda_max its component's largest, is ``PSD_FLOOR``."""
+    evals, evecs = np.linalg.eigh(covariances)
+    near = np.abs(evals - PSD_FLOOR) <= evals.shape[-1] * 2.0 ** -52 * evals[..., -1:]
+    return np.where(near, PSD_FLOOR, evals), evecs
+
+
 def log_prior_general(gmm: Gmm, hyper: HyperParams) -> float:
     """Log Dirichlet and normal-inverse-Wishart density of a model, without
-    its normalizer, one component at a time from a fresh eigendecomposition
-    of its covariance.  A weight whose Dirichlet count is exactly one has no
-    term, so a zero weight there is not log 0."""
+    its normalizer, one component at a time from a fresh ``snapped_eigh``
+    of its covariance, in ``np.longdouble``: at the floor each 1/lambda
+    weighs its term by 1e4, so float64 sums would blur the last digits
+    this reference is compared on.  A weight whose Dirichlet count is
+    exactly one has no term, so a zero weight there is not log 0."""
     if hyper.n_components != gmm.n_components or hyper.dim != gmm.dim:
         raise ValueError("hyperparameters do not match the model shape")
     d = gmm.dim
-    prior = 0.0
-    for k, (lam, basis) in enumerate(zip(*np.linalg.eigh(gmm.covariances))):
-        v_k = float(hyper.weight_counts[k])
+    ld = np.longdouble
+    prior = ld(0.0)
+    for k, (lam, basis) in enumerate(zip(*snapped_eigh(gmm.covariances))):
+        lam, basis = lam.astype(ld), basis.astype(ld)
+        v_k = ld(hyper.weight_counts[k])
         if v_k != 1.0:
             with np.errstate(divide="ignore"):
-                prior += (v_k - 1.0) * float(np.log(gmm.weights[k]))
-        dev = (gmm.means[k] - hyper.mean_locs[k]) @ basis
-        scale_diag = np.einsum("ij,ij->j", basis, hyper.scale_mats[k] @ basis)
-        prior -= 0.5 * (float(hyper.dofs[k]) + d + 2.0) * float(np.log(lam).sum())
-        prior -= 0.5 * float(hyper.mean_strengths[k]) * float((dev * dev) @ (1.0 / lam))
-        prior -= 0.5 * float(scale_diag @ (1.0 / lam))
-    return prior
+                prior += (v_k - 1) * np.log(ld(gmm.weights[k]))
+        dev = (gmm.means[k].astype(ld) - hyper.mean_locs[k].astype(ld)) @ basis
+        scale_diag = np.einsum("ij,ij->j", basis, hyper.scale_mats[k].astype(ld) @ basis)
+        prior -= (ld(hyper.dofs[k]) + d + 2) / 2 * np.log(lam).sum()
+        prior -= ld(hyper.mean_strengths[k]) / 2 * ((dev * dev) / lam).sum()
+        prior -= (scale_diag / lam).sum() / 2
+    return float(prior)
 
 
 def log_posterior_objective_general(gmm: Gmm, patches, hyper: HyperParams,

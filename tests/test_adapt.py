@@ -387,6 +387,7 @@ class TestAdaptLoop:
         monkeypatch.undo()
         assert_factors_are_eigh(model)
         assert np.linalg.eigvalsh(model.covariances[0])[0] < 2e-4
+        assert np.all(model.eigenvalues[0] == PSD_FLOOR)
 
     def test_fast_and_direct_loops_agree(self):
         rng = np.random.default_rng(18)
@@ -463,6 +464,16 @@ class TestAdaptLoop:
         generic = random_gmm(np.random.default_rng(33), 2, 2)
         with pytest.raises(DegeneratePatchError, match=f"^patch {bad} has no support"):
             adapt(generic, np.array(rows))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_nonfinite_patch_is_named_before_the_first_estep(self, value, monkeypatch):
+        # rows repeat before the bad one, so a distinct-row index would differ
+        scored = record_scored_rows(monkeypatch)
+        generic = random_gmm(np.random.default_rng(34), 2, 2)
+        rows = np.array([[0.0, 0.0]] * 4 + [[1.0, value], [2.0, 2.0]])
+        with pytest.raises(ValueError, match="^patch 4 has a non-finite entry$"):
+            adapt(generic, rows)
+        assert scored == []
 
     def test_weight_drift_off_simplex_raises(self, monkeypatch):
         # a real check, so python -O cannot strip it

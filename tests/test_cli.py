@@ -404,8 +404,10 @@ class TestToy:
 # `time_` keys name the phases that the command times.
 THREAD_KEYS = {"PATCHPRIOR_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"}
-# one mode histogram per stage of the default five-stage HQS schedule
+# one mode histogram per stage of the default five-stage HQS schedule, and
+# the stages' selection paths
 PREFILTER_HISTOGRAMS = {f"prefilter_mode_histogram_{stage}" for stage in range(1, 6)}
+PREFILTER_HISTOGRAMS.add("prefilter_mode_paths")
 MANIFEST_KEYS = {command: keys | THREAD_KEYS for command, keys in {
     "train": {"corpus", "images", "patches", "k", "patch_size", "stride", "seed",
               "max_iters", "tol", "iterations_run", "logliks", "out",
@@ -418,7 +420,7 @@ MANIFEST_KEYS = {command: keys | THREAD_KEYS for command, keys in {
                   "prefilter_aggregate", "prefilter_update", "sure", "adapt",
                   "estep", "stats", "mstep", "objective"))},
     "denoise": {"input", "model", "out", "sigma", "betas", "mode_inflations", "ref",
-                *(f"mode_histogram_{stage}" for stage in range(1, 6)),
+                "mode_paths", *(f"mode_histogram_{stage}" for stage in range(1, 6)),
                 *(f"time_{name}_seconds" for name in (
                     "read", "denoise", "select", "shrink", "aggregate", "update"))},
     "sure": {"input", "model", "sigma", "seed", "probes", "sigma_tilde_sq",
@@ -515,6 +517,12 @@ class TestManifests:
         for line in histograms:
             modes = [int(v) for v in line.split(",")]
             assert len(modes) == k and min(modes) >= 0 and sum(modes) == patches
+        # one selection path per stage, the prefilter's those of denoise
+        mode_paths = manifests["denoise"]["mode_paths"]
+        assert len(mode_paths.split(",")) == 5
+        assert set(mode_paths.split(",")) <= {"fold", "screen"}
+        for command in ("adapt", "sure"):
+            assert manifests[command]["prefilter_mode_paths"] == mode_paths, command
         for command in ("adapt", "sure"):
             layers = manifest_seconds(paths[command], [
                 f"prefilter_{layer}" for layer in ("select", "shrink", "aggregate", "update")])

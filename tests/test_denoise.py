@@ -24,7 +24,7 @@ from patchprior import (
 )
 from patchprior.denoise import _shrink_rows
 from patchprior.em import EmConfig, em_fit
-from patchprior.gmm import _blocked_forms, _scoring_layout
+from patchprior.gmm import _blocked_forms, _mode_path, _scoring_layout
 
 from synthimages import make_piecewise_image, make_smoke_image
 
@@ -68,6 +68,14 @@ def flat_prior(k=1, d=4, variance=100.0):
     return Gmm(weights=np.full(k, 1.0 / k), means=means, covariances=covs)
 
 
+def spread_prior(prior):
+    """The prior with distinct eigenvalues: each covariance plus a diagonal
+    from 1 to 2, so that no inflated spectrum folds and select_modes
+    takes the float32 screen."""
+    spread = np.diag(np.linspace(1.0, 2.0, prior.dim))
+    return Gmm(weights=prior.weights, means=prior.means, covariances=prior.covariances + spread)
+
+
 class TestModeSelection:
     def test_picks_higher_posterior_component(self):
         d = 4
@@ -105,48 +113,79 @@ def float32_modes(prior, patches, inflation):
 
 @pytest.fixture
 def rechecked(monkeypatch):
-    """Rows that select_modes sends back to the float64 kernel, per call."""
+    """Rows that select_modes scores in float64, per call: the rows the
+    screen sends back, or every row on the fold."""
     calls = []
     module = sys.modules["patchprior.gmm"]
-    original = module.component_log_densities
+    original = module._layout_scores
 
-    def counted(gmm, points, *args, **kwargs):
+    def counted(points, layout):
         calls.append(len(points))
-        return original(gmm, points, *args, **kwargs)
-    monkeypatch.setattr(module, "component_log_densities", counted)
+        return original(points, layout)
+    monkeypatch.setattr(module, "_layout_scores", counted)
     return calls
 
 
-class TestFloat32Screen:
-    """select_modes equals the float64 argmax; float32 only decides the
-    rows its rounding bound certifies."""
+@pytest.fixture
+def screened(monkeypatch):
+    """The dtype of the basis of every blocked-kernel pass: float32 for the
+    screen, float64 for the fold and the re-checks."""
+    dtypes = []
+    module = sys.modules["patchprior.gmm"]
+    original = module._blocked_forms
 
-    def test_realistic_patches_recheck_a_few_rows(self, rechecked):
+    def recorded(x, centre, basis, fold=None):
+        dtypes.append(basis.dtype)
+        return original(x, centre, basis, fold)
+    monkeypatch.setattr(module, "_blocked_forms", recorded)
+    return dtypes
+
+
+def near_tie(covariance):
+    """Three components with covariance ``covariance``, two of whose scores
+    differ by 1e-8 to 1e-5 nats on every one of 2000 patches: below the
+    float32 bound, far above float64 rounding."""
+    d = covariance.shape[0]
+    means = np.stack([np.full(d, 1000.0), np.full(d, 1000.0), np.full(d, -4000.0)])
+    means[1, 0] += 40.0
+    prior = Gmm(weights=np.array([0.45, 0.45, 0.1]), means=means,
+                covariances=np.stack([covariance] * 3))
+    rng = np.random.default_rng(3)
+    patches = 0.5 * (means[0] + means[1]) + rng.normal(0.0, 3.0, (2000, d))
+    patches[:, 0] = 1020.0 + rng.uniform(-1e-5, 1e-5, 2000)
+    return prior, patches
+
+
+class TestFloat32Screen:
+    """select_modes equals the float64 argmax; on a prior that does not
+    fold, float32 only decides the rows its rounding bound certifies."""
+
+    def test_realistic_patches_recheck_a_few_rows(self, rechecked, screened):
         clean = make_smoke_image(64)
-        prior, _ = em_fit(extract_patches(clean, 8, 1),
-                          EmConfig(n_components=8, max_iters=5, seed=0))
-        rechecked.clear()   # em_fit scores through the same kernel
+        fitted, _ = em_fit(extract_patches(clean, 8, 1),
+                           EmConfig(n_components=8, max_iters=5, seed=0))
+        prior = spread_prior(fitted)
         patches = extract_patches(add_gaussian_noise(clean, 20.0, seed=0), 8, 1)
+        checked = 0
         for inflation in (400.0, 100.0, 25.0, 12.5):
-            assert np.array_equal(select_modes(prior, patches, inflation),
-                                  float64_modes(prior, patches, inflation))
-        fraction = sum(rechecked) / (4 * len(patches))
+            assert _mode_path(prior, inflation) == "screen"
+            # em_fit and float64_modes score through the same kernel
+            rechecked.clear()
+            screened.clear()
+            modes = select_modes(prior, patches, inflation)
+            checked += sum(rechecked)
+            assert screened[0] == np.float32
+            assert np.array_equal(modes, float64_modes(prior, patches, inflation))
+        fraction = checked / (4 * len(patches))
         assert 0.0 < fraction < 0.05
 
     def test_near_ties_are_decided_in_float64(self, rechecked):
-        # two components whose scores differ by 1e-8 to 1e-5 nats on every
-        # patch: below the float32 bound, far above float64 rounding
-        d = 16
-        means = np.stack([np.full(d, 1000.0), np.full(d, 1000.0), np.full(d, -4000.0)])
-        means[1, 0] += 40.0
-        prior = Gmm(weights=np.array([0.45, 0.45, 0.1]), means=means,
-                    covariances=np.stack([30.0 * np.eye(d)] * 3))
-        rng = np.random.default_rng(3)
-        patches = 0.5 * (means[0] + means[1]) + rng.normal(0.0, 3.0, (2000, d))
-        patches[:, 0] = 1020.0 + rng.uniform(-1e-5, 1e-5, 2000)
+        prior, patches = near_tie(np.diag(np.linspace(20.0, 40.0, 16)))
+        assert _mode_path(prior, 5.0) == "screen"
         expect = float64_modes(prior, patches, 5.0)
         assert set(expect) == {0, 1}
         assert (float32_modes(prior, patches, 5.0) != expect).any()
+        rechecked.clear()
         assert np.array_equal(select_modes(prior, patches, 5.0), expect)
         assert rechecked == [2000]
 
@@ -161,22 +200,90 @@ class TestFloat32Screen:
 
     def test_float32_overflow_is_rechecked(self, rechecked):
         # squared forms past 3.4e38, and patches past float32 range entirely
-        prior = flat_prior(k=3, d=16)
+        prior = spread_prior(flat_prior(k=3, d=16))
+        assert _mode_path(prior, 10.0) == "screen"
         rng = np.random.default_rng(6)
         patches = rng.uniform(0.0, 255.0, (40, 16))
         patches[:10] *= 1e18
         patches[10:20] = -patches[10:20] * 1e37
-        assert np.array_equal(select_modes(prior, patches, 10.0),
-                              float64_modes(prior, patches, 10.0))
+        expect = float64_modes(prior, patches, 10.0)
+        rechecked.clear()
+        assert np.array_equal(select_modes(prior, patches, 10.0), expect)
         assert rechecked == [20]
 
-    def test_nan_rows_never_certified(self, rechecked):
-        prior = flat_prior(k=3, d=16)
+    def test_nan_rows_never_certified(self, rechecked, screened):
+        # a NaN patch is named before the screen scores anything
+        prior = spread_prior(flat_prior(k=3, d=16))
+        assert _mode_path(prior, 10.0) == "screen"
         patches = np.random.default_rng(7).uniform(0.0, 255.0, (12, 16))
         patches[4, 3] = np.nan
-        assert np.array_equal(select_modes(prior, patches, 10.0),
-                              float64_modes(prior, patches, 10.0))
-        assert rechecked == [1]
+        with pytest.raises(ValueError, match="^patch 4 has a non-finite entry$"):
+            select_modes(prior, patches, 10.0)
+        assert rechecked == [] and screened == []
+
+
+class TestFoldSelection:
+    """At inflation > 0 a prior whose float64 layout folds to at most half
+    of K d columns is selected through that fold, in float64 alone."""
+
+    def test_each_path_by_its_layout(self, screened):
+        rng = np.random.default_rng(8)
+        patches = rng.uniform(0.0, 255.0, (300, 16))
+        folding = flat_prior(k=3, d=16)
+        spread = spread_prior(folding)
+        # one folded component beside two plain ones: a fold of 2 + 2 * 16
+        # columns, wider than half of K d
+        partly = Gmm(weights=folding.weights, means=folding.means,
+                     covariances=np.concatenate([folding.covariances[:1],
+                                                 spread.covariances[1:]]))
+        assert _scoring_layout(partly, 10.0, np.float64)[1].shape[1] == 34
+        for prior, inflation, path in ((folding, 10.0, "fold"),
+                                       (spread, 10.0, "screen"),
+                                       (partly, 10.0, "screen"),
+                                       (folding, 0.0, "screen")):
+            _, basis, _, fold = _scoring_layout(prior, inflation, np.float64)
+            assert (fold is not None and 2 * basis.shape[1] <= 3 * 16) == (path == "fold")
+            assert _mode_path(prior, inflation) == path
+            screened.clear()
+            assert np.array_equal(select_modes(prior, patches, inflation),
+                                  float64_modes(prior, patches, inflation))
+            assert (np.float32 in screened) == (path == "screen"), path
+
+    def test_path_matches_the_layout_width(self):
+        # a floored prior as the M-steps leave it, at inflations across the
+        # threshold: the fold path is taken exactly when the layout is narrow
+        clean = extract_patches(make_piecewise_image(48), 8, 1)
+        prior, _ = em_fit(clean, EmConfig(n_components=6, max_iters=5, seed=0))
+        paths = set()
+        for inflation in (0.0, 1e-6, 1.0, 12.5, 100.0, 1e4):
+            _, basis, _, fold = _scoring_layout(prior, inflation, np.float64)
+            narrow = fold is not None and 2 * basis.shape[1] <= 6 * 64
+            paths.add(_mode_path(prior, inflation))
+            assert _mode_path(prior, inflation) == ("fold" if narrow else "screen")
+        assert paths == {"fold", "screen"}
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_nonfinite_rows_named_before_the_fold(self, rechecked, screened, value):
+        # the argmax of a NaN row would be component 0, silently
+        prior = flat_prior(k=3, d=16)
+        assert _mode_path(prior, 10.0) == "fold"
+        patches = np.random.default_rng(7).uniform(0.0, 255.0, (12, 16))
+        patches[4, 3] = value
+        patches[9, 0] = value
+        with pytest.raises(ValueError, match="^patch 4 has a non-finite entry$"):
+            select_modes(prior, patches, 10.0)
+        assert rechecked == [] and screened == []
+
+    def test_near_ties_on_the_fold(self, rechecked, screened):
+        prior, patches = near_tie(30.0 * np.eye(16))
+        assert _mode_path(prior, 5.0) == "fold"
+        expect = float64_modes(prior, patches, 5.0)
+        assert set(expect) == {0, 1}
+        assert (float32_modes(prior, patches, 5.0) != expect).any()
+        rechecked.clear()
+        screened.clear()
+        assert np.array_equal(select_modes(prior, patches, 5.0), expect)
+        assert rechecked == [2000] and screened == [np.float64]
 
 
 class TestWienerShrink:
@@ -372,6 +479,12 @@ class TestDenoise:
         assert out.psnr_trace is not None
         assert len(out.psnr_trace) == 5
         assert out.mode_histograms[0].sum() == extract_patches(clean, 4, 1).shape[0]
+
+    def test_mode_paths_per_stage(self):
+        img = add_gaussian_noise(make_piecewise_image(24), 20.0, seed=0)
+        folding = flat_prior(k=3, d=16)
+        assert denoise(img, 20.0, folding).mode_paths == ("fold",) * 5
+        assert denoise(img, 20.0, spread_prior(folding)).mode_paths == ("screen",) * 5
 
     def test_no_reference_no_trace(self):
         img = ImageBuffer(np.full((10, 10), 90.0))

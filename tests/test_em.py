@@ -15,6 +15,8 @@ from patchprior.gmm import (
     sufficient_stats,
 )
 
+from mstep_reference import snapped_eigh
+
 
 def record_eigh(monkeypatch):
     """Record the input shape of every np.linalg.eigh call, in order."""
@@ -30,8 +32,9 @@ def record_eigh(monkeypatch):
 
 
 def assert_factors_are_eigh(model):
-    """The model's cached factors are exactly eigh of its covariances."""
-    evals, evecs = np.linalg.eigh(model.covariances)
+    """The model's cached factors are exactly eigh of its covariances, then
+    the floor snap of the Gmm docstring (``snapped_eigh``)."""
+    evals, evecs = snapped_eigh(model.covariances)
     assert np.array_equal(model.eigenvalues, evals)
     assert np.array_equal(model.eigenvectors, evecs)
 
@@ -271,6 +274,8 @@ class TestEdgeCases:
         assert_factors_are_eigh(model)
         spectra = np.linalg.eigvalsh(model.covariances)
         assert np.sum(spectra[:, 0] < 2e-4) == 1
+        # the line's two floored axes sit on the floor exactly
+        assert np.count_nonzero(model.eigenvalues == PSD_FLOOR) == 2
 
     def test_initial_model_factors_floored_shared_covariance(self, monkeypatch):
         # all points on a line: the shared data covariance is floored, then
@@ -284,6 +289,7 @@ class TestEdgeCases:
         assert_factors_are_eigh(model)
         assert np.array_equal(model.covariances, np.repeat(
             condition_psd(np.cov(x, rowvar=False), PSD_FLOOR)[None], 3, axis=0))
+        assert np.all(model.eigenvalues[:, 0] == PSD_FLOOR)
 
     def test_psd_floor_respected(self):
         # rank-deficient data: all points on a line

@@ -199,6 +199,19 @@ class TestResponsibilities:
         with pytest.raises(ValueError, match="multiplicities must be 5 positive finite"):
             responsibilities(gmm, np.zeros((5, 2)), multiplicities=copies)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("score", ["densities", "responsibilities"])
+    def test_nonfinite_patch_named_where_it_enters(self, value, score):
+        gmm = random_gmm(np.random.default_rng(26), 3, 4)
+        x = np.random.default_rng(27).standard_normal((9, 4))
+        x[6, 1] = value
+        x[8, 0] = value
+        with pytest.raises(ValueError, match="^patch 6 has a non-finite entry$"):
+            if score == "densities":
+                component_log_densities(gmm, x, 2.0)
+            else:
+                responsibilities(gmm, x, multiplicities=np.ones(9))
+
     def test_degenerate_patch_raises(self):
         gmm = Gmm(weights=np.array([1.0]), means=np.zeros((1, 1)),
                   covariances=np.ones((1, 1, 1)))
@@ -727,7 +740,7 @@ def floored_prior():
     spectra from 1 to 1e4, floored at PSD_FLOOR as the M-steps floor them,
     and one at PSD_FLOOR I, as em_fit reseeds a starved component.  One
     also has eight eigenvalues 1e-7 apart just above the floor, which the
-    2^-40 test must keep apart."""
+    merge by equality must keep apart."""
     rng = np.random.default_rng(33)
     k, d = 20, 64
     covs = np.empty((k, d, d))
@@ -784,7 +797,8 @@ class TestBlockedKernelAccuracy:
     @staticmethod
     def score_bound(gmm, x, inflation, q, ref, folded=()):
         """The score bound of the component_log_densities docstring, with
-        the folded q bound for the ``folded`` components."""
+        the folded q bound for the ``folded`` components, whose merged axes
+        share one inflated eigenvalue exactly."""
         d = gmm.dim
         spectra = gmm.eigenvalues + inflation
         centre = gmm.means.mean(axis=0)
@@ -792,7 +806,7 @@ class TestBlockedKernelAccuracy:
              + np.linalg.norm(gmm.means - centre, axis=1))
         e = gamma_n(2 * d + 4) * r * np.sqrt((1.0 / spectra).sum(axis=1))
         q_err = gamma_n(d) * q + (1.0 + gamma_n(d)) * (2.0 * e * np.sqrt(q) + e * e)
-        q_err[:, folded] = (2.0 ** -40 * q + (2.0 * np.sqrt(d) + 2.0) * gamma_n(2 * d + 12)
+        q_err[:, folded] = ((2.0 * np.sqrt(d) + 2.0) * gamma_n(2 * d + 12)
                             * r * r / spectra.min(axis=1))[:, folded]
         with np.errstate(divide="ignore"):
             offset_err = gamma_n(d + 4) * (np.abs(np.log(gmm.weights)) + d * np.log(2 * np.pi)
@@ -811,6 +825,15 @@ class TestBlockedKernelAccuracy:
             err = np.abs(component_log_densities(floored_prior, points[:n], inflation)
                          - ref[:n]).astype(np.float64)
             assert np.all(err <= bound[:n]), (n, float(err.max()))
+
+    def test_fold_width_at_every_inflation(self, floored_prior):
+        # the floored axes sit at PSD_FLOOR exactly, so every inflation
+        # merges the same axes; the near-floor eight of component 11 stay
+        assert np.count_nonzero(floored_prior.eigenvalues == PSD_FLOOR) > 600
+        assert np.count_nonzero(floored_prior.eigenvalues[11] == PSD_FLOOR) == 64 - 20 - 8
+        widths = {_scoring_layout(floored_prior, s, np.float64)[1].shape[1]
+                  for s in (1e-3, 12.5, 25.0, 50.0, 100.0, 400.0, 2500.0)}
+        assert len(widths) == 1 and widths.pop() < 20 * 64
 
     def test_plain_layout_without_a_fold(self, block_prior, floored_prior):
         # distinct spectra, no inflation and the float32 screen never fold

@@ -8,14 +8,19 @@ import pytest
 from patchprior import (
     BadMagicError,
     ChecksumError,
+    EmConfig,
     Gmm,
     ModelFileError,
     TruncatedFileError,
     UnsupportedVersionError,
+    em_fit,
+    extract_patches,
     load_model,
     save_model,
 )
+from patchprior.gmm import PSD_FLOOR
 
+from synthimages import make_piecewise_image
 from test_gmm import random_gmm
 
 
@@ -42,6 +47,22 @@ class TestRoundTrip:
         save_model(model, p1)
         save_model(load_model(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_floored_factors_survive_the_round_trip(self, tmp_path):
+        # an EM model of a scene with flat regions: the eigh of its floored
+        # covariances scatters about PSD_FLOOR, and both the model and the
+        # file's reload snap the same axes onto it
+        patches = extract_patches(make_piecewise_image(32), 8, 1)
+        model, _ = em_fit(patches, EmConfig(n_components=4, max_iters=3, seed=0))
+        raw = np.linalg.eigvalsh(model.covariances)
+        floored = np.abs(raw - PSD_FLOOR) < 1e-8
+        assert floored.sum() > 100 and np.any(raw[floored] != PSD_FLOOR)
+        assert np.all(model.eigenvalues[floored] == PSD_FLOOR)
+        path = tmp_path / "em.gmmp"
+        save_model(model, path)
+        back = load_model(path)
+        assert np.array_equal(back.eigenvalues, model.eigenvalues)
+        assert np.array_equal(back.eigenvectors, model.eigenvectors)
 
     def test_minimal_model_is_42_bytes(self, tmp_path):
         # header 14 (magic 4, version 2, K 4, d 4) + 3 doubles + trailer 4
