@@ -21,7 +21,11 @@ no row, so that the ``distinct`` lines keep their hashes through a
 change to how repeated rows are handled;
 ``denoise`` pixels and mode histograms under the generic and the adapted
 prior and under a fixed prior that no EM or adaptation code builds (so a
-change to those alone must keep its lines); ``condition_psd`` on fixed
+change to those alone must keep its lines); ``wiener``, the Wiener step
+``_shrink_rows`` of every generic component on fixed patches of the
+sigma-20 scene at the five betas of its default schedule, so that a
+change to that step alone shows apart from mode selection, which the
+``denoise histograms`` lines follow; ``condition_psd`` on fixed
 stacks; and the files of the CLI chain ``noise`` ->
 ``adapt --sigma-tilde sure`` -> ``denoise``.  pytest does not collect this
 file.
@@ -47,6 +51,7 @@ import numpy as np  # noqa: E402
 import patchprior as pp  # noqa: E402
 import synthimages  # noqa: E402
 from patchprior.cli import cli_dispatch  # noqa: E402
+from patchprior.denoise import _shrink_rows  # noqa: E402
 
 # The adapt manifest's result lines; the others are paths, flags and timings.
 _MANIFEST_RESULTS = ("sigma_tilde_sq", "objectives", "logliks", "log_priors", "alphas",
@@ -154,6 +159,10 @@ def main() -> None:
     lines += denoise_lines("generic", noisy, generic)
     lines += denoise_lines("adapted", noisy, adapted[0.0])
     lines += denoise_lines("fixed", noisy, fixed)
+    rows = pp.extract_patches(noisy, 8)[::16]
+    lines.append(("wiener", digest(*(_shrink_rows(generic, j, rows, beta)
+                                     for beta in pp.HqsSchedule.default(20.0).betas
+                                     for j in range(generic.n_components)))))
 
     a = np.random.default_rng(0).standard_normal((6, 5, 5))
     stack = a @ np.swapaxes(a, 1, 2)

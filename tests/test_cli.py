@@ -309,7 +309,8 @@ class TestDenoise:
                            "--model", str(workspace / "generic.gmmp"), "--out", str(out)])
         assert rc == 0
         seconds = manifest_seconds(str(out) + ".manifest",
-                                   ["denoise", "select", "shrink", "aggregate", "update"])
+                                   ["denoise", "extract", "select", "shrink", "aggregate",
+                                    "update"])
         layers = sum(v for k, v in seconds.items() if k != "denoise")
         assert layers <= seconds["denoise"] + 5 * _PRINTED
 
@@ -416,18 +417,19 @@ MANIFEST_KEYS = {command: keys | THREAD_KEYS for command, keys in {
               "iters", "stride", "seed", "probes", "objectives", "logliks", "log_priors",
               "alphas", "counts", *PREFILTER_HISTOGRAMS,
               *(f"time_{name}_seconds" for name in (
-                  "read", "prefilter", "prefilter_select", "prefilter_shrink",
-                  "prefilter_aggregate", "prefilter_update", "sure", "adapt",
+                  "read", "prefilter", "prefilter_extract", "prefilter_select",
+                  "prefilter_shrink", "prefilter_aggregate", "prefilter_update", "sure", "adapt",
                   "estep", "stats", "mstep", "objective"))},
     "denoise": {"input", "model", "out", "sigma", "betas", "mode_inflations", "ref",
                 "mode_paths", *(f"mode_histogram_{stage}" for stage in range(1, 6)),
                 *(f"time_{name}_seconds" for name in (
-                    "read", "denoise", "select", "shrink", "aggregate", "update"))},
+                    "read", "denoise", "extract", "select", "shrink", "aggregate",
+                    "update"))},
     "sure": {"input", "model", "sigma", "seed", "probes", "sigma_tilde_sq",
              *PREFILTER_HISTOGRAMS,
              *(f"time_{name}_seconds" for name in (
-                 "read", "prefilter", "prefilter_select", "prefilter_shrink",
-                 "prefilter_aggregate", "prefilter_update", "sure"))},
+                 "read", "prefilter", "prefilter_extract", "prefilter_select",
+                 "prefilter_shrink", "prefilter_aggregate", "prefilter_update", "sure"))},
     "noise": {"input", "out", "sigma", "seed", "time_read_seconds", "time_noise_seconds"},
     "psnr": {"reference", "test", "psnr", "time_psnr_seconds"},
     "toy": {"seed", "rho", "out_dir", "points", "models", "time_trial_seconds"},
@@ -525,7 +527,8 @@ class TestManifests:
             assert manifests[command]["prefilter_mode_paths"] == mode_paths, command
         for command in ("adapt", "sure"):
             layers = manifest_seconds(paths[command], [
-                f"prefilter_{layer}" for layer in ("select", "shrink", "aggregate", "update")])
+                f"prefilter_{layer}"
+                for layer in ("extract", "select", "shrink", "aggregate", "update")])
             prefilter = float(manifests[command]["time_prefilter_seconds"])
             assert sum(layers.values()) <= prefilter + 5 * _PRINTED
 

@@ -24,7 +24,7 @@ from patchprior import (
 )
 from patchprior.denoise import _shrink_rows
 from patchprior.em import EmConfig, em_fit
-from patchprior.gmm import _blocked_forms, _mode_path, _scoring_layout
+from patchprior.gmm import PSD_FLOOR, _blocked_forms, _gamma, _mode_path, _scoring_layout
 
 from synthimages import make_piecewise_image, make_smoke_image
 
@@ -302,10 +302,13 @@ class TestWienerShrink:
         rows = p.copy()
         got = _shrink_rows(prior, 0, rows, beta)
         assert np.max(np.abs(got - expect)) <= 1e-10
-        assert got is rows  # written over the rows it was handed
+        # a new array; the rows it was handed are left as they were
+        assert not np.shares_memory(got, rows)
+        assert np.array_equal(rows, p)
 
     def test_matches_one_expression_bit_for_bit(self):
-        # the in-place steps round exactly as the one-line formula
+        # the GEMM and the in-place add round exactly as the one-line
+        # affine formula
         rng = np.random.default_rng(6)
         cov = np.cov(rng.normal(0.0, 30.0, (200, 16)), rowvar=False)
         prior = Gmm(weights=np.full(3, 1 / 3), means=rng.uniform(0, 255, (3, 16)),
@@ -314,8 +317,50 @@ class TestWienerShrink:
         for j in range(3):
             basis, mean = prior.eigenvectors[j], prior.means[j]
             lam = 0.05 * prior.eigenvalues[j]
-            expect = mean + (((p - mean) @ basis) * (lam / (lam + 1.0))) @ basis.T
+            shrink = (basis * (lam / (lam + 1.0))) @ basis.T
+            expect = p @ shrink + (mean - mean @ shrink)
             assert np.array_equal(_shrink_rows(prior, j, p.copy(), 0.05), expect)
+
+    @pytest.mark.parametrize("sigma", [20.0, 50.0])
+    @pytest.mark.parametrize("multiplier", [1.0, 32.0])
+    def test_floored_spectrum_within_bound(self, sigma, multiplier):
+        # 47 of 64 eigenvalues at PSD_FLOOR, as 942 of the benchmark prior's
+        # 1,280; the Hadamard basis over 8 is orthogonal in float64 exactly
+        # and spreads every axis over every pixel, the worst case of the bound
+        rng = np.random.default_rng(11)
+        d = 64
+        basis = scipy.linalg.hadamard(d) / 8.0
+        lam = np.full(d, PSD_FLOOR)
+        lam[rng.permutation(d)[:17]] = np.geomspace(1.0, 1e4, 17)
+        cov = (basis * lam) @ basis.T
+        cov = 0.5 * (cov + cov.T)
+        mean = rng.uniform(0.0, 255.0, d)
+        prior = Gmm._factored(np.array([1.0]), mean[None], cov[None], lam[None], basis[None])
+        assert np.count_nonzero(prior.eigenvalues == PSD_FLOOR) == 47
+        p = rng.uniform(0.0, 255.0, (200, d))
+        beta = multiplier / sigma ** 2
+        ld = np.longdouble
+        c = (basis.astype(ld) * lam.astype(ld)) @ basis.T.astype(ld)
+        a = ld(beta) * c + np.eye(d, dtype=ld)
+        rhs = mean.astype(ld) + ld(beta) * (p.astype(ld) @ c)
+        expect = longdouble_solve(a, rhs.T).T
+        got = _shrink_rows(prior, 0, p, beta)
+        # the docstring's bound, per entry of each row
+        bound = np.sqrt(d) * _gamma(2 * d + 6, 2.0 ** -53) * (
+            np.linalg.norm(p, axis=1) + np.linalg.norm(mean))
+        assert (np.abs(got - expect) <= bound[:, None]).all()
+
+
+def longdouble_solve(a, b):
+    """x with a x = b, by Gauss-Jordan elimination in np.longdouble; a is
+    symmetric positive-definite, so no pivoting is needed."""
+    d = len(a)
+    m = np.concatenate([a, b], axis=1).astype(np.longdouble)
+    for i in range(d):
+        m[i] /= m[i, i]
+        others = np.arange(d) != i
+        m[others] -= np.outer(m[others, i], m[i])
+    return m[:, d:]
 
 
 def denoise_by_stage_definition(noisy, sigma, prior, schedule):
@@ -370,7 +415,7 @@ class TestStageDefinition:
         start = time.perf_counter()
         out = denoise(noisy, 25.0, small_prior)
         elapsed = time.perf_counter() - start
-        assert set(out.seconds) == {"select", "shrink", "aggregate", "update"}
+        assert set(out.seconds) == {"extract", "select", "shrink", "aggregate", "update"}
         assert all(t > 0.0 for t in out.seconds.values())
         assert sum(out.seconds.values()) <= elapsed
 
