@@ -16,13 +16,13 @@ from .gmm import (
     DegeneratePatchError,
     Gmm,
     SufficientStats,
-    responsibilities,
     sufficient_stats,
     _checked_points,
     _distinct_rows,
     _log_prior,
     _no_support,
     _psd_factors,
+    _softmax,
 )
 from .patches import _integer
 from .timing import LapTimer
@@ -154,13 +154,13 @@ def adapt(generic: Gmm, patches, config: AdaptationConfig | None = None):
     laps = LapTimer()
     x = _checked_points(generic, patches, config.sigma_tilde_sq)
     n = x.shape[0]
-    rows, copies, firsts = _distinct_rows(x)
+    rows, copies, firsts, _ = _distinct_rows(x)
     current = generic
     logliks, log_priors = [], []
     alphas = counts = None
     for _ in range(config.iterations):
         try:
-            gamma, counts, loglik = responsibilities(current, rows, config.sigma_tilde_sq, copies)
+            gamma, counts, loglik = _softmax(current, rows, config.sigma_tilde_sq, copies)
         except DegeneratePatchError as err:
             raise _no_support(err.row, firsts) from None
         laps.lap("estep")

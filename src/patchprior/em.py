@@ -1,7 +1,7 @@
 """Maximum-likelihood EM for full-covariance mixtures at desk scale, seeded
 by k-means++; each M-step turns one-pass moments into covariances
 Q - mu mu^T, floors the whole stack with one eigh and builds the model
-from that same decomposition."""
+from the factors of that floor."""
 
 from __future__ import annotations
 
@@ -14,12 +14,12 @@ from .gmm import (
     PSD_FLOOR,
     DegeneratePatchError,
     Gmm,
-    responsibilities,
     sufficient_stats,
     _distinct_rows,
     _no_support,
     _patch_matrix,
     _psd_factors,
+    _softmax,
 )
 from .patches import _integer
 
@@ -52,36 +52,43 @@ class EmConfig:
             raise ValueError("tol must be positive and finite")
 
 
-def _kmeanspp_centers(x, k, rng):
-    """Seed k centers by distance-squared sampling.
+def _kmeanspp_centers(x, k, rng, index=None):
+    """Seed k centers by distance-squared sampling over the n rows x[index],
+    or over x itself when ``index`` is None.
 
-    Each seed's squared distances are formed in blocks of rows that fit in
-    cache, with the per-row operations of ``((x - c) ** 2).sum(axis=1)``,
-    and folded into the running minimum.
+    Each seed's squared distances are formed for the rows of x alone, in
+    blocks of rows that fit in cache, with the per-row operations of
+    ``((x - c) ** 2).sum(axis=1)``, and folded into the running minimum;
+    they reach all n rows through ``index`` before each draw.  So a
+    matrix with repeated rows, passed as its distinct rows and
+    ``_distinct_rows``' index, draws the same centers as the full matrix.
     """
-    n, d = x.shape
+    m, d = x.shape
+    index = np.arange(m) if index is None else index
+    n = index.size
     rows = max(1, _SEED_BLOCK_VALUES // d)
-    block = np.empty((min(rows, n), d))
-    dist2 = np.full(n, np.inf)
+    block = np.empty((min(rows, m), d))
+    dist2 = np.full(m, np.inf)
 
     def fold(center):
-        for i in range(0, n, rows):
-            diff = block[:min(rows, n - i)]
+        for i in range(0, m, rows):
+            diff = block[:min(rows, m - i)]
             np.subtract(x[i:i + rows], center, out=diff)
             np.square(diff, out=diff)
             part = dist2[i:i + rows]
             np.minimum(part, diff.sum(axis=1), out=part)
 
     centers = np.empty((k, d))
-    centers[0] = x[rng.integers(n)]
+    centers[0] = x[index[rng.integers(n)]]
     fold(centers[0])
     for j in range(1, k):
-        total = float(dist2.sum())
+        every = dist2[index]
+        total = float(every.sum())
         if total <= 0.0:
             idx = int(rng.integers(n))
         else:
-            idx = int(rng.choice(n, p=dist2 / total))
-        centers[j] = x[idx]
+            idx = int(rng.choice(n, p=every / total))
+        centers[j] = x[index[idx]]
         fold(centers[j])
     return centers
 
@@ -101,11 +108,12 @@ def _mstep(x, stats, rng) -> Gmm:
     return Gmm._factored(weights / weights.sum(), means, *_psd_factors(covs))
 
 
-def _initialize(x, config, rng) -> Gmm:
-    """Equal weights, k-means++ means and the floored data covariance,
-    decomposed once and shared by every component."""
+def _initialize(x, config, rng, rows=None, index=None) -> Gmm:
+    """Equal weights, k-means++ means, seeded over the distinct ``rows`` of
+    x and their ``index`` when x repeats rows, and the floored data
+    covariance, decomposed once and shared by every component."""
     k = config.n_components
-    means = _kmeanspp_centers(x, k, rng)
+    means = _kmeanspp_centers(x if rows is None else rows, k, rng, index)
     base = np.atleast_2d(np.cov(x, rowvar=False))
     shared = _psd_factors(base[None])
     return Gmm._factored(np.full(k, 1.0 / k), means,
@@ -117,8 +125,9 @@ def em_fit(patches, config: EmConfig):
 
     The trace holds the mean per-patch log-likelihood of the model at the
     start of every iteration.  Every E-step and moment pass runs over the
-    distinct rows once, each weighted by how often it occurs; k-means++
-    seeding, the initial covariance and the reseeds use all n rows, and
+    distinct rows once, each weighted by how often it occurs, and so do
+    k-means++'s distances, which draw the centers a pass over all n rows
+    draws; the initial covariance and the reseeds use all n rows, and
     the trace, weights and moments are those of all n.  Without repeated
     rows this is the plain pass over every patch.  Residual noise in the
     patches is not compensated here; ``adapt`` does that for one image.
@@ -135,12 +144,12 @@ def em_fit(patches, config: EmConfig):
         raise InsufficientDataError(
             f"{n} patches cannot support {config.n_components} components")
     rng = np.random.default_rng(config.seed)
-    model = _initialize(x, config, rng)
-    rows, copies, firsts = _distinct_rows(x)
+    rows, copies, firsts, index = _distinct_rows(x)
+    model = _initialize(x, config, rng, rows, index)
     trace: list[float] = []
     for _ in range(config.max_iters):
         try:
-            gamma, _, loglik = responsibilities(model, rows, multiplicities=copies)
+            gamma, _, loglik = _softmax(model, rows, 0.0, copies)
         except DegeneratePatchError as err:
             raise _no_support(err.row, firsts) from None
         trace.append(float(loglik.sum()) / n)

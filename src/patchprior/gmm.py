@@ -75,8 +75,9 @@ def _patch_matrix(patches) -> np.ndarray:
 
 def _distinct_rows(x):
     """The distinct rows of x in order of first occurrence, the number of
-    times each occurs and the index of its first occurrence, or
-    ``(x, None, None)`` when no row repeats.
+    times each occurs, the index of its first occurrence and, for each row
+    of x, the index of its distinct row, or ``(x, None, None, None)`` when
+    no row repeats.
 
     Rows are equal when their bytes are.  Each row is keyed by a sum of its
     32-bit words times fixed random odd numbers, modulo 2**64, which equal
@@ -93,16 +94,20 @@ def _distinct_rows(x):
     ranked = keys[order]
     tie = ranked[1:] == ranked[:-1]
     if not tie.any():
-        return x, None, None
+        return x, None, None, None
     bits = x.view(np.uint64)
     i = np.flatnonzero(tie)
     if not (bits[order[i]] == bits[order[i + 1]]).all():
-        return x, None, None
+        return x, None, None, None
     start = np.flatnonzero(np.concatenate(([True], ~tie)))
     firsts = np.minimum.reduceat(order, start)
     by_first = np.argsort(firsts)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(by_first.size)
+    index = np.empty(n, dtype=np.intp)
+    index[order] = rank[np.cumsum(np.concatenate(([0], ~tie)))]
     firsts = firsts[by_first]
-    return x[firsts], np.diff(np.append(start, n))[by_first].astype(np.float64), firsts
+    return x[firsts], np.diff(np.append(start, n))[by_first].astype(np.float64), firsts, index
 
 
 @dataclasses.dataclass(frozen=True)
@@ -114,14 +119,16 @@ class Gmm:
     and rejects any that is not positive-definite; every density, mode
     selection and Wiener step reuses that factorization.  The EM and
     adaptation M-steps floor their covariances at ``PSD_FLOOR`` and build
-    their models with ``_factored``, from the eigh of that floor.
+    their models with ``_factored`` from the one eigh of that floor, as
+    ``load_model`` builds a model from the factors its file carries: a
+    clamped component's factors then reproduce its covariance to
+    rounding, not bit for bit, and are not the eigh of that covariance.
 
     Every eigenvalue within d 2^-52 lambda_k,max of ``PSD_FLOOR`` is then
     set to ``PSD_FLOOR``, with lambda_k,max the largest of its component:
-    eigh resolves no finer, and the eigh of a floored reconstruction
-    scatters its floored axes about the floor by up to about 4 of those
-    units.  Both ways in take the same factors to the same spectrum, so a
-    saved and loaded model keeps the factors of the model saved.
+    eigh resolves no finer, so an axis that a floor left just above
+    ``PSD_FLOOR`` sits on it exactly.  A second snap changes nothing, so a
+    model rebuilt from its own factors keeps them bit for bit.
     """
 
     weights: np.ndarray      # (K,) nonnegative, sums to one
@@ -170,10 +177,11 @@ class Gmm:
 
     @classmethod
     def _factored(cls, weights, means, covariances, eigenvalues, eigenvectors) -> "Gmm":
-        """A model from covariances and their ``np.linalg.eigh`` factors, as
-        ``_psd_factors`` returns them: every check of ``Gmm()`` runs, the
-        positive-definite one on the handed spectrum, and the floor snap,
-        but nothing is decomposed."""
+        """A model from covariances and ascending eigen-factors, as
+        ``_psd_factors`` returns them or a model file carries them: every
+        check of ``Gmm()`` runs, the positive-definite one on the handed
+        spectrum, and the floor snap, but nothing is decomposed.  The
+        caller vouches that the factors reproduce the covariances."""
         gmm = cls.__new__(cls)
         for name, a in (("weights", weights), ("means", means), ("covariances", covariances)):
             object.__setattr__(gmm, name, a)
@@ -524,14 +532,22 @@ def responsibilities(gmm: Gmm, patches, inflation: float = 0.0, multiplicities=N
     max |x_i x_j|, and leaves no subnormal posterior to slow the products
     of ``sufficient_stats`` on x86, which skips every zero.
     """
-    x = _patch_matrix(patches)
-    n = x.shape[0]
-    if multiplicities is not None:
-        copies = np.asarray(multiplicities, dtype=np.float64)
-        if copies.shape != (n,) or not ((copies > 0.0) & (copies < np.inf)).all():
-            raise ValueError(f"multiplicities must be {n} positive finite numbers")
-        n = float(copies.sum())
-    scores = component_log_densities(gmm, x, inflation)
+    x = _checked_points(gmm, patches, inflation)
+    copies = multiplicities
+    if copies is not None:
+        copies = np.asarray(copies, dtype=np.float64)
+        if copies.shape != x.shape[:1] or not ((copies > 0.0) & (copies < np.inf)).all():
+            raise ValueError(f"multiplicities must be {x.shape[0]} positive finite numbers")
+    return _softmax(gmm, x, inflation, copies)
+
+
+def _softmax(gmm: Gmm, x, inflation: float, copies=None):
+    """``responsibilities`` of rows that its checks have passed: a float64
+    (m, d) matrix of finite rows, a valid ``inflation`` and positive finite
+    multiplicities ``copies`` or None.  ``em_fit`` and ``adapt`` check their
+    rows once, where they enter, and run every E-step through this."""
+    scores = _layout_scores(x, _scoring_layout(gmm, inflation, np.float64))
+    n = x.shape[0] if copies is None else float(copies.sum())
     top = scores.max(axis=1)
     if not np.isfinite(top).all():
         raise _no_support(int(np.flatnonzero(~np.isfinite(top))[0]))
@@ -540,7 +556,7 @@ def responsibilities(gmm: Gmm, patches, inflation: float = 0.0, multiplicities=N
     loglik = top + np.log(total)
     gamma = np.divide(z, total[:, None], out=z)
     gamma[gamma < 2.0 ** -53 / n] = 0.0
-    if multiplicities is not None:
+    if copies is not None:
         gamma *= copies[:, None]
         loglik *= copies
     return gamma, gamma.sum(axis=0), loglik
@@ -559,10 +575,12 @@ def condition_psd(sigma, floor: float) -> np.ndarray:
 
 
 def _psd_factors(sigma, floor: float = PSD_FLOOR):
-    """``condition_psd``'s projection and the eigh factors of the result,
-    for ``Gmm._factored``.  Only the clamped matrices are decomposed again,
-    from their reconstructions, so every factor is the one ``Gmm()`` would
-    compute."""
+    """``condition_psd``'s projection and its factors, for ``Gmm._factored``,
+    from one batched eigh of the symmetrized stack.  A matrix already on
+    the floor is that symmetrization, with the eigh's factors.  A clamped
+    one keeps the eigh's eigenvectors U and gets m = max(lambda, floor) as
+    its eigenvalues; its matrix is the symmetrized U diag(m) U^T, which
+    those factors reproduce to rounding.  Nothing is decomposed again."""
     if not 0 < floor < np.inf:
         raise ValueError("floor must be positive and finite")
     a = np.asarray(sigma, dtype=np.float64)
@@ -572,10 +590,10 @@ def _psd_factors(sigma, floor: float = PSD_FLOOR):
     evals, evecs = np.linalg.eigh(sym)
     low = evals[..., 0] < floor
     if low.any():
-        u = evecs[low]
-        out = (u * np.maximum(evals[low], floor)[..., None, :]) @ np.swapaxes(u, -1, -2)
+        u, lam = evecs[low], np.maximum(evals[low], floor)
+        evals[low] = lam
+        out = (u * lam[..., None, :]) @ np.swapaxes(u, -1, -2)
         sym[low] = 0.5 * (out + np.swapaxes(out, -1, -2))
-        evals[low], evecs[low] = np.linalg.eigh(sym[low])
     return sym, evals, evecs
 
 

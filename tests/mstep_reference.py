@@ -87,13 +87,18 @@ def derive_hyperparams(gmm: Gmm, rho: float) -> HyperParams:
     )
 
 
-def snapped_eigh(covariances):
-    """``np.linalg.eigh`` of a (K, d, d) stack, then the floor snap that the
-    ``Gmm`` docstring states: each eigenvalue within d 2^-52 lambda_max of
-    ``PSD_FLOOR``, lambda_max its component's largest, is ``PSD_FLOOR``."""
-    evals, evecs = np.linalg.eigh(covariances)
+def snapped(evals):
+    """The floor snap that the ``Gmm`` docstring states, of (K, d) ascending
+    spectra: each eigenvalue within d 2^-52 lambda_max of ``PSD_FLOOR``,
+    lambda_max its component's largest, is ``PSD_FLOOR``."""
     near = np.abs(evals - PSD_FLOOR) <= evals.shape[-1] * 2.0 ** -52 * evals[..., -1:]
-    return np.where(near, PSD_FLOOR, evals), evecs
+    return np.where(near, PSD_FLOOR, evals)
+
+
+def snapped_eigh(covariances):
+    """``np.linalg.eigh`` of a (K, d, d) stack, then the floor snap."""
+    evals, evecs = np.linalg.eigh(covariances)
+    return snapped(evals), evecs
 
 
 def log_prior_general(gmm: Gmm, hyper: HyperParams) -> float:

@@ -37,7 +37,13 @@ from mstep_reference import (
     posterior_hyperparams,
 )
 from synthimages import make_smoke_image
-from test_em import assert_factors_are_eigh, record_eigh, record_scored_rows, rows_with_repeats
+from test_em import (
+    assert_factors_are_eigh,
+    assert_factors_of_the_floor,
+    record_eigh,
+    record_scored_rows,
+    rows_with_repeats,
+)
 from test_gmm import block_prior, random_gmm, random_spd  # noqa: F401 (fixture)
 
 
@@ -369,23 +375,27 @@ class TestAdaptLoop:
         model, _ = adapt(generic, rng.normal(0.0, 1.0, (60, 3)),
                          AdaptationConfig(iterations=2))
         # one eigh of the stack per M-step, which the new model keeps; no
-        # spectrum reaches the floor, so nothing is decomposed again
+        # spectrum reaches the floor, so the factors are the eigh of the
+        # covariances
         assert shapes == [(4, 3, 3), (4, 3, 3)]
         monkeypatch.undo()
         assert_factors_are_eigh(model)
 
-    def test_floored_component_decomposed_again(self, monkeypatch):
+    def test_floored_component_keeps_the_floors_factors(self, monkeypatch):
         # all patches sit near component 0 with unit variance; deflating by
         # sigma_tilde_sq = 5 floors its spectrum, while the components with
-        # almost no mass keep their generic covariances
+        # almost no mass keep their generic covariances; each M-step's one
+        # eigh gives the new model its factors
         rng = np.random.default_rng(22)
         generic = random_gmm(rng, 3, 3, mean_scale=10.0)
         x = generic.means[0] + rng.normal(0.0, 1.0, (200, 3))
-        shapes = record_eigh(monkeypatch)
+        calls = []
+        shapes = record_eigh(monkeypatch, calls)
         model, _ = adapt(generic, x, AdaptationConfig(sigma_tilde_sq=5.0, iterations=2))
-        assert shapes == [(3, 3, 3), (1, 3, 3)] * 2
+        assert shapes == [(3, 3, 3)] * 2
         monkeypatch.undo()
-        assert_factors_are_eigh(model)
+        assert np.array_equal(calls[-1][1][:, 0] < PSD_FLOOR, [True, False, False])
+        assert_factors_of_the_floor(model, calls[-1])
         assert np.linalg.eigvalsh(model.covariances[0])[0] < 2e-4
         assert np.all(model.eigenvalues[0] == PSD_FLOOR)
 

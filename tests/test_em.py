@@ -15,17 +15,21 @@ from patchprior.gmm import (
     sufficient_stats,
 )
 
-from mstep_reference import snapped_eigh
+from mstep_reference import snapped, snapped_eigh
 
 
-def record_eigh(monkeypatch):
-    """Record the input shape of every np.linalg.eigh call, in order."""
+def record_eigh(monkeypatch, calls=None):
+    """Record the input shape of every np.linalg.eigh call, in order; given
+    a list ``calls``, also append a copy of each input and of its factors."""
     shapes = []
     real_eigh = np.linalg.eigh
 
     def eigh(a, *args, **kwargs):
         shapes.append(np.shape(a))
-        return real_eigh(a, *args, **kwargs)
+        factors = real_eigh(a, *args, **kwargs)
+        if calls is not None:
+            calls.append((np.array(a), *(np.array(f) for f in factors)))
+        return factors
 
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     return shapes
@@ -39,16 +43,35 @@ def assert_factors_are_eigh(model):
     assert np.array_equal(model.eigenvectors, evecs)
 
 
+def assert_factors_of_the_floor(model, call, copies=1):
+    """The model keeps the factors of one recorded eigh call of the floor,
+    each component repeated ``copies`` times: the eigh's eigenvectors
+    bit for bit, max(raw, PSD_FLOOR) after the floor snap as eigenvalues,
+    and as covariances the eigh's input where nothing is clamped, else the
+    symmetrized reconstruction U diag(max(raw, PSD_FLOOR)) U^T."""
+    sym, raw, evecs = call
+    lam = np.maximum(raw, PSD_FLOOR)
+    low = raw[:, 0] < PSD_FLOOR
+    u = evecs[low]
+    out = (u * lam[low][:, None, :]) @ np.swapaxes(u, 1, 2)
+    covs = sym.copy()
+    covs[low] = 0.5 * (out + np.swapaxes(out, 1, 2))
+    for got, want in ((model.eigenvectors, evecs), (model.eigenvalues, snapped(lam)),
+                      (model.covariances, covs)):
+        assert np.array_equal(got, np.repeat(want, copies, axis=0))
+
+
 def record_scored_rows(monkeypatch):
-    """Record a copy of the points of every component_log_densities call."""
+    """Record a copy of the points of every float64 scoring pass, public
+    (component_log_densities) or an E-step's."""
     scored = []
-    real = gmm_module.component_log_densities
+    real = gmm_module._layout_scores
 
-    def recorded(gmm, points, *args, **kwargs):
+    def recorded(points, layout):
         scored.append(np.array(points))
-        return real(gmm, points, *args, **kwargs)
+        return real(points, layout)
 
-    monkeypatch.setattr(gmm_module, "component_log_densities", recorded)
+    monkeypatch.setattr(gmm_module, "_layout_scores", recorded)
     return scored
 
 
@@ -94,6 +117,24 @@ class TestKmeansppSeeding:
         expect = kmeanspp_by_formula(x, 3, np.random.default_rng(0))
         got = em_module._kmeanspp_centers(x, 3, np.random.default_rng(0))
         assert np.array_equal(got, expect)
+
+    @pytest.mark.parametrize("n,d,k", [(1300, 64, 20), (3000, 9, 7), (1000, 4, 3)])
+    def test_distinct_rows_draw_the_centers_of_every_row(self, n, d, k):
+        # distances over the distinct rows alone, reaching all n through the
+        # index, give the draws of the formula over every row; with d = 4
+        # every row is equal, so every draw after the first is uniform
+        rng = np.random.default_rng(n)
+        if d == 4:
+            x = np.full((n, d), 7.0)
+        else:
+            x, _ = rows_with_repeats(rng, n, d)
+        rows, copies, _, index = gmm_module._distinct_rows(x)
+        assert rows.shape[0] < n and np.array_equal(rows[index], x)
+        assert np.array_equal(np.bincount(index), copies)
+        for seed in range(3):
+            expect = kmeanspp_by_formula(x, k, np.random.default_rng(seed))
+            got = em_module._kmeanspp_centers(rows, k, np.random.default_rng(seed), index)
+            assert np.array_equal(got, expect)
 
 
 class TestConfig:
@@ -242,7 +283,8 @@ class TestEdgeCases:
         x = rng.normal(0.0, 1.0, (200, 3))
         model, _ = em_fit(x, EmConfig(n_components=4, max_iters=1, seed=0))
         # the shared initial covariance once, then one M-step over the whole
-        # stack; no spectrum reaches the floor, so nothing is decomposed again
+        # stack; no spectrum reaches the floor, so the factors are the eigh
+        # of the covariances
         assert shapes == [(1, 3, 3), (4, 3, 3)]
         monkeypatch.undo()
         assert_factors_are_eigh(model)
@@ -258,35 +300,39 @@ class TestEdgeCases:
         # there are len(trace) - 1; nothing reaches the floor
         assert shapes == [(1, 2, 2)] + [(2, 2, 2)] * (len(trace) - 1)
 
-    def test_floored_component_decomposed_again(self, monkeypatch):
+    def test_floored_component_keeps_the_floors_factors(self, monkeypatch):
         # one cluster on a line in 3-D, one full-rank: the first two M-steps
         # still mix them; once they separate, each M-step floors the line's
-        # component and decomposes it alone again
+        # component, which keeps the factors of the M-step's one eigh
         rng = np.random.default_rng(14)
         t = rng.uniform(-1.0, 1.0, (150, 1))
         x = np.concatenate([t * np.array([1.0, 2.0, -1.0]),
                             rng.normal(20.0, 1.0, (150, 3))])
-        shapes = record_eigh(monkeypatch)
+        calls = []
+        shapes = record_eigh(monkeypatch, calls)
         model, trace = em_fit(x, EmConfig(n_components=2, max_iters=4, seed=0))
         assert len(trace) == 4
-        assert shapes == [(1, 3, 3), (2, 3, 3), (2, 3, 3)] + [(2, 3, 3), (1, 3, 3)] * 2
+        assert shapes == [(1, 3, 3)] + [(2, 3, 3)] * 4
         monkeypatch.undo()
-        assert_factors_are_eigh(model)
+        assert np.count_nonzero(calls[-1][1][:, 0] < PSD_FLOOR) == 1
+        assert_factors_of_the_floor(model, calls[-1])
         spectra = np.linalg.eigvalsh(model.covariances)
         assert np.sum(spectra[:, 0] < 2e-4) == 1
         # the line's two floored axes sit on the floor exactly
         assert np.count_nonzero(model.eigenvalues == PSD_FLOOR) == 2
 
-    def test_initial_model_factors_floored_shared_covariance(self, monkeypatch):
-        # all points on a line: the shared data covariance is floored, then
-        # decomposed again once for all K components
+    def test_initial_model_keeps_the_floors_factors(self, monkeypatch):
+        # all points on a line: the shared data covariance is floored by
+        # one eigh, whose factors all K components keep
         t = np.linspace(0.0, 1.0, 60)[:, None]
         x = np.concatenate([t, 2.0 * t], axis=1)
-        shapes = record_eigh(monkeypatch)
+        calls = []
+        shapes = record_eigh(monkeypatch, calls)
         model = em_module._initialize(x, EmConfig(n_components=3), np.random.default_rng(0))
-        assert shapes == [(1, 2, 2), (1, 2, 2)]
+        assert shapes == [(1, 2, 2)]
         monkeypatch.undo()
-        assert_factors_are_eigh(model)
+        assert calls[0][1][0, 0] < PSD_FLOOR
+        assert_factors_of_the_floor(model, calls[0], copies=3)
         assert np.array_equal(model.covariances, np.repeat(
             condition_psd(np.cov(x, rowvar=False), PSD_FLOOR)[None], 3, axis=0))
         assert np.all(model.eigenvalues[:, 0] == PSD_FLOOR)
