@@ -13,14 +13,12 @@ import dataclasses
 import numpy as np
 
 from .gmm import (
-    DegeneratePatchError,
     Gmm,
     SufficientStats,
     sufficient_stats,
     _checked_points,
     _distinct_rows,
     _log_prior,
-    _no_support,
     _psd_factors,
     _softmax,
 )
@@ -143,7 +141,7 @@ def adapt(generic: Gmm, patches, config: AdaptationConfig | None = None):
     then scores them under inflated covariances and the data part of the
     covariance update is deflated by the same amount before flooring.
     Every E-step and moment pass runs over the distinct rows once, each
-    weighted by how often it occurs (see ``responsibilities``); without
+    weighted by how often it occurs (see ``_softmax``); without
     repeated rows this is the plain pass over every patch.  A patch with a
     NaN or infinite entry is a ValueError that names it, raised before the
     first E-step.
@@ -159,10 +157,7 @@ def adapt(generic: Gmm, patches, config: AdaptationConfig | None = None):
     logliks, log_priors = [], []
     alphas = counts = None
     for _ in range(config.iterations):
-        try:
-            gamma, counts, loglik = _softmax(current, rows, config.sigma_tilde_sq, copies)
-        except DegeneratePatchError as err:
-            raise _no_support(err.row, firsts) from None
+        gamma, counts, loglik = _softmax(current, rows, config.sigma_tilde_sq, copies, firsts)
         laps.lap("estep")
         # this E-step's normalizer is the likelihood term of the objective of
         # the model it scored

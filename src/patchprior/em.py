@@ -12,11 +12,9 @@ import numpy as np
 
 from .gmm import (
     PSD_FLOOR,
-    DegeneratePatchError,
     Gmm,
     sufficient_stats,
     _distinct_rows,
-    _no_support,
     _patch_matrix,
     _psd_factors,
     _softmax,
@@ -108,12 +106,13 @@ def _mstep(x, stats, rng) -> Gmm:
     return Gmm._factored(weights / weights.sum(), means, *_psd_factors(covs))
 
 
-def _initialize(x, config, rng, rows=None, index=None) -> Gmm:
+def _initialize(x, config, rng, rows, index) -> Gmm:
     """Equal weights, k-means++ means, seeded over the distinct ``rows`` of
-    x and their ``index`` when x repeats rows, and the floored data
-    covariance, decomposed once and shared by every component."""
+    x and their ``index`` as ``_distinct_rows`` returns them, and the
+    floored data covariance, decomposed once and shared by every
+    component."""
     k = config.n_components
-    means = _kmeanspp_centers(x if rows is None else rows, k, rng, index)
+    means = _kmeanspp_centers(rows, k, rng, index)
     base = np.atleast_2d(np.cov(x, rowvar=False))
     shared = _psd_factors(base[None])
     return Gmm._factored(np.full(k, 1.0 / k), means,
@@ -148,10 +147,7 @@ def em_fit(patches, config: EmConfig):
     model = _initialize(x, config, rng, rows, index)
     trace: list[float] = []
     for _ in range(config.max_iters):
-        try:
-            gamma, _, loglik = _softmax(model, rows, 0.0, copies)
-        except DegeneratePatchError as err:
-            raise _no_support(err.row, firsts) from None
+        gamma, _, loglik = _softmax(model, rows, 0.0, copies, firsts)
         trace.append(float(loglik.sum()) / n)
         if len(trace) > 1 and abs(trace[-1] - trace[-2]) <= config.tol * abs(trace[-2]):
             break

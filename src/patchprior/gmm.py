@@ -50,15 +50,6 @@ class DegeneratePatchError(ValueError):
     """A patch has zero likelihood under every mixture component."""
 
 
-def _no_support(row: int, firsts=None) -> DegeneratePatchError:
-    """The error for a row with no support, kept as ``.row``; it names patch
-    ``firsts[row]`` given the first occurrences of distinct rows, else ``row``."""
-    patch = row if firsts is None else int(firsts[row])
-    err = DegeneratePatchError(f"patch {patch} has no support under any component")
-    err.row = row
-    return err
-
-
 def _frozen(array, dtype=np.float64) -> np.ndarray:
     out = np.array(array, dtype=dtype, order="C")
     out.flags.writeable = False
@@ -115,14 +106,16 @@ class Gmm:
     """Weighted full-covariance Gaussian mixture over d-dimensional vectors.
 
     Arrays are copied and marked read-only; instances are safe to share.
-    Construction factors every covariance once as C_k = U_k diag(lambda_k) U_k^T
-    and rejects any that is not positive-definite; every density, mode
-    selection and Wiener step reuses that factorization.  The EM and
-    adaptation M-steps floor their covariances at ``PSD_FLOOR`` and build
-    their models with ``_factored`` from the one eigh of that floor, as
-    ``load_model`` builds a model from the factors its file carries: a
-    clamped component's factors then reproduce its covariance to
-    rounding, not bit for bit, and are not the eigh of that covariance.
+    Construction factors every covariance once as C_k = U_k diag(lambda_k) U_k^T,
+    lambda_k ascending, and rejects any that is not positive-definite (after
+    rejecting handed eigenvalues that do not ascend, since that check reads
+    the first as the smallest); every density, mode selection and Wiener
+    step reuses that factorization.  The EM and adaptation M-steps floor
+    their covariances at ``PSD_FLOOR`` and build their models with
+    ``_factored`` from the one eigh of that floor, as ``load_model`` builds
+    a model from the factors its file carries: a clamped component's
+    factors then reproduce its covariance to rounding, not bit for bit,
+    and are not the eigh of that covariance.
 
     Every eigenvalue within d 2^-52 lambda_k,max of ``PSD_FLOOR`` is then
     set to ``PSD_FLOOR``, with lambda_k,max the largest of its component:
@@ -165,6 +158,9 @@ class Gmm:
             evals, evecs = (np.array(f, dtype=np.float64, order="C") for f in factors)
             if evals.shape != (k, d) or evecs.shape != c.shape:
                 raise ValueError("eigen-factors do not match the covariances")
+        bad = np.flatnonzero(~(np.diff(evals, axis=1) >= 0.0).all(axis=1))
+        if bad.size:
+            raise ValueError(f"eigenvalues do not ascend in component {int(bad[0])}")
         bad = np.flatnonzero(evals[:, 0] <= 0.0)
         if bad.size:
             raise ValueError(f"covariance of component {int(bad[0])} is not positive-definite "
@@ -177,11 +173,11 @@ class Gmm:
 
     @classmethod
     def _factored(cls, weights, means, covariances, eigenvalues, eigenvectors) -> "Gmm":
-        """A model from covariances and ascending eigen-factors, as
+        """A model from covariances and their eigen-factors, as
         ``_psd_factors`` returns them or a model file carries them: every
-        check of ``Gmm()`` runs, the positive-definite one on the handed
-        spectrum, and the floor snap, but nothing is decomposed.  The
-        caller vouches that the factors reproduce the covariances."""
+        check of ``Gmm()`` runs, the order and positive-definite ones on
+        the handed spectrum, and the floor snap, but nothing is decomposed.
+        The caller vouches that the factors reproduce the covariances."""
         gmm = cls.__new__(cls)
         for name, a in (("weights", weights), ("means", means), ("covariances", covariances)):
             object.__setattr__(gmm, name, a)
@@ -272,7 +268,7 @@ def component_log_densities(gmm: Gmm, points, inflation: float = 0.0) -> np.ndar
     scored exactly as above.
     """
     x = _checked_points(gmm, points, inflation)
-    return _layout_scores(x, _scoring_layout(gmm, inflation, np.float64))
+    return _layout_scores(x, _scoring_layout(gmm, inflation))
 
 
 def _checked_points(gmm: Gmm, points, inflation: float) -> np.ndarray:
@@ -290,40 +286,34 @@ def _checked_points(gmm: Gmm, points, inflation: float) -> np.ndarray:
     return x
 
 
-def _scoring_layout(gmm: Gmm, inflation: float, dtype):
-    """The centre c, the scoring basis in ``dtype``, the (K,) score offsets
-    and the fold, None when no component folds.
+def _scoring_layout(gmm: Gmm, inflation: float, fold: bool = True):
+    """The centre c, the float64 scoring basis, the (K,) score offsets and
+    the fold record ``(plain, folds, starts, scale)``.
 
-    Columns k d .. k d + d - 1 of the (d+1, K d) basis hold the whitened
-    basis U_k diag(lambda_k + inflation)^-1/2 of component k; its last row
-    holds -(mu_k - c) times that basis.  A row [x - c, 1] times the basis
-    is every component's whitened deviation of x from its mean, and
-    log w_k - (d log 2 pi + sum_j log(lambda_kj + inflation)) / 2 minus
-    half its squared norm is the joint score.  The constants are formed in
-    float64 and cast once, so a float32 layout is a float64 one that does
-    not fold, rounded.
+    The basis has d + 1 rows.  Its first columns hold the whitened basis
+    U_k diag(lambda_k + inflation)^-1/2 of each plain component, d each,
+    in the order of ``plain``; its last row holds -(mu_k - c) times that
+    basis.  A row [x - c, 1] times them is each plain component's whitened
+    deviation of x from its mean, and log w_k - (d log 2 pi + sum_j
+    log(lambda_kj + inflation)) / 2 minus half its squared norm is the
+    joint score.  Then come, per folded component (see
+    ``component_log_densities``), one column u_kj sqrt(w_j) per axis that
+    is not merged, above -(mu_k - c) times it; then one column
+    [-2 (mu_k - c), |mu_k - c|^2] per folded component.  The record holds
+    the indices of the plain and of the folded components, the first
+    ragged column of each folded one and its a_k.
 
-    A float64 layout at inflation > 0 in which some component folds (see
-    ``component_log_densities``) holds instead the whitened columns of the
-    components that do not fold, d each; then, per folded component, one
-    column u_kj sqrt(w_j) per axis that is not merged, above -(mu_k - c)
-    times it; then one column [-2 (mu_k - c), |mu_k - c|^2] per folded
-    component.  The fold holds the indices of the plain and the folded
-    components, the first ragged column of each folded one and its a_k.
+    A component folds where ``_merged_axes`` merges its axes and ``fold``
+    is true.  An unfolded layout is the record with no folded component,
+    the K d whitened columns alone; the float32 screen casts it.
     """
-    d, k = gmm.dim, gmm.n_components
+    d = gmm.dim
     spectra = gmm.eigenvalues + inflation
     with np.errstate(divide="ignore"):
         base = np.log(gmm.weights) - 0.5 * (d * _LOG_2PI + np.log(spectra).sum(axis=1))
     centre = gmm.means.mean(axis=0)
     dev = gmm.means - centre
-    merged = _merged_axes(spectra) if dtype == np.float64 and inflation > 0 else None
-    if merged is None:
-        white = gmm.eigenvectors / np.sqrt(spectra)[:, None, :]
-        basis = np.empty((d + 1, k, d), dtype=dtype)
-        basis[:d] = white.transpose(1, 0, 2)
-        basis[d] = -np.einsum("kd,kde->ke", dev, white)
-        return centre, basis.reshape(d + 1, k * d), base, None
+    merged = _merged_axes(gmm, inflation) & fold
     folding = merged.any(axis=1)
     folds, plain = np.flatnonzero(folding), np.flatnonzero(~folding)
     kept = ~merged[folds]
@@ -331,9 +321,11 @@ def _scoring_layout(gmm: Gmm, inflation: float, dtype):
     columns = np.count_nonzero(kept, axis=1)
     wide, free = plain.size * d, int(columns.sum())
     basis = np.empty((d + 1, wide + free + folds.size))
-    white = gmm.eigenvectors[plain] / np.sqrt(spectra[plain])[:, None, :]
-    basis[:d, :wide] = white.transpose(1, 0, 2).reshape(d, wide)
-    basis[d, :wide] = -np.einsum("kd,kde->ke", dev[plain], white).ravel()
+    white = gmm.eigenvectors[plain]
+    white /= np.sqrt(spectra[plain])[:, None, :]
+    whitened = basis[:, :wide].reshape(d + 1, plain.size, d)
+    whitened[:d] = white.transpose(1, 0, 2)
+    whitened[d] = -np.einsum("kd,kde->ke", dev[plain], white)
     ragged = basis[:, wide:wide + free]
     ragged[:d] = gmm.eigenvectors[folds].transpose(1, 0, 2)[:, kept]
     ragged[d] = -np.einsum("kd,kde->ke", dev[folds], gmm.eigenvectors[folds])[kept]
@@ -343,37 +335,35 @@ def _scoring_layout(gmm: Gmm, inflation: float, dtype):
     return centre, basis, base, (plain, folds, np.cumsum(columns) - columns, scale)
 
 
-def _merged_axes(spectra):
-    """The (K, d) mask of the axes that each component folds, those but
-    its last whose inflated eigenvalue equals its smallest (see
-    ``component_log_densities``), or None when no component folds.
+def _merged_axes(gmm: Gmm, inflation: float) -> np.ndarray:
+    """The (K, d) mask of the axes that each component folds at this
+    inflation: those but its last whose inflated eigenvalue equals its
+    smallest (see ``component_log_densities``), in a component that merges
+    at least a quarter of its axes, and two.  It is all False at inflation
+    0, where every component is scored plain.
 
     A kept column of a folded component costs more than a plain one, its
-    square and ragged sum against the plain einsum, so a component folds
-    only when it merges at least a quarter of its axes (at d = 64, K = 20:
-    requiring 12 to 28 merged axes ran alike, and requiring 2 ran slower
-    than no fold at inflation 12.5)."""
-    d = spectra.shape[1]
-    merged = spectra == spectra.min(axis=1, keepdims=True)
+    square and ragged sum against the plain einsum, hence the quarter (at
+    d = 64, K = 20: requiring 12 to 28 merged axes ran alike, and
+    requiring 2 ran slower than no fold at inflation 12.5)."""
+    spectra = gmm.eigenvalues + inflation
+    merged = (spectra == spectra.min(axis=1, keepdims=True)) & (inflation > 0)
     merged[:, -1] = False
-    merged &= np.count_nonzero(merged, axis=1)[:, None] >= max(2, d // 4)
-    return merged if merged.any() else None
+    merged &= np.count_nonzero(merged, axis=1)[:, None] >= max(2, gmm.dim // 4)
+    return merged
 
 
-def _blocked_forms(x, centre, basis, fold=None):
+def _blocked_forms(x, centre, basis, fold):
     """Yield ``(lo, centred, q)`` for each block of rows of x from row lo:
-    the float64 rows minus the centre, and the (b, K) quadratic forms,
-    computed in the basis dtype by one GEMM per block: the squared
-    whitened norms, or, with a ``fold`` from ``_scoring_layout``, those of
-    the plain components and the folded forms
+    the float64 rows minus the centre, and the (b, K) quadratic forms in
+    a ``_scoring_layout`` basis with its ``fold`` record, by one GEMM per
+    block in the basis dtype: the squared whitened norms of the plain
+    components and, when any component folds, the folded forms
     a_k |x - mu_k|^2 - sum_free w_j (u_j . (x - mu_k))^2 of the rest."""
     n, d = x.shape
-    if fold is None:
-        k = basis.shape[1] // d
-    else:
-        plain, folds, starts, scale = fold
-        k, wide = plain.size + folds.size, plain.size * d
-        free = basis.shape[1] - wide - folds.size
+    plain, folds, starts, scale = fold
+    k, wide = plain.size + folds.size, plain.size * d
+    free = basis.shape[1] - wide - folds.size
     rows = max(1, _BLOCK_VALUES // (k * d))
     lhs = np.ones((min(rows, n), d + 1), dtype=basis.dtype)
     buf = np.empty((min(rows, n), basis.shape[1]), dtype=basis.dtype)
@@ -381,15 +371,12 @@ def _blocked_forms(x, centre, basis, fold=None):
         centred = x[lo:lo + rows] - centre
         b = centred.shape[0]
         lhs[:b, :d] = centred
+        q = np.empty((b, k), dtype=basis.dtype)
         with np.errstate(over="ignore", invalid="ignore"):
             y = np.matmul(lhs[:b], basis, out=buf[:b])
-            if fold is None:
-                y = y.reshape(b, k, d)
-                q = np.einsum("bkd,bkd->bk", y, y)
-            else:
-                q = np.empty((b, k))
-                whitened = y[:, :wide].reshape(b, plain.size, d)
-                q[:, plain] = np.einsum("bkd,bkd->bk", whitened, whitened)
+            whitened = y[:, :wide].reshape(b, plain.size, d)
+            q[:, plain] = np.einsum("bkd,bkd->bk", whitened, whitened)
+            if folds.size:
                 ragged = np.square(y[:, wide:wide + free], out=y[:, wide:wide + free])
                 norms = np.einsum("ij,ij->i", centred, centred)[:, None] + y[:, wide + free:]
                 q[:, folds] = scale * norms - np.add.reduceat(ragged, starts, axis=1)
@@ -397,7 +384,7 @@ def _blocked_forms(x, centre, basis, fold=None):
 
 
 def _layout_scores(x, layout) -> np.ndarray:
-    """The (n, K) joint scores of the rows of x in a float64 ``_scoring_layout``."""
+    """The (n, K) joint scores of the rows of x in a ``_scoring_layout``."""
     centre, basis, base, fold = layout
     out = np.empty((x.shape[0], base.size))
     for lo, _, q in _blocked_forms(x, centre, basis, fold):
@@ -415,10 +402,8 @@ def _mode_path(gmm: Gmm, inflation: float) -> str:
     """The path of ``select_modes`` at this inflation: "fold" when the
     float64 layout folds to at most K d / 2 columns (d per plain
     component; per folded one, one per free axis and its norm column),
-    else "screen"."""
-    merged = _merged_axes(gmm.eigenvalues + inflation) if inflation > 0 else None
-    if merged is None:
-        return "screen"
+    else "screen", as for every layout in which nothing folds."""
+    merged = _merged_axes(gmm, inflation)
     columns = merged.size - np.count_nonzero(merged) + np.count_nonzero(merged.any(axis=1))
     return "fold" if 2 * columns <= merged.size else "screen"
 
@@ -447,13 +432,13 @@ def select_modes(gmm: Gmm, points, inflation: float) -> np.ndarray:
     37-41 ms at 695, the screen 34-37 ms at every width, so break-even lay
     between 600 and 695 of the 1,280 columns.
 
-    Screen: every other layout is screened in float32, in the plain layout
-    of that kernel: on patches and means centred on the mean of the means
-    c, the quadratic form q of every patch x under every component k is
-    formed in float32.  With u = 2^-24, the float64 unit roundoff
-    v = 2^-53, gamma_n(u) = n u / (1 - n u) and L_k = sum_j 1 /
-    (lambda_kj + inflation), each eigen-coordinate of x - mu_k is off by
-    at most
+    Screen: every other layout is screened in float32, through the
+    unfolded layout of that kernel cast to float32: on patches and means
+    centred on the mean of the means c, the quadratic form q of every
+    patch x under every component k is formed in float32.  With u = 2^-24,
+    the float64 unit roundoff v = 2^-53, gamma_n(u) = n u / (1 - n u) and
+    L_k = sum_j 1 / (lambda_kj + inflation), each eigen-coordinate of
+    x - mu_k is off by at most
         E = (gamma_{d+4}(u) + gamma_{2d+4}(v)) (|x - c| + |mu_k - c|)
     (Cauchy-Schwarz on each unit eigenvector; the gamma(v) term is the
     error of the float64 kernel, which forms the same centred products
@@ -468,24 +453,25 @@ def select_modes(gmm: Gmm, points, inflation: float) -> np.ndarray:
     component raised by its own B + 1e-6: then the float64 scores order
     the same way.  Every other patch, including any with a non-finite
     float32 value, is rescored in the float64 layout of the call (about 1%
-    of the patches on natural scenes).
+    of the patches on natural scenes).  That layout is the unfolded one
+    unless some component folds; only then is a second one built.
     """
     x = _checked_points(gmm, points, inflation)
-    layout = _scoring_layout(gmm, inflation, np.float64)
+    layout = _scoring_layout(gmm, inflation)
     if _mode_path(gmm, inflation) == "fold":
         return _layout_scores(x, layout).argmax(axis=1)
     n, d = x.shape
     centre, basis, base, fold = layout
-    if fold is not None:
-        basis = _scoring_layout(gmm, inflation, np.float32)[1]
-    basis = basis.astype(np.float32, copy=False)
+    if fold[1].size:
+        _, basis, _, fold = _scoring_layout(gmm, inflation, fold=False)
+    basis = basis.astype(np.float32)
     root_l = np.sqrt((1.0 / (gmm.eigenvalues + inflation)).sum(axis=1))
     g32, g64 = _gamma(d + 4, _U32), _gamma(2 * d + 4, _U64)
     mean_err = (g32 + g64) * _row_norms(gmm.means - centre)
     modes = np.empty(n, dtype=np.intp)
     unsure = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo, centred, q in _blocked_forms(x, centre, basis):
+        for lo, centred, q in _blocked_forms(x, centre, basis, fold):
             q = q.astype(np.float64)
             b = q.shape[0]
             # each score is within g32 q + t + slack of its float64 value,
@@ -510,47 +496,51 @@ def _row_norms(a) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", a, a))
 
 
-def responsibilities(gmm: Gmm, patches, inflation: float = 0.0, multiplicities=None):
+def responsibilities(gmm: Gmm, patches, inflation: float = 0.0):
     """Posterior component memberships for each patch: the E-step's softmax.
 
-    Returns the (m, K) responsibility matrix, the per-component soft counts
-    and the (m,) log normalizer of each of the m rows, its log mixture
-    density, whose sum is the likelihood term of ``log_posterior_objective``.
-    Rows of scores are shifted by their maximum before ``exp``, so the result
-    is exact up to rounding even when every density underflows.  A
-    ``DegeneratePatchError`` names a row with no support.
-
-    ``multiplicities``, if given, is a positive (m,) array: row i stands for
-    that many equal patches, and is scored once.  Its posteriors and log
-    density are then multiplied by it, so that rows sum to the
-    multiplicities, and the counts and ``loglik.sum()`` are those of all n
-    represented patches; ``sufficient_stats`` takes such a matrix as it is.
-    Without it every row stands for one patch and n = m.  Before that
-    scaling, posteriors below 2**-53 / n are flushed to 0.0 (the log
-    normalizer keeps the unflushed row sum).  Over the n patches that moves
-    each count by less than 2**-53 and each moment sum by less than 2**-53
-    max |x_i x_j|, and leaves no subnormal posterior to slow the products
-    of ``sufficient_stats`` on x86, which skips every zero.
+    Returns the (n, K) responsibility matrix, the per-component soft counts
+    and the (n,) log normalizer of each patch, its log mixture density,
+    whose sum is the likelihood term of ``log_posterior_objective``.  Rows
+    of scores are shifted by their maximum before ``exp``, so the result is
+    exact up to rounding even when every density underflows; posteriors
+    below 2**-53 / n are flushed to 0.0 (see ``_softmax``).  A patch with a
+    NaN or infinite entry is a ValueError that names it, and a
+    ``DegeneratePatchError`` names a patch with no support.
     """
-    x = _checked_points(gmm, patches, inflation)
-    copies = multiplicities
-    if copies is not None:
-        copies = np.asarray(copies, dtype=np.float64)
-        if copies.shape != x.shape[:1] or not ((copies > 0.0) & (copies < np.inf)).all():
-            raise ValueError(f"multiplicities must be {x.shape[0]} positive finite numbers")
-    return _softmax(gmm, x, inflation, copies)
+    return _softmax(gmm, _checked_points(gmm, patches, inflation), inflation)
 
 
-def _softmax(gmm: Gmm, x, inflation: float, copies=None):
-    """``responsibilities`` of rows that its checks have passed: a float64
-    (m, d) matrix of finite rows, a valid ``inflation`` and positive finite
-    multiplicities ``copies`` or None.  ``em_fit`` and ``adapt`` check their
-    rows once, where they enter, and run every E-step through this."""
-    scores = _layout_scores(x, _scoring_layout(gmm, inflation, np.float64))
-    n = x.shape[0] if copies is None else float(copies.sum())
+def _softmax(gmm: Gmm, rows, inflation: float, copies=None, firsts=None):
+    """``responsibilities`` of m rows that its checks have passed: a float64
+    (m, d) matrix of finite rows and a valid ``inflation``.  ``em_fit`` and
+    ``adapt`` check their patches once, where they enter, and run every
+    E-step through this on the distinct rows, ``copies`` and ``firsts``
+    that ``_distinct_rows`` returns.
+
+    ``copies``, if given, holds m positive counts: row i stands for that
+    many equal patches, and is scored once.  Its posteriors and log density
+    are then multiplied by it, so that rows sum to the copies, and the
+    counts and ``loglik.sum()`` are those of all n represented patches;
+    ``sufficient_stats`` takes such a matrix as it is.  Without it every
+    row stands for one patch and n = m.  Before that scaling, posteriors
+    below 2**-53 / n are flushed to 0.0 (the log normalizer keeps the
+    unflushed row sum).  Over the n patches that moves each count by less
+    than 2**-53 and each moment sum by less than 2**-53 max |x_i x_j|, and
+    leaves no subnormal posterior to slow the products of
+    ``sufficient_stats`` on x86, which skips every zero.
+
+    A row with no support is a ``DegeneratePatchError`` that names patch
+    ``firsts[row]``, the first occurrence of that row, or ``row`` itself
+    when ``firsts`` is None.
+    """
+    scores = _layout_scores(rows, _scoring_layout(gmm, inflation))
+    n = rows.shape[0] if copies is None else float(copies.sum())
     top = scores.max(axis=1)
     if not np.isfinite(top).all():
-        raise _no_support(int(np.flatnonzero(~np.isfinite(top))[0]))
+        row = int(np.flatnonzero(~np.isfinite(top))[0])
+        patch = row if firsts is None else int(firsts[row])
+        raise DegeneratePatchError(f"patch {patch} has no support under any component")
     z = np.exp(np.subtract(scores, top[:, None], out=scores), out=scores)
     total = z.sum(axis=1)
     loglik = top + np.log(total)
@@ -637,15 +627,15 @@ def sufficient_stats(patches, gamma) -> SufficientStats:
 
     ``gamma`` must be finite and nonnegative; a NaN, infinite or negative
     entry raises ``ValueError``.  Its rows may sum to more than one: a row
-    of posteriors scaled by a multiplicity, as ``responsibilities`` returns
-    it, stands for that many copies of its patch, and the counts then sum
-    to the number of patches represented.  Subnormal entries cost a
-    microcode assist per product on x86; ``responsibilities`` never
-    returns them.
+    of posteriors scaled by a multiplicity, as ``_softmax`` returns it for
+    the distinct rows of ``em_fit`` and ``adapt``, stands for that many
+    copies of its patch, and the counts then sum to the number of patches
+    represented.  Subnormal entries cost a microcode assist per product on
+    x86; ``_softmax`` never returns them.
 
     A row's support is the set of components where its gamma is positive;
     posteriors are mostly exact zeros once components specialize, and
-    ``responsibilities`` flushes the tiny ones.  Rows go in the stable order
+    ``_softmax`` flushes the tiny ones.  Rows go in the stable order
     of their support, a block at a time, each block gathered through that
     order into one buffer; rows with empty support are dropped.  Rows of
     one block then share most of their support.  A component is live in a

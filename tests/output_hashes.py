@@ -15,13 +15,17 @@ adapted models on the patches of each adaptation image at its
 sigma_tilde_sq; ``scores inflated``, ``component_log_densities`` of the
 generic prior and of the fixed prior below at inflation 100 on the
 stride-1 patches of a noisy scene, where the generic prior folds most
-components and the fixed one a single component beside 19 plain ones;
-the same ``em_fit`` and ``adapt`` groups on those patches, which repeat
-no row, so that the ``distinct`` lines keep their hashes through a
-change to how repeated rows are handled;
+components and the fixed one none; ``scores partly folded``, the same
+scores of the partly folded prior below, which folds three components
+beside 17 plain ones; the same ``em_fit`` and ``adapt`` groups on those
+patches, which repeat no row, so that the ``distinct`` lines keep their
+hashes through a change to how repeated rows are handled;
 ``denoise`` pixels and mode histograms under the generic and the adapted
-prior and under a fixed prior that no EM or adaptation code builds (so a
-change to those alone must keep its lines); ``wiener``, the Wiener step
+prior, under a fixed prior that no EM or adaptation code builds (so a
+change to those alone must keep its lines) and under the partly folded
+prior, whose float64 layout folds at every stage but is too wide to
+select through, so that the float32 screen casts a second, unfolded
+layout; ``wiener``, the Wiener step
 ``_shrink_rows`` of every generic component on fixed patches of the
 sigma-20 scene at the five betas of its default schedule, so that a
 change to that step alone shows apart from mode selection, which the
@@ -52,6 +56,7 @@ import patchprior as pp  # noqa: E402
 import synthimages  # noqa: E402
 from patchprior.cli import cli_dispatch  # noqa: E402
 from patchprior.denoise import _shrink_rows  # noqa: E402
+from patchprior.gmm import PSD_FLOOR, _mode_path  # noqa: E402
 
 # The adapt manifest's result lines; the others are paths, flags and timings.
 _MANIFEST_RESULTS = ("sigma_tilde_sq", "objectives", "logliks", "log_priors", "alphas",
@@ -104,6 +109,25 @@ def fixed_prior(corpus, k=20):
                   np.stack([b.mean(axis=0) for b in bands]), covs)
 
 
+def partly_folded(fixed, inflations):
+    """The fixed prior with the lowest 48 eigenvalues of components 0-2 set
+    to ``PSD_FLOOR``, rebuilt through ``Gmm()``.  At every inflation above
+    0 those three fold, since at least a quarter of their axes share their
+    smallest eigenvalue exactly, and the other 17 stay plain; so at each
+    of ``inflations`` the layout folds and ``select_modes`` screens."""
+    lam = fixed.eigenvalues.copy()
+    lam[:3, :48] = PSD_FLOOR
+    covs = (fixed.eigenvectors * lam[:, None, :]) @ np.swapaxes(fixed.eigenvectors, 1, 2)
+    prior = pp.Gmm(fixed.weights, fixed.means, 0.5 * (covs + np.swapaxes(covs, 1, 2)))
+    smallest = np.count_nonzero(prior.eigenvalues == prior.eigenvalues[:, :1], axis=1)
+    if not ((smallest[:3] == 48).all() and (smallest[3:] == 1).all()
+            and (prior.eigenvalues[:3, 0] == PSD_FLOOR).all()):
+        raise SystemExit("output_hashes: the partly folded prior does not fold 3 components")
+    if any(_mode_path(prior, s) != "screen" for s in inflations):
+        raise SystemExit("output_hashes: the partly folded prior does not take the screen")
+    return prior
+
+
 def chain_lines(generic, work: Path):
     pp.write_pgm(synthimages.make_smoke_image(96), work / "clean.pgm")
     pp.save_model(generic, work / "generic.gmmp")
@@ -150,6 +174,10 @@ def main() -> None:
     fixed = fixed_prior(corpus)
     lines.append(("scores inflated", digest(*(pp.component_log_densities(model, distinct, 100.0)
                                               for model in (generic, fixed)))))
+    stages = pp.HqsSchedule.default(20.0)
+    partly = partly_folded(fixed, (100.0, *stages.mode_inflations))
+    lines.append(("scores partly folded",
+                  digest(pp.component_log_densities(partly, distinct, 100.0))))
     own, trace = pp.em_fit(distinct, pp.EmConfig(n_components=20, max_iters=5, seed=0))
     lines.append(("em_fit distinct", digest(*model_parts(own), np.array(trace))))
     for sigma_tilde_sq in (0.0, 100.0):
@@ -159,9 +187,10 @@ def main() -> None:
     lines += denoise_lines("generic", noisy, generic)
     lines += denoise_lines("adapted", noisy, adapted[0.0])
     lines += denoise_lines("fixed", noisy, fixed)
+    lines += denoise_lines("partly folded", noisy, partly)
     rows = pp.extract_patches(noisy, 8)[::16]
     lines.append(("wiener", digest(*(_shrink_rows(generic, j, rows, beta)
-                                     for beta in pp.HqsSchedule.default(20.0).betas
+                                     for beta in stages.betas
                                      for j in range(generic.n_components)))))
 
     a = np.random.default_rng(0).standard_normal((6, 5, 5))

@@ -106,9 +106,9 @@ def float64_modes(prior, patches, inflation):
 
 def float32_modes(prior, patches, inflation):
     """The argmax of the float32 scores alone, before any re-check."""
-    centre, basis, base, _ = _scoring_layout(prior, inflation, np.float32)
-    return np.concatenate([(base - 0.5 * q).argmax(axis=1)
-                           for _, _, q in _blocked_forms(patches, centre, basis)])
+    centre, basis, base, fold = _scoring_layout(prior, inflation, fold=False)
+    return np.concatenate([(base - 0.5 * q).argmax(axis=1) for _, _, q in
+                           _blocked_forms(patches, centre, basis.astype(np.float32), fold)])
 
 
 @pytest.fixture
@@ -134,7 +134,7 @@ def screened(monkeypatch):
     module = sys.modules["patchprior.gmm"]
     original = module._blocked_forms
 
-    def recorded(x, centre, basis, fold=None):
+    def recorded(x, centre, basis, fold):
         dtypes.append(basis.dtype)
         return original(x, centre, basis, fold)
     monkeypatch.setattr(module, "_blocked_forms", recorded)
@@ -236,13 +236,13 @@ class TestFoldSelection:
         partly = Gmm(weights=folding.weights, means=folding.means,
                      covariances=np.concatenate([folding.covariances[:1],
                                                  spread.covariances[1:]]))
-        assert _scoring_layout(partly, 10.0, np.float64)[1].shape[1] == 34
+        assert _scoring_layout(partly, 10.0)[1].shape[1] == 34
         for prior, inflation, path in ((folding, 10.0, "fold"),
                                        (spread, 10.0, "screen"),
                                        (partly, 10.0, "screen"),
                                        (folding, 0.0, "screen")):
-            _, basis, _, fold = _scoring_layout(prior, inflation, np.float64)
-            assert (fold is not None and 2 * basis.shape[1] <= 3 * 16) == (path == "fold")
+            _, basis, _, fold = _scoring_layout(prior, inflation)
+            assert (fold[1].size > 0 and 2 * basis.shape[1] <= 3 * 16) == (path == "fold")
             assert _mode_path(prior, inflation) == path
             screened.clear()
             assert np.array_equal(select_modes(prior, patches, inflation),
@@ -256,8 +256,8 @@ class TestFoldSelection:
         prior, _ = em_fit(clean, EmConfig(n_components=6, max_iters=5, seed=0))
         paths = set()
         for inflation in (0.0, 1e-6, 1.0, 12.5, 100.0, 1e4):
-            _, basis, _, fold = _scoring_layout(prior, inflation, np.float64)
-            narrow = fold is not None and 2 * basis.shape[1] <= 6 * 64
+            _, basis, _, fold = _scoring_layout(prior, inflation)
+            narrow = fold[1].size > 0 and 2 * basis.shape[1] <= 6 * 64
             paths.add(_mode_path(prior, inflation))
             assert _mode_path(prior, inflation) == ("fold" if narrow else "screen")
         assert paths == {"fold", "screen"}
@@ -332,6 +332,9 @@ class TestWienerShrink:
         basis = scipy.linalg.hadamard(d) / 8.0
         lam = np.full(d, PSD_FLOOR)
         lam[rng.permutation(d)[:17]] = np.geomspace(1.0, 1e4, 17)
+        # Gmm takes eigenpairs in ascending order
+        order = np.argsort(lam, kind="stable")
+        lam, basis = lam[order], basis[:, order]
         cov = (basis * lam) @ basis.T
         cov = 0.5 * (cov + cov.T)
         mean = rng.uniform(0.0, 255.0, d)

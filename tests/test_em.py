@@ -249,7 +249,9 @@ class TestRepeatedRows:
         config = EmConfig(n_components=3, max_iters=5, tol=1e-14, seed=2)
         model, trace = em_fit(x, config)
         rng = np.random.default_rng(config.seed)
-        want = em_module._initialize(x, config, rng)
+        # seeded over every row, as _distinct_rows hands over a matrix
+        # without repeats
+        want = em_module._initialize(x, config, rng, x, None)
         want_trace = []
         for _ in range(config.max_iters):
             gamma, _, loglik = responsibilities(want, x)
@@ -328,7 +330,9 @@ class TestEdgeCases:
         x = np.concatenate([t, 2.0 * t], axis=1)
         calls = []
         shapes = record_eigh(monkeypatch, calls)
-        model = em_module._initialize(x, EmConfig(n_components=3), np.random.default_rng(0))
+        rows, _, _, index = gmm_module._distinct_rows(x)
+        model = em_module._initialize(x, EmConfig(n_components=3), np.random.default_rng(0),
+                                      rows, index)
         assert shapes == [(1, 2, 2)]
         monkeypatch.undo()
         assert calls[0][1][0, 0] < PSD_FLOOR

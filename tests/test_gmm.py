@@ -171,7 +171,7 @@ class TestResponsibilities:
         gmm = random_gmm(rng, 4, 3)
         x = rng.normal(0.0, 2.0, (60, 3))
         copies = rng.integers(1, 6, 60)
-        gamma, counts, loglik = responsibilities(gmm, x, 0.5, copies)
+        gamma, counts, loglik = gmm_module._softmax(gmm, x, 0.5, copies)
         gamma_all, counts_all, loglik_all = responsibilities(
             gmm, np.repeat(x, copies, axis=0), 0.5)
         assert np.allclose(gamma.sum(axis=1), copies, rtol=1e-12, atol=0.0)
@@ -186,18 +186,9 @@ class TestResponsibilities:
         rng = np.random.default_rng(24)
         gmm = random_gmm(rng, 3, 2)
         x = rng.standard_normal((40, 2))
-        for got, want in zip(responsibilities(gmm, x, multiplicities=np.ones(40)),
+        for got, want in zip(gmm_module._softmax(gmm, x, 0.0, np.ones(40)),
                              responsibilities(gmm, x)):
             assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("copies", [np.ones(4), np.array([1.0, 2.0, 0.0, 1.0, 1.0]),
-                                        np.array([1.0, np.nan, 1.0, 1.0, 1.0]),
-                                        np.array([1.0, 1.0, np.inf, 1.0, 1.0])],
-                             ids=["short", "zero", "nan", "inf"])
-    def test_bad_multiplicities_rejected(self, copies):
-        gmm = random_gmm(np.random.default_rng(25), 2, 2)
-        with pytest.raises(ValueError, match="multiplicities must be 5 positive finite"):
-            responsibilities(gmm, np.zeros((5, 2)), multiplicities=copies)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("score", ["densities", "responsibilities"])
@@ -210,7 +201,7 @@ class TestResponsibilities:
             if score == "densities":
                 component_log_densities(gmm, x, 2.0)
             else:
-                responsibilities(gmm, x, multiplicities=np.ones(9))
+                responsibilities(gmm, x)
 
     def test_degenerate_patch_raises(self):
         gmm = Gmm(weights=np.array([1.0]), means=np.zeros((1, 1)),
@@ -219,6 +210,18 @@ class TestResponsibilities:
             warnings.simplefilter("error")  # the overflow is expected, not reported
             with pytest.raises(DegeneratePatchError):
                 responsibilities(gmm, np.array([[1e300]]))
+
+    def test_softmax_names_the_first_occurrence(self):
+        # distinct rows 0..2 first seen at patches 0, 4 and 9: the row with
+        # no support is named by the patch where it first occurs
+        gmm = Gmm(weights=np.array([1.0]), means=np.zeros((1, 1)),
+                  covariances=np.ones((1, 1, 1)))
+        rows = np.array([[0.5], [1e300], [-1.0]])
+        with pytest.raises(DegeneratePatchError,
+                           match="^patch 4 has no support under any component$"):
+            gmm_module._softmax(gmm, rows, 0.0, np.array([4.0, 5.0, 1.0]), np.array([0, 4, 9]))
+        with pytest.raises(DegeneratePatchError, match="^patch 1 has no support"):
+            gmm_module._softmax(gmm, rows, 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -256,7 +259,7 @@ class TestSubnormalFlush:
         assert ((raw > 0.0) & (raw < TINY)).any()
         for weights, scale in self._cases(patches):
             threshold = 2.0 ** -53 / scale.sum()
-            gamma, _, _ = responsibilities(prior, patches, 100.0, weights)
+            gamma, _, _ = gmm_module._softmax(prior, patches, 100.0, weights)
             assert np.array_equal(gamma, np.where(raw < threshold, 0.0, raw) * scale[:, None])
             assert ((raw >= TINY) & (raw < threshold) & (gamma == 0.0)).any()
             assert np.allclose(gamma.sum(axis=1), scale, rtol=1e-12, atol=0.0)
@@ -268,7 +271,7 @@ class TestSubnormalFlush:
         prior, patches = noisy_scene
         raw, _ = self._unflushed(prior, patches)
         for weights, scale in self._cases(patches):
-            gamma, counts, _ = responsibilities(prior, patches, 100.0, weights)
+            gamma, counts, _ = gmm_module._softmax(prior, patches, 100.0, weights)
             flushed_mass = np.where(gamma == 0.0, raw * scale[:, None], 0.0).sum(axis=0)
             assert flushed_mass.any() and (flushed_mass < 2.0 ** -53).all()
             assert np.array_equal(counts, gamma.sum(axis=0))
@@ -279,7 +282,7 @@ class TestSubnormalFlush:
         prior, patches = noisy_scene
         _, loglik = self._unflushed(prior, patches)
         for weights, scale in self._cases(patches):
-            assert np.array_equal(responsibilities(prior, patches, 100.0, weights)[2],
+            assert np.array_equal(gmm_module._softmax(prior, patches, 100.0, weights)[2],
                                   loglik * scale)
 
 
@@ -411,6 +414,16 @@ class TestGmmValidation:
             Gmm._factored(np.array([0.5, 0.5]), np.zeros((2, 2)), covs, evals, evecs)
         with pytest.raises(ValueError, match="eigen-factors do not match"):
             Gmm._factored(np.array([0.5, 0.5]), np.zeros((2, 2)), covs, evals[:1], evecs)
+
+    def test_factored_construction_checks_the_order(self):
+        # one eigenpair of component 2 swapped: the factors still reproduce
+        # the covariance, but its smallest eigenvalue is not the first
+        gmm = random_gmm(np.random.default_rng(22), 3, 4)
+        evals, evecs = np.linalg.eigh(gmm.covariances)
+        evals[2] = evals[2][[1, 0, 2, 3]]
+        evecs[2] = evecs[2][:, [1, 0, 2, 3]]
+        with pytest.raises(ValueError, match="^eigenvalues do not ascend in component 2$"):
+            Gmm._factored(gmm.weights, gmm.means, gmm.covariances, evals, evecs)
 
     def test_factored_construction_keeps_frozen_copies(self):
         gmm = random_gmm(np.random.default_rng(21), 3, 4)
@@ -815,7 +828,7 @@ class TestBlockedKernelAccuracy:
 
     @pytest.mark.parametrize("inflation", [12.5, 40.0, 100.0])
     def test_folded_scores_within_bound(self, floored_prior, points, inflation):
-        plain, folded, _, _ = _scoring_layout(floored_prior, inflation, np.float64)[3]
+        plain, folded, _, _ = _scoring_layout(floored_prior, inflation)[3]
         # most floored components merge their axes; the fullest ones stay plain
         assert folded.size >= 10 and plain.size >= 1
         ref, q = self.reference_scores(floored_prior, points, inflation)
@@ -831,17 +844,39 @@ class TestBlockedKernelAccuracy:
         # merges the same axes; the near-floor eight of component 11 stay
         assert np.count_nonzero(floored_prior.eigenvalues == PSD_FLOOR) > 600
         assert np.count_nonzero(floored_prior.eigenvalues[11] == PSD_FLOOR) == 64 - 20 - 8
-        widths = {_scoring_layout(floored_prior, s, np.float64)[1].shape[1]
+        widths = {_scoring_layout(floored_prior, s)[1].shape[1]
                   for s in (1e-3, 12.5, 25.0, 50.0, 100.0, 400.0, 2500.0)}
         assert len(widths) == 1 and widths.pop() < 20 * 64
 
     def test_plain_layout_without_a_fold(self, block_prior, floored_prior):
-        # distinct spectra, no inflation and the float32 screen never fold
-        for gmm, inflation, dtype in ((block_prior, 100.0, np.float64),
-                                      (floored_prior, 0.0, np.float64),
-                                      (floored_prior, 100.0, np.float32)):
-            _, basis, _, fold = _scoring_layout(gmm, inflation, dtype)
-            assert fold is None and basis.shape == (65, 20 * 64)
+        # distinct spectra, no inflation and an unfolded layout never fold
+        for gmm, inflation, fold in ((block_prior, 100.0, True),
+                                     (floored_prior, 0.0, True),
+                                     (floored_prior, 100.0, False)):
+            _, basis, _, (plain, folds, starts, scale) = _scoring_layout(gmm, inflation, fold)
+            assert basis.dtype == np.float64 and basis.shape == (65, 20 * 64)
+            assert np.array_equal(plain, np.arange(20))
+            assert folds.size == starts.size == scale.size == 0
+        # the float32 screen's basis is that float64 basis cast, bit for bit,
+        # to what rounding each entry of the whitened columns straight to
+        # float32 gives
+        spectra = floored_prior.eigenvalues + 100.0
+        white = floored_prior.eigenvectors / np.sqrt(spectra)[:, None, :]
+        direct = np.empty((65, 20, 64), dtype=np.float32)
+        direct[:64] = white.transpose(1, 0, 2)
+        centre = floored_prior.means.mean(axis=0)
+        direct[64] = -np.einsum("kd,kde->ke", floored_prior.means - centre, white)
+        assert np.array_equal(basis.astype(np.float32), direct.reshape(65, 20 * 64))
+
+    @pytest.mark.parametrize("inflation", [0.0, 100.0])
+    def test_unfolded_model_scores_alike_either_way(self, block_prior, points, inflation):
+        # nothing folds in this prior, so fold=True and fold=False build the
+        # same layout and score every row the same, bit for bit
+        folded = _scoring_layout(block_prior, inflation)
+        unfolded = _scoring_layout(block_prior, inflation, fold=False)
+        assert folded[3][1].size == 0
+        assert np.array_equal(gmm_module._layout_scores(points, folded),
+                              gmm_module._layout_scores(points, unfolded))
 
     @pytest.mark.parametrize("inflation", [0.0, 100.0])
     def test_scores_within_bound(self, block_prior, points, inflation):
