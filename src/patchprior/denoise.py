@@ -11,12 +11,11 @@ observation to the prior.
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
-# component_log_densities is unused: perfbench/test_perfbench.py looks it up here
-from .gmm import Gmm, _mode_path, component_log_densities, select_modes  # noqa: F401
+# component_log_densities and select_modes are unused: perfbench looks them up here
+from .gmm import Gmm, _mode_plan, _select, component_log_densities, select_modes  # noqa: F401
 from .patches import (ImageBuffer, _check_sigma, _patch_side, accumulate_patches,
                       extract_patches, psnr)
 from .timing import LapTimer
@@ -36,8 +35,8 @@ class HqsSchedule:
         betas = tuple(float(b) for b in self.betas)
         if not betas:
             raise ValueError("schedule must have at least one stage")
-        if not all(0 < b < math.inf for b in betas):
-            raise ValueError("betas must be positive and finite")
+        if not all(0 < b < np.inf and 1.0 / b < np.inf for b in betas):
+            raise ValueError(f"betas and their reciprocals must be positive and finite: {betas}")
         object.__setattr__(self, "betas", betas)
 
     @classmethod
@@ -59,11 +58,11 @@ class DenoiseResult:
 
     ``psnr_trace`` is present only when a reference image was supplied;
     ``mode_histograms`` counts the patches assigned to each component at
-    every stage, and ``mode_paths`` names the path that ``select_modes``
-    took at every stage, "fold" or "screen".  ``seconds`` maps each layer
-    to its wall-clock total over all stages: ``extract`` (the patches),
-    ``select`` (mode selection), ``shrink`` (the Wiener step), ``aggregate``
-    and ``update`` (the pixel update with its checks and PSNR).
+    every stage, and ``mode_paths`` names each stage's mode-selection path,
+    "fold" or "screen".  ``seconds`` maps each layer to its wall-clock
+    total over all stages: ``extract`` (the patches), ``select`` (mode
+    selection), ``shrink`` (the Wiener step), ``aggregate`` and ``update``
+    (the pixel update with its checks and PSNR).
     """
 
     image: ImageBuffer
@@ -73,24 +72,22 @@ class DenoiseResult:
     seconds: dict
 
 
-def _shrink_rows(prior: Gmm, component: int, rows: np.ndarray, beta: float) -> np.ndarray:
-    """MAP patches under one component given a quadratic coupling beta.
-
-    Solves (beta C + I) v = mu + beta C p for each row p, into a new array,
-    as v = p S + (mu - mu S), S = U diag(beta lambda / (beta lambda + 1)) U^T
-    in the cached eigenbasis.  Rounding, with e = 2^-53, gamma_n =
-    n e / (1 - n e) and U orthogonal: S is off by at most
-    gamma_{d+4} abs(U) abs(U)^T entrywise, an entry of p S or mu S by
-    sqrt(d) gamma_{2d+4} |p| or |mu|, and so each entry of v by at most
-    sqrt(d) gamma_{2d+6} (|p| + |mu|), to first order: under 5e-10 gray
-    levels at d = 64 with patches and means in [0, 255].
-    """
-    basis, mean = prior.eigenvectors[component], prior.means[component]
-    lam = beta * prior.eigenvalues[component]
-    shrink = (basis * (lam / (lam + 1.0))) @ basis.T
-    out = rows @ shrink
-    out += mean - mean @ shrink
-    return out
+def _wiener_maps(prior: Gmm, beta: float):
+    """The affine Wiener maps of a stage with coupling beta, for all K
+    components from one batched product: the (K, d, d) stack of S_k =
+    U_k diag(beta lambda_k / (beta lambda_k + 1)) U_k^T in the cached
+    eigenbasis and the (K, d) offsets mu_k - mu_k S_k.  The MAP patch
+    v = p S_k + (mu_k - mu_k S_k) of a patch p of mode k solves
+    (beta C_k + I) v = mu_k + beta C_k p.  Rounding, with e = 2^-53,
+    gamma_n = n e / (1 - n e) and U_k orthogonal: S_k is off by at most
+    gamma_{d+4} abs(U_k) abs(U_k)^T entrywise, an entry of p S_k or mu_k S_k
+    by sqrt(d) gamma_{2d+4} |p| or |mu_k|, and so each entry of v by at most
+    sqrt(d) gamma_{2d+6} (|p| + |mu_k|), to first order: under 5e-10 gray
+    levels at d = 64 with patches and means in [0, 255]."""
+    lam = beta * prior.eigenvalues
+    basis = prior.eigenvectors
+    shrink = (basis * (lam / (lam + 1.0))[:, None, :]) @ np.swapaxes(basis, 1, 2)
+    return shrink, prior.means - (prior.means[:, None, :] @ shrink)[:, 0]
 
 
 def denoise(noisy: ImageBuffer, sigma: float, prior: Gmm,
@@ -118,14 +115,16 @@ def denoise(noisy: ImageBuffer, sigma: float, prior: Gmm,
     for stage, (beta, delta) in enumerate(zip(schedule.betas, schedule.mode_inflations)):
         patches = extract_patches(ImageBuffer(x), side, 1)
         laps.lap("extract")
-        modes = select_modes(prior, patches, delta)
+        plan = _mode_plan(prior, delta)
+        modes = _select(prior, patches, delta, plan)
         counts = np.bincount(modes, minlength=prior.n_components)
         histograms.append(counts)
-        paths.append(_mode_path(prior, delta))
+        paths.append(plan[0])
         laps.lap("select")
+        shrink, offsets = _wiener_maps(prior, beta)
         for j in np.flatnonzero(counts):
             idx = np.flatnonzero(modes == j)
-            patches[idx] = _shrink_rows(prior, j, patches[idx], beta)
+            patches[idx] = patches[idx] @ shrink[j] + offsets[j]
         laps.lap("shrink")
         sums, cover = accumulate_patches(patches, noisy.width, noisy.height)
         laps.lap("aggregate")

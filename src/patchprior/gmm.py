@@ -286,7 +286,7 @@ def _checked_points(gmm: Gmm, points, inflation: float) -> np.ndarray:
     return x
 
 
-def _scoring_layout(gmm: Gmm, inflation: float, fold: bool = True):
+def _scoring_layout(gmm: Gmm, inflation: float, merged=None):
     """The centre c, the float64 scoring basis, the (K,) score offsets and
     the fold record ``(plain, folds, starts, scale)``.
 
@@ -303,9 +303,8 @@ def _scoring_layout(gmm: Gmm, inflation: float, fold: bool = True):
     the indices of the plain and of the folded components, the first
     ragged column of each folded one and its a_k.
 
-    A component folds where ``_merged_axes`` merges its axes and ``fold``
-    is true.  An unfolded layout is the record with no folded component,
-    the K d whitened columns alone; the float32 screen casts it.
+    A component folds where ``merged``, by default the ``_merged_axes``
+    mask, merges its axes; an all-False mask gives the unfolded layout.
     """
     d = gmm.dim
     spectra = gmm.eigenvalues + inflation
@@ -313,7 +312,7 @@ def _scoring_layout(gmm: Gmm, inflation: float, fold: bool = True):
         base = np.log(gmm.weights) - 0.5 * (d * _LOG_2PI + np.log(spectra).sum(axis=1))
     centre = gmm.means.mean(axis=0)
     dev = gmm.means - centre
-    merged = _merged_axes(gmm, inflation) & fold
+    merged = _merged_axes(gmm, inflation) if merged is None else merged
     folding = merged.any(axis=1)
     folds, plain = np.flatnonzero(folding), np.flatnonzero(~folding)
     kept = ~merged[folds]
@@ -398,14 +397,15 @@ def _gamma(n: int, u: float) -> float:
     return n * u / (1.0 - n * u)
 
 
-def _mode_path(gmm: Gmm, inflation: float) -> str:
-    """The path of ``select_modes`` at this inflation: "fold" when the
-    float64 layout folds to at most K d / 2 columns (d per plain
-    component; per folded one, one per free axis and its norm column),
-    else "screen", as for every layout in which nothing folds."""
+def _mode_plan(gmm: Gmm, inflation: float):
+    """``select_modes``' path at this inflation and its one float64 layout,
+    from one ``_merged_axes`` mask: "fold" and the folded layout when it has
+    at most K d / 2 columns (d per plain component; per folded one, one per
+    free axis and its norm column), else "screen" and the unfolded layout."""
     merged = _merged_axes(gmm, inflation)
     columns = merged.size - np.count_nonzero(merged) + np.count_nonzero(merged.any(axis=1))
-    return "fold" if 2 * columns <= merged.size else "screen"
+    path = "fold" if 2 * columns <= merged.size else "screen"
+    return path, _scoring_layout(gmm, inflation, merged & (path == "fold"))
 
 
 def select_modes(gmm: Gmm, points, inflation: float) -> np.ndarray:
@@ -417,12 +417,11 @@ def select_modes(gmm: Gmm, points, inflation: float) -> np.ndarray:
     patch with a NaN or infinite entry is a ValueError that names it.
 
     The result is the argmax of the float64 ``component_log_densities``,
-    and the call builds that kernel's layout once.  The modes equal the
-    argmax of the exact scores wherever its top two exact scores differ by
-    more than twice the float64 kernel's bound (see its docstring); only
-    such rounding-level ties, which the BLAS blocking of a float64 call
-    can already flip, may fall either way.  ``_mode_path`` names the path
-    that a call takes.
+    through the one layout of that kernel that ``_mode_plan`` builds.  The
+    modes equal the argmax of the exact scores wherever its top two exact
+    scores differ by more than twice the float64 kernel's bound (see its
+    docstring); only such rounding-level ties, which the BLAS blocking of
+    a float64 call can already flip, may fall either way.
 
     Fold: at inflation > 0, when the layout folds to at most K d / 2 GEMM
     columns, the modes are the argmax of its float64 scores.  That
@@ -433,7 +432,7 @@ def select_modes(gmm: Gmm, points, inflation: float) -> np.ndarray:
     between 600 and 695 of the 1,280 columns.
 
     Screen: every other layout is screened in float32, through the
-    unfolded layout of that kernel cast to float32: on patches and means
+    unfolded float64 layout cast to float32: on patches and means
     centred on the mean of the means c, the quadratic form q of every
     patch x under every component k is formed in float32.  With u = 2^-24,
     the float64 unit roundoff v = 2^-53, gamma_n(u) = n u / (1 - n u) and
@@ -452,26 +451,28 @@ def select_modes(gmm: Gmm, points, inflation: float) -> np.ndarray:
     its float32 winner, lowered by B + 1e-6, still beats every other
     component raised by its own B + 1e-6: then the float64 scores order
     the same way.  Every other patch, including any with a non-finite
-    float32 value, is rescored in the float64 layout of the call (about 1%
-    of the patches on natural scenes).  That layout is the unfolded one
-    unless some component folds; only then is a second one built.
+    float32 value, is rescored in that unfolded float64 layout (about 1%
+    of the patches on natural scenes), whose bound is the plain one of
+    ``component_log_densities``, even where some component would fold.
     """
     x = _checked_points(gmm, points, inflation)
-    layout = _scoring_layout(gmm, inflation)
-    if _mode_path(gmm, inflation) == "fold":
+    return _select(gmm, x, inflation, _mode_plan(gmm, inflation))
+
+
+def _select(gmm: Gmm, x, inflation: float, plan) -> np.ndarray:
+    """``select_modes`` of checked rows x through ``plan``, a ``_mode_plan``."""
+    path, layout = plan
+    if path == "fold":
         return _layout_scores(x, layout).argmax(axis=1)
     n, d = x.shape
     centre, basis, base, fold = layout
-    if fold[1].size:
-        _, basis, _, fold = _scoring_layout(gmm, inflation, fold=False)
-    basis = basis.astype(np.float32)
     root_l = np.sqrt((1.0 / (gmm.eigenvalues + inflation)).sum(axis=1))
     g32, g64 = _gamma(d + 4, _U32), _gamma(2 * d + 4, _U64)
     mean_err = (g32 + g64) * _row_norms(gmm.means - centre)
     modes = np.empty(n, dtype=np.intp)
     unsure = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo, centred, q in _blocked_forms(x, centre, basis, fold):
+        for lo, centred, q in _blocked_forms(x, centre, basis.astype(np.float32), fold):
             q = q.astype(np.float64)
             b = q.shape[0]
             # each score is within g32 q + t + slack of its float64 value,
@@ -487,8 +488,7 @@ def select_modes(gmm: Gmm, points, inflation: float) -> np.ndarray:
             modes[lo:lo + b] = win
             unsure.append(lo + np.flatnonzero(~sure))
     unsure = np.concatenate(unsure)
-    if unsure.size:
-        modes[unsure] = _layout_scores(x[unsure], layout).argmax(axis=1)
+    modes[unsure] = _layout_scores(x[unsure], layout).argmax(axis=1)
     return modes
 
 

@@ -23,16 +23,16 @@ hashes through a change to how repeated rows are handled;
 ``denoise`` pixels and mode histograms under the generic and the adapted
 prior, under a fixed prior that no EM or adaptation code builds (so a
 change to those alone must keep its lines) and under the partly folded
-prior, whose float64 layout folds at every stage but is too wide to
-select through, so that the float32 screen casts a second, unfolded
-layout; ``wiener``, the Wiener step
-``_shrink_rows`` of every generic component on fixed patches of the
-sigma-20 scene at the five betas of its default schedule, so that a
-change to that step alone shows apart from mode selection, which the
-``denoise histograms`` lines follow; ``condition_psd`` on fixed
-stacks; and the files of the CLI chain ``noise`` ->
-``adapt --sigma-tilde sure`` -> ``denoise``.  pytest does not collect this
-file.
+prior, three of whose components fold at every stage, which leaves its
+layout too wide to select through, so that every stage plans the float32
+screen and builds the unfolded layout alone; ``wiener``, the Wiener step
+of every generic component through the ``_wiener_maps`` of each of the
+five betas of the sigma-20 default schedule, on fixed patches of that
+scene, so that a change to that step alone shows apart from mode
+selection, which the ``denoise histograms`` lines follow;
+``condition_psd`` on fixed stacks; and the files of the CLI chain
+``noise`` -> ``adapt --sigma-tilde sure`` -> ``denoise``.  pytest does not
+collect this file.
 """
 
 import os
@@ -55,8 +55,8 @@ import numpy as np  # noqa: E402
 import patchprior as pp  # noqa: E402
 import synthimages  # noqa: E402
 from patchprior.cli import cli_dispatch  # noqa: E402
-from patchprior.denoise import _shrink_rows  # noqa: E402
-from patchprior.gmm import PSD_FLOOR, _mode_path  # noqa: E402
+from patchprior.denoise import _wiener_maps  # noqa: E402
+from patchprior.gmm import PSD_FLOOR, _mode_plan  # noqa: E402
 
 # The adapt manifest's result lines; the others are paths, flags and timings.
 _MANIFEST_RESULTS = ("sigma_tilde_sq", "objectives", "logliks", "log_priors", "alphas",
@@ -123,7 +123,7 @@ def partly_folded(fixed, inflations):
     if not ((smallest[:3] == 48).all() and (smallest[3:] == 1).all()
             and (prior.eigenvalues[:3, 0] == PSD_FLOOR).all()):
         raise SystemExit("output_hashes: the partly folded prior does not fold 3 components")
-    if any(_mode_path(prior, s) != "screen" for s in inflations):
+    if any(_mode_plan(prior, s)[0] != "screen" for s in inflations):
         raise SystemExit("output_hashes: the partly folded prior does not take the screen")
     return prior
 
@@ -189,8 +189,9 @@ def main() -> None:
     lines += denoise_lines("fixed", noisy, fixed)
     lines += denoise_lines("partly folded", noisy, partly)
     rows = pp.extract_patches(noisy, 8)[::16]
-    lines.append(("wiener", digest(*(_shrink_rows(generic, j, rows, beta)
-                                     for beta in stages.betas
+    maps = [_wiener_maps(generic, beta) for beta in stages.betas]
+    lines.append(("wiener", digest(*(rows @ shrink[j] + offsets[j]
+                                     for shrink, offsets in maps
                                      for j in range(generic.n_components)))))
 
     a = np.random.default_rng(0).standard_normal((6, 5, 5))

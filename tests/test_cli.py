@@ -293,6 +293,19 @@ class TestDenoise:
         assert "--betas" in capsys.readouterr().err.strip().splitlines()[-1]
         assert reads == []
 
+    def test_betas_with_an_infinite_reciprocal_named(self, workspace, noisy, tmp_path,
+                                                      capsys):
+        # 1e-306 / 20^2 is subnormal, so that stage's mode inflation, its
+        # reciprocal, would be infinite; the schedule names the betas
+        out = tmp_path / "d.pgm"
+        rc = cli_dispatch(["denoise", str(noisy), "--sigma", "20",
+                           "--model", str(workspace / "generic.gmmp"),
+                           "--out", str(out), "--betas", "1,1e-306"])
+        message = capsys.readouterr().err.strip().splitlines()[-1]
+        assert rc == 1
+        assert "betas" in message and "inflation" not in message
+        assert not out.exists()
+
     def test_custom_betas_in_manifest(self, workspace, noisy, tmp_path):
         out = tmp_path / "d.pgm"
         rc = cli_dispatch(["denoise", str(noisy), "--sigma", "20",

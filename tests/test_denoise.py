@@ -22,9 +22,10 @@ from patchprior import (
     psnr,
     select_modes,
 )
-from patchprior.denoise import _shrink_rows
+from patchprior.denoise import _wiener_maps
 from patchprior.em import EmConfig, em_fit
-from patchprior.gmm import PSD_FLOOR, _blocked_forms, _gamma, _mode_path, _scoring_layout
+from patchprior.gmm import (PSD_FLOOR, _blocked_forms, _gamma, _merged_axes, _mode_plan,
+                            _scoring_layout)
 
 from synthimages import make_piecewise_image, make_smoke_image
 
@@ -56,9 +57,12 @@ class TestSchedule:
         assert np.allclose(sched.mode_inflations, 1.0 / np.asarray(sched.betas))
         assert len(sched.betas) == 5
 
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            HqsSchedule(betas=(0.0,))
+    @pytest.mark.parametrize("beta", [0.0, -1.0, np.nan, np.inf, 1e-310],
+                             ids=["zero", "negative", "nan", "inf", "infinite-reciprocal"])
+    def test_rejects_bad_values(self, beta):
+        # 1 / 1e-310 overflows: that stage's mode inflation would be infinite
+        with pytest.raises(ValueError, match="^betas and their reciprocals must be positive"):
+            HqsSchedule(betas=(1.0, beta))
 
 
 def flat_prior(k=1, d=4, variance=100.0):
@@ -74,6 +78,25 @@ def spread_prior(prior):
     takes the float32 screen."""
     spread = np.diag(np.linspace(1.0, 2.0, prior.dim))
     return Gmm(weights=prior.weights, means=prior.means, covariances=prior.covariances + spread)
+
+
+def partly_folded(prior):
+    """The first component of ``prior`` beside the rest of its spread
+    prior: at every inflation above 0 that component folds and the others
+    stay plain, which on ``flat_prior(k=3, d=16)`` makes a fold of
+    2 + 2 * 16 columns, wider than half of K d, so select_modes screens."""
+    spread = spread_prior(prior)
+    return Gmm(weights=prior.weights, means=prior.means,
+               covariances=np.concatenate([prior.covariances[:1], spread.covariances[1:]]))
+
+
+def mode_path(prior, inflation):
+    return _mode_plan(prior, inflation)[0]
+
+
+def unfolded(prior):
+    """The merged-axes mask of the unfolded layout: nothing folds."""
+    return np.zeros((prior.n_components, prior.dim), dtype=bool)
 
 
 class TestModeSelection:
@@ -106,7 +129,7 @@ def float64_modes(prior, patches, inflation):
 
 def float32_modes(prior, patches, inflation):
     """The argmax of the float32 scores alone, before any re-check."""
-    centre, basis, base, fold = _scoring_layout(prior, inflation, fold=False)
+    centre, basis, base, fold = _scoring_layout(prior, inflation, unfolded(prior))
     return np.concatenate([(base - 0.5 * q).argmax(axis=1) for _, _, q in
                            _blocked_forms(patches, centre, basis.astype(np.float32), fold)])
 
@@ -141,6 +164,28 @@ def screened(monkeypatch):
     return dtypes
 
 
+@pytest.fixture
+def decisions(monkeypatch):
+    """Whether each layout built folds any component, and the number of
+    ``_merged_axes`` masks, over every call into the gmm module; the test's
+    own imports of those names are not counted."""
+    record = {"layouts": [], "masks": 0}
+    module = sys.modules["patchprior.gmm"]
+    layout, merged_axes = module._scoring_layout, module._merged_axes
+
+    def built(gmm, inflation, merged=None):
+        out = layout(gmm, inflation, merged)
+        record["layouts"].append(bool(out[3][1].size))
+        return out
+
+    def masked(gmm, inflation):
+        record["masks"] += 1
+        return merged_axes(gmm, inflation)
+    monkeypatch.setattr(module, "_scoring_layout", built)
+    monkeypatch.setattr(module, "_merged_axes", masked)
+    return record
+
+
 def near_tie(covariance):
     """Three components with covariance ``covariance``, two of whose scores
     differ by 1e-8 to 1e-5 nats on every one of 2000 patches: below the
@@ -168,7 +213,7 @@ class TestFloat32Screen:
         patches = extract_patches(add_gaussian_noise(clean, 20.0, seed=0), 8, 1)
         checked = 0
         for inflation in (400.0, 100.0, 25.0, 12.5):
-            assert _mode_path(prior, inflation) == "screen"
+            assert mode_path(prior, inflation) == "screen"
             # em_fit and float64_modes score through the same kernel
             rechecked.clear()
             screened.clear()
@@ -181,7 +226,7 @@ class TestFloat32Screen:
 
     def test_near_ties_are_decided_in_float64(self, rechecked):
         prior, patches = near_tie(np.diag(np.linspace(20.0, 40.0, 16)))
-        assert _mode_path(prior, 5.0) == "screen"
+        assert mode_path(prior, 5.0) == "screen"
         expect = float64_modes(prior, patches, 5.0)
         assert set(expect) == {0, 1}
         assert (float32_modes(prior, patches, 5.0) != expect).any()
@@ -201,7 +246,7 @@ class TestFloat32Screen:
     def test_float32_overflow_is_rechecked(self, rechecked):
         # squared forms past 3.4e38, and patches past float32 range entirely
         prior = spread_prior(flat_prior(k=3, d=16))
-        assert _mode_path(prior, 10.0) == "screen"
+        assert mode_path(prior, 10.0) == "screen"
         rng = np.random.default_rng(6)
         patches = rng.uniform(0.0, 255.0, (40, 16))
         patches[:10] *= 1e18
@@ -214,7 +259,7 @@ class TestFloat32Screen:
     def test_nan_rows_never_certified(self, rechecked, screened):
         # a NaN patch is named before the screen scores anything
         prior = spread_prior(flat_prior(k=3, d=16))
-        assert _mode_path(prior, 10.0) == "screen"
+        assert mode_path(prior, 10.0) == "screen"
         patches = np.random.default_rng(7).uniform(0.0, 255.0, (12, 16))
         patches[4, 3] = np.nan
         with pytest.raises(ValueError, match="^patch 4 has a non-finite entry$"):
@@ -226,16 +271,14 @@ class TestFoldSelection:
     """At inflation > 0 a prior whose float64 layout folds to at most half
     of K d columns is selected through that fold, in float64 alone."""
 
-    def test_each_path_by_its_layout(self, screened):
+    def test_each_path_by_its_layout(self, screened, decisions):
         rng = np.random.default_rng(8)
         patches = rng.uniform(0.0, 255.0, (300, 16))
         folding = flat_prior(k=3, d=16)
         spread = spread_prior(folding)
         # one folded component beside two plain ones: a fold of 2 + 2 * 16
         # columns, wider than half of K d
-        partly = Gmm(weights=folding.weights, means=folding.means,
-                     covariances=np.concatenate([folding.covariances[:1],
-                                                 spread.covariances[1:]]))
+        partly = partly_folded(folding)
         assert _scoring_layout(partly, 10.0)[1].shape[1] == 34
         for prior, inflation, path in ((folding, 10.0, "fold"),
                                        (spread, 10.0, "screen"),
@@ -243,10 +286,15 @@ class TestFoldSelection:
                                        (folding, 0.0, "screen")):
             _, basis, _, fold = _scoring_layout(prior, inflation)
             assert (fold[1].size > 0 and 2 * basis.shape[1] <= 3 * 16) == (path == "fold")
-            assert _mode_path(prior, inflation) == path
+            assert mode_path(prior, inflation) == path
             screened.clear()
-            assert np.array_equal(select_modes(prior, patches, inflation),
-                                  float64_modes(prior, patches, inflation))
+            decisions["layouts"].clear()
+            decisions["masks"] = 0
+            modes = select_modes(prior, patches, inflation)
+            # one mask and one layout per call: the folded one on the fold;
+            # on the screen the unfolded one, which the re-checks score in
+            assert decisions == {"layouts": [path == "fold"], "masks": 1}, path
+            assert np.array_equal(modes, float64_modes(prior, patches, inflation))
             assert (np.float32 in screened) == (path == "screen"), path
 
     def test_path_matches_the_layout_width(self):
@@ -258,15 +306,15 @@ class TestFoldSelection:
         for inflation in (0.0, 1e-6, 1.0, 12.5, 100.0, 1e4):
             _, basis, _, fold = _scoring_layout(prior, inflation)
             narrow = fold[1].size > 0 and 2 * basis.shape[1] <= 6 * 64
-            paths.add(_mode_path(prior, inflation))
-            assert _mode_path(prior, inflation) == ("fold" if narrow else "screen")
+            paths.add(mode_path(prior, inflation))
+            assert mode_path(prior, inflation) == ("fold" if narrow else "screen")
         assert paths == {"fold", "screen"}
 
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
     def test_nonfinite_rows_named_before_the_fold(self, rechecked, screened, value):
         # the argmax of a NaN row would be component 0, silently
         prior = flat_prior(k=3, d=16)
-        assert _mode_path(prior, 10.0) == "fold"
+        assert mode_path(prior, 10.0) == "fold"
         patches = np.random.default_rng(7).uniform(0.0, 255.0, (12, 16))
         patches[4, 3] = value
         patches[9, 0] = value
@@ -276,7 +324,7 @@ class TestFoldSelection:
 
     def test_near_ties_on_the_fold(self, rechecked, screened):
         prior, patches = near_tie(30.0 * np.eye(16))
-        assert _mode_path(prior, 5.0) == "fold"
+        assert mode_path(prior, 5.0) == "fold"
         expect = float64_modes(prior, patches, 5.0)
         assert set(expect) == {0, 1}
         assert (float32_modes(prior, patches, 5.0) != expect).any()
@@ -299,27 +347,26 @@ class TestWienerShrink:
         beta = 0.37
         expect = np.linalg.solve(beta * cov + np.eye(d),
                                  (prior.means[0] + beta * p @ cov).T).T
-        rows = p.copy()
-        got = _shrink_rows(prior, 0, rows, beta)
+        shrink, offsets = _wiener_maps(prior, beta)
+        assert shrink.shape == (1, d, d) and offsets.shape == (1, d)
+        got = p @ shrink[0] + offsets[0]
         assert np.max(np.abs(got - expect)) <= 1e-10
-        # a new array; the rows it was handed are left as they were
-        assert not np.shares_memory(got, rows)
-        assert np.array_equal(rows, p)
 
     def test_matches_one_expression_bit_for_bit(self):
-        # the GEMM and the in-place add round exactly as the one-line
-        # affine formula
+        # the batched maps round exactly as each component's one-line
+        # affine formula, built alone
         rng = np.random.default_rng(6)
         cov = np.cov(rng.normal(0.0, 30.0, (200, 16)), rowvar=False)
         prior = Gmm(weights=np.full(3, 1 / 3), means=rng.uniform(0, 255, (3, 16)),
                     covariances=np.stack([cov, 2.0 * cov, cov + 5.0 * np.eye(16)]))
         p = rng.uniform(0, 255, (257, 16))
+        maps, offsets = _wiener_maps(prior, 0.05)
         for j in range(3):
             basis, mean = prior.eigenvectors[j], prior.means[j]
             lam = 0.05 * prior.eigenvalues[j]
             shrink = (basis * (lam / (lam + 1.0))) @ basis.T
             expect = p @ shrink + (mean - mean @ shrink)
-            assert np.array_equal(_shrink_rows(prior, j, p.copy(), 0.05), expect)
+            assert np.array_equal(p @ maps[j] + offsets[j], expect)
 
     @pytest.mark.parametrize("sigma", [20.0, 50.0])
     @pytest.mark.parametrize("multiplier", [1.0, 32.0])
@@ -347,7 +394,8 @@ class TestWienerShrink:
         a = ld(beta) * c + np.eye(d, dtype=ld)
         rhs = mean.astype(ld) + ld(beta) * (p.astype(ld) @ c)
         expect = longdouble_solve(a, rhs.T).T
-        got = _shrink_rows(prior, 0, p, beta)
+        shrink, offsets = _wiener_maps(prior, beta)
+        got = p @ shrink[0] + offsets[0]
         # the docstring's bound, per entry of each row
         bound = np.sqrt(d) * _gamma(2 * d + 6, 2.0 ** -53) * (
             np.linalg.norm(p, axis=1) + np.linalg.norm(mean))
@@ -368,8 +416,9 @@ def longdouble_solve(a, b):
 
 def denoise_by_stage_definition(noisy, sigma, prior, schedule):
     """HQS from its public pieces: each stage extracts, selects modes,
-    shrinks every mode group found by flatnonzero, aggregates and solves
-    the pixel update."""
+    shrinks every mode group found by flatnonzero through its component's
+    affine Wiener map, built alone, aggregates and solves the pixel
+    update."""
     side = int(round(np.sqrt(prior.dim)))
     data_weight = prior.dim / sigma ** 2
     observed = noisy.pixels
@@ -383,7 +432,10 @@ def denoise_by_stage_definition(noisy, sigma, prior, schedule):
         for j in range(prior.n_components):
             idx = np.flatnonzero(modes == j)
             if idx.size:
-                estimates[idx] = _shrink_rows(prior, j, patches[idx], beta)
+                basis, mean = prior.eigenvectors[j], prior.means[j]
+                lam = beta * prior.eigenvalues[j]
+                shrink = (basis * (lam / (lam + 1.0))) @ basis.T
+                estimates[idx] = patches[idx] @ shrink + (mean - mean @ shrink)
         sums, cover = accumulate_patches(estimates, noisy.width, noisy.height)
         x = (data_weight * observed + beta * sums.pixels) / (data_weight + beta * cover.pixels)
     return x, histograms
@@ -445,12 +497,14 @@ class TestDenoise:
 
     def test_reference_shape_checked_before_any_stage(self, monkeypatch):
         calls = []
+        # the package's `denoise` function shadows the module of that name
+        module = sys.modules["patchprior.denoise"]
+        plan = module._mode_plan
 
         def counted(*args):
             calls.append(args)
-            return select_modes(*args)
-        # the package's `denoise` function shadows the module of that name
-        monkeypatch.setattr(sys.modules["patchprior.denoise"], "select_modes", counted)
+            return plan(*args)
+        monkeypatch.setattr(module, "_mode_plan", counted)
         img = add_gaussian_noise(make_piecewise_image(24), 20.0, seed=0)
         wrong = ImageBuffer(np.zeros((24, 23)))
         with pytest.raises(ValueError, match="different shapes"):
@@ -533,6 +587,23 @@ class TestDenoise:
         folding = flat_prior(k=3, d=16)
         assert denoise(img, 20.0, folding).mode_paths == ("fold",) * 5
         assert denoise(img, 20.0, spread_prior(folding)).mode_paths == ("screen",) * 5
+
+    def test_one_mask_and_one_layout_per_stage(self, decisions):
+        # folding, non-folding and partly folded priors: each stage makes
+        # one merged-axes mask and builds one layout, the folded one only
+        # on the fold; the partly folded prior merges axes at every stage
+        # and still screens through the unfolded layout alone
+        img = add_gaussian_noise(make_piecewise_image(24), 20.0, seed=0)
+        folding = flat_prior(k=3, d=16)
+        partly = partly_folded(folding)
+        inflations = HqsSchedule.default(20.0).mode_inflations
+        assert all(_merged_axes(partly, s)[0].any() for s in inflations)
+        for prior, path in ((folding, "fold"), (spread_prior(folding), "screen"),
+                            (partly, "screen")):
+            decisions["layouts"].clear()
+            decisions["masks"] = 0
+            assert denoise(img, 20.0, prior).mode_paths == (path,) * 5
+            assert decisions == {"layouts": [path == "fold"] * 5, "masks": 5}, path
 
     def test_no_reference_no_trace(self):
         img = ImageBuffer(np.full((10, 10), 90.0))

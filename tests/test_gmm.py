@@ -632,6 +632,8 @@ class TestSufficientStats:
 
 V = 2.0 ** -53  # float64 unit roundoff
 LD = np.longdouble
+# the merged-axes mask of an unfolded layout of the 20-component, d = 64 priors
+UNFOLDED = np.zeros((20, 64), dtype=bool)
 
 
 def gamma_n(n):
@@ -849,11 +851,11 @@ class TestBlockedKernelAccuracy:
         assert len(widths) == 1 and widths.pop() < 20 * 64
 
     def test_plain_layout_without_a_fold(self, block_prior, floored_prior):
-        # distinct spectra, no inflation and an unfolded layout never fold
-        for gmm, inflation, fold in ((block_prior, 100.0, True),
-                                     (floored_prior, 0.0, True),
-                                     (floored_prior, 100.0, False)):
-            _, basis, _, (plain, folds, starts, scale) = _scoring_layout(gmm, inflation, fold)
+        # distinct spectra, no inflation and an all-False mask never fold
+        for gmm, inflation, merged in ((block_prior, 100.0, None),
+                                       (floored_prior, 0.0, None),
+                                       (floored_prior, 100.0, UNFOLDED)):
+            _, basis, _, (plain, folds, starts, scale) = _scoring_layout(gmm, inflation, merged)
             assert basis.dtype == np.float64 and basis.shape == (65, 20 * 64)
             assert np.array_equal(plain, np.arange(20))
             assert folds.size == starts.size == scale.size == 0
@@ -870,10 +872,10 @@ class TestBlockedKernelAccuracy:
 
     @pytest.mark.parametrize("inflation", [0.0, 100.0])
     def test_unfolded_model_scores_alike_either_way(self, block_prior, points, inflation):
-        # nothing folds in this prior, so fold=True and fold=False build the
-        # same layout and score every row the same, bit for bit
+        # nothing folds in this prior, so its own mask and an all-False one
+        # build the same layout and score every row the same, bit for bit
         folded = _scoring_layout(block_prior, inflation)
-        unfolded = _scoring_layout(block_prior, inflation, fold=False)
+        unfolded = _scoring_layout(block_prior, inflation, UNFOLDED)
         assert folded[3][1].size == 0
         assert np.array_equal(gmm_module._layout_scores(points, folded),
                               gmm_module._layout_scores(points, unfolded))
