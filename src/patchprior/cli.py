@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _THREAD_VARIABLES, __version__
 from .adapt import AdaptationConfig, adapt
-from .denoise import _STAGE_MULTIPLIERS, HqsSchedule, denoise
+from .denoise import _STAGE_MULTIPLIERS, HqsSchedule, _hqs, denoise
 from .em import EmConfig, em_fit
 from .ioutil import atomic_write_bytes
 from .model_io import load_model, save_model
@@ -109,17 +109,32 @@ def _mode_records(result, prefix="") -> dict:
 def _prefilter_and_sure(args, noisy, prior, laps):
     """Prefilter ``noisy`` by HQS, estimate its residual variance by SURE with
     the prefilter as baseline, and return both with the prefilter's mode
-    histograms and paths as manifest entries.  The probe stream is spawned off
-    ``args.seed``, so it is not the noise that ``noise --seed`` draws."""
-    prefilter = denoise(noisy, args.sigma, prior)
+    histograms and paths and, per stage, the rows that the probes scored
+    (``probe_rescored``) as manifest entries.  Each probe runs from the
+    prefilter's stage record, scoring only the patches whose mode the
+    probe might change.  The probe stream is spawned off ``args.seed``, so
+    it is not the noise that ``noise --seed`` draws."""
+    record = []
+    prefilter, _ = _hqs(noisy, args.sigma, prior, record=record)
     laps.lap("prefilter")
     laps.seconds.update({f"prefilter_{k}": v for k, v in prefilter.seconds.items()})
+    probe_seconds, rescored = {}, np.zeros(len(record), dtype=np.int64)
+
+    def probe(image):
+        result, rows = _hqs(image, args.sigma, prior, probe_of=record)
+        for layer, seconds in result.seconds.items():
+            probe_seconds[layer] = probe_seconds.get(layer, 0.0) + seconds
+        rescored[:] += rows
+        return result.image
+
     estimate = estimate_sigma_tilde_sq(
-        noisy, args.sigma, lambda img: denoise(img, args.sigma, prior).image,
+        noisy, args.sigma, probe,
         SureConfig(seed=np.random.SeedSequence(args.seed).spawn(1)[0], probes=args.probes),
         baseline=prefilter.image)
     laps.lap("sure")
-    return estimate, prefilter.image, _mode_records(prefilter, "prefilter_")
+    laps.seconds.update({f"probe_{k}": v for k, v in probe_seconds.items()})
+    return estimate, prefilter.image, {**_mode_records(prefilter, "prefilter_"),
+                                       "probe_rescored": _comma_list(rescored, "d")}
 
 
 def _cmd_train(args, laps):

@@ -14,9 +14,10 @@ import dataclasses
 
 import numpy as np
 
-# component_log_densities and select_modes are unused: perfbench looks them up here
-from .gmm import Gmm, _mode_plan, _select, component_log_densities, select_modes  # noqa: F401
-from .patches import (ImageBuffer, _check_sigma, _patch_side, accumulate_patches,
+from .gmm import Gmm, _mode_plan, _reselect, _select
+# unused: perfbench looks them up here
+from .gmm import component_log_densities, select_modes  # noqa: F401
+from .patches import (ImageBuffer, _check_sigma, _patch_side, _window_norms, accumulate_patches,
                       extract_patches, psnr)
 from .timing import LapTimer
 
@@ -101,6 +102,25 @@ def denoise(noisy: ImageBuffer, sigma: float, prior: Gmm,
     default beta schedule so that the first stage mixes observation and
     patch estimates evenly.
     """
+    return _hqs(noisy, sigma, prior, schedule, reference)[0]
+
+
+def _hqs(noisy: ImageBuffer, sigma: float, prior: Gmm, schedule: HqsSchedule | None = None,
+         reference: ImageBuffer | None = None, record=None, probe_of=None):
+    """``denoise`` and, per stage, the number of rows that mode selection scored.
+
+    A list ``record`` receives one entry per stage: its input pixels, its
+    modes and the ``gmm._select`` bounds of the exact scores of its
+    patches.  Given such a record ``probe_of``, of a run with the same
+    prior and schedule on an image of this shape, as SURE's probes are of
+    the prefilter, each stage bounds how far each patch lies from the
+    recorded one by the window norms of the pixel change, keeps the
+    recorded run's mode where ``gmm._reselect`` proves that this patch's
+    float64 scores have the same strict argmax, and scores only the other
+    patches.  Its modes, and so its result, are then those of a run
+    without the record, up to the rounding-level ties that
+    ``select_modes`` may already decide either way.
+    """
     _check_sigma(sigma)
     if reference is not None and reference.pixels.shape != noisy.pixels.shape:
         raise ValueError("reference and noisy images have different shapes")
@@ -110,16 +130,28 @@ def denoise(noisy: ImageBuffer, sigma: float, prior: Gmm,
     observed = noisy.pixels
     x = observed.copy()
     trace = [] if reference is not None else None
-    histograms, paths = [], []
+    histograms, paths, scored = [], [], []
     laps = LapTimer()
     for stage, (beta, delta) in enumerate(zip(schedule.betas, schedule.mode_inflations)):
         patches = extract_patches(ImageBuffer(x), side, 1)
         laps.lap("extract")
         plan = _mode_plan(prior, delta)
-        modes = _select(prior, patches, delta, plan)
+        # every patch norm is at most side times the largest pixel magnitude
+        reach = side * np.abs(x).max()
+        if probe_of is not None:
+            before, recorded, bounds = probe_of[stage]
+            shift = _window_norms(x - before, side)
+            modes, rows = _reselect(prior, patches, delta, plan, recorded, bounds, shift, reach)
+        elif record is not None:
+            modes, bounds = _select(prior, patches, delta, plan, reach)
+            record.append((x, modes, bounds))
+            rows = len(patches)
+        else:
+            modes, rows = _select(prior, patches, delta, plan), len(patches)
         counts = np.bincount(modes, minlength=prior.n_components)
         histograms.append(counts)
         paths.append(plan[0])
+        scored.append(rows)
         laps.lap("select")
         shrink, offsets = _wiener_maps(prior, beta)
         for j in np.flatnonzero(counts):
@@ -137,4 +169,4 @@ def denoise(noisy: ImageBuffer, sigma: float, prior: Gmm,
     return DenoiseResult(image=ImageBuffer(x),
                          psnr_trace=tuple(trace) if trace is not None else None,
                          mode_histograms=tuple(histograms), mode_paths=tuple(paths),
-                         seconds=laps.seconds)
+                         seconds=laps.seconds), tuple(scored)

@@ -459,13 +459,26 @@ def select_modes(gmm: Gmm, points, inflation: float) -> np.ndarray:
     return _select(gmm, x, inflation, _mode_plan(gmm, inflation))
 
 
-def _select(gmm: Gmm, x, inflation: float, plan) -> np.ndarray:
-    """``select_modes`` of checked rows x through ``plan``, a ``_mode_plan``."""
+def _select(gmm: Gmm, x, inflation: float, plan, reach=None):
+    """``select_modes`` of checked rows x through ``plan``, a ``_mode_plan``.
+
+    Given ``reach``, a bound on the norm |x| of every row, it returns the
+    modes and the rows' ``_deficit_bounds``, from the intervals that
+    selection has already computed: on the screen, the certificate's
+    float32 form within its score bound; on the fold and for the screen's
+    re-checked rows, the float64 score within ``_score_error`` and the
+    screen's slack.  ``_reselect`` reads them."""
     path, layout = plan
-    if path == "fold":
-        return _layout_scores(x, layout).argmax(axis=1)
     n, d = x.shape
     centre, basis, base, fold = layout
+    if path == "fold":
+        scores = _layout_scores(x, layout)
+        modes = scores.argmax(axis=1)
+        if reach is None:
+            return modes
+        error = _score_error(gmm, inflation, centre, reach) + _SCREEN_SLACK
+        return modes, _deficit_bounds((base - error) - scores, error, modes)
+    bounds = None if reach is None else (np.empty((base.size, n)), np.empty(n))
     root_l = np.sqrt((1.0 / (gmm.eigenvalues + inflation)).sum(axis=1))
     g32, g64 = _gamma(d + 4, _U32), _gamma(2 * d + 4, _U64)
     mean_err = (g32 + g64) * _row_norms(gmm.means - centre)
@@ -481,6 +494,10 @@ def _select(gmm: Gmm, x, inflation: float, plan) -> np.ndarray:
             t = e * (2.0 * np.sqrt(q) + 3.0 * e)
             upper = base + (g32 - 0.5) * q + t + _SCREEN_SLACK
             win = upper.argmax(axis=1)
+            if bounds is not None:
+                error = g32 * q + t + _SCREEN_SLACK
+                bounds[0][:, lo:lo + b], bounds[1][lo:lo + b] = _deficit_bounds(
+                    0.5 * q - error, error, win)
             at = np.arange(b), win
             lower = upper[at] - 2.0 * (g32 * q[at] + t[at] + _SCREEN_SLACK)
             upper[at] = -np.inf
@@ -488,8 +505,86 @@ def _select(gmm: Gmm, x, inflation: float, plan) -> np.ndarray:
             modes[lo:lo + b] = win
             unsure.append(lo + np.flatnonzero(~sure))
     unsure = np.concatenate(unsure)
-    modes[unsure] = _layout_scores(x[unsure], layout).argmax(axis=1)
-    return modes
+    scores = _layout_scores(x[unsure], layout)
+    modes[unsure] = scores.argmax(axis=1)
+    if bounds is None:
+        return modes
+    error = _score_error(gmm, inflation, centre, reach) + _SCREEN_SLACK
+    bounds[0][:, unsure], bounds[1][unsure] = _deficit_bounds(
+        (base - error) - scores, error, modes[unsure])
+    return modes, bounds
+
+
+def _score_error(gmm: Gmm, inflation: float, centre, reach) -> float:
+    """A bound on the error of a float64 ``_scoring_layout`` score at this
+    inflation, plain or folded, for rows of norm at most ``reach``: the
+    folded form's bound of ``component_log_densities``, (2 sqrt(d) + 2)
+    gamma_{2d+12} a_k R_k^2, at R = reach + |c| + max_k |mu_k - c| and the
+    largest a_k, and not halved, which covers second-order terms.  It
+    covers the plain bound too, whose terms are at most gamma_d a_k R^2,
+    2 sqrt(d) gamma_{2d+4} a_k R^2 and d gamma_{2d+4}^2 a_k R^2, since
+    q <= a_k R^2 and L_k <= d a_k."""
+    d = gmm.dim
+    radius = reach + np.linalg.norm(centre) + _row_norms(gmm.means - centre).max()
+    scale = 1.0 / (gmm.eigenvalues[:, 0] + inflation).min()
+    return (2.0 * np.sqrt(d) + 2.0) * _gamma(2 * d + 12, _U64) * scale * radius ** 2
+
+
+def _deficit_bounds(below, error, modes):
+    """Bounds on each row's exact score deficits g_k = base_k - score_k,
+    which lie within ``error`` of a computed deficit, from the (b, K)
+    ``below``, that deficit minus ``error``, which it overwrites: a (K, b)
+    array of lower bounds on sqrt(g_k) and a (b,) one of upper bounds on
+    sqrt(g) at each row's mode, each rounded outward by 2^-50.  A NaN
+    deficit, of a component of weight 0 (base -inf), gets 0, and an
+    infinite one, which may be the overflow of a finite g, the largest
+    float64."""
+    at = np.arange(below.shape[0]), modes
+    low = np.empty(below.shape[::-1])
+    with np.errstate(invalid="ignore", over="ignore"):
+        high = np.sqrt((below[at] + 2.0 * (error if np.ndim(error) == 0 else error[at]))
+                       * (1.0 + 2.0 ** -50))
+        np.fmin(np.fmax(below, 0.0, out=below).T, np.finfo(np.float64).max, out=low)
+        np.sqrt(low, out=low)
+        low *= 1.0 - 2.0 ** -50
+    return low, high
+
+
+def _reselect(gmm: Gmm, x, inflation: float, plan, modes, bounds, shift, reach):
+    """``_select`` of checked rows x through ``plan``, from the ``modes`` and
+    ``_deficit_bounds`` that ``_select`` returned for rows p_i with
+    |x_i - p_i| <= ``shift[i]``; returns the modes and the number of rows
+    scored again.
+
+    With r_k = shift / sqrt(2 (lambda_k,min + inflation)), the root of
+    each exact deficit g_k = q_k / 2 moves by at most r_k: |W_k (x - p)|
+    <= |x - p| / sqrt(lambda_k,min + inflation) for the whitening W_k.  A
+    row keeps its mode m when base_m - (high + r_m)^2, lowered by
+    ``_score_error`` at ``reach``, a bound on |x_i|, and the screen's
+    slack, still beats base_k - max(low_k - r_k, 0)^2, raised by the
+    same, for every other k: then m is the strict argmax of the float64
+    scores of x_i, in any layout and blocking, so ``_select`` returns it
+    (its screen certifies only a float64 winner).  Every other row goes
+    through ``_select``.  r_k is raised by 2^-40 for the rounding of the
+    shift and of an eigenbasis that is orthogonal to rounding only."""
+    low, high = bounds
+    n = x.shape[0]
+    centre, _, base, _ = plan[1]
+    slack = _score_error(gmm, inflation, centre, reach) + _SCREEN_SLACK
+    step = (1.0 + 2.0 ** -40) / np.sqrt(2.0 * (gmm.eigenvalues[:, 0] + inflation))
+    r = np.multiply.outer(step, shift)
+    at = modes, np.arange(n)
+    with np.errstate(invalid="ignore", over="ignore"):
+        lower = base[modes] - slack - np.square(high + r[at])
+        upper = np.subtract(low, r, out=r)
+        np.maximum(upper, 0.0, out=upper)
+        np.subtract((base + slack)[:, None], np.square(upper, out=upper), out=upper)
+        upper[at] = -np.inf
+        unsure = np.flatnonzero(~(lower > upper.max(axis=0)))
+    modes = modes.copy()
+    if unsure.size:
+        modes[unsure] = _select(gmm, x[unsure], inflation, plan)
+    return modes, unsure.size
 
 
 def _row_norms(a) -> np.ndarray:

@@ -113,6 +113,17 @@ def extract_patches(image: ImageBuffer, patch_size: int, stride: int = 1) -> np.
     return grid.reshape(rows.size * cols.size, s * s)
 
 
+def _window_norms(pixels, side: int) -> np.ndarray:
+    """The Euclidean norm of every stride-1 ``side`` x ``side`` window of a
+    2-D array, in the row order of ``extract_patches``: sums of ``side``
+    squares along the rows, then down the columns, so each norm is within
+    a relative gamma_{2 side + 2} of the exact one, all terms being
+    nonnegative."""
+    windows = np.lib.stride_tricks.sliding_window_view
+    rows = windows(np.square(pixels), side, axis=0).sum(axis=-1)
+    return np.sqrt(windows(rows, side, axis=1).sum(axis=-1)).ravel()
+
+
 def _cover(starts: np.ndarray, patch_size: int, extent: int) -> np.ndarray:
     """How many patches along one axis cover each pixel."""
     return np.bincount((starts[:, None] + np.arange(patch_size)).ravel(), minlength=extent)

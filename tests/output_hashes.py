@@ -30,11 +30,15 @@ of every generic component through the ``_wiener_maps`` of each of the
 five betas of the sigma-20 default schedule, on fixed patches of that
 scene, so that a change to that step alone shows apart from mode
 selection, which the ``denoise histograms`` lines follow;
-``condition_psd`` on fixed stacks; and the files of the CLI chain
-``noise`` -> ``adapt --sigma-tilde sure`` -> ``denoise``.  pytest does not
-collect this file.
+``condition_psd`` on fixed stacks; the files of the CLI chain
+``noise`` -> ``adapt --sigma-tilde sure`` -> ``denoise``; and ``sure``,
+the ``repr`` of the residual variance that the CLI's prefilter-and-SURE
+helper estimates with the generic prior at 2 probes on the sigma-20 smoke
+scene, so that a change to how its probes run shows apart from the
+chain.  pytest does not collect this file.
 """
 
+import argparse
 import os
 import sys
 import tempfile
@@ -54,9 +58,10 @@ import numpy as np  # noqa: E402
 
 import patchprior as pp  # noqa: E402
 import synthimages  # noqa: E402
-from patchprior.cli import cli_dispatch  # noqa: E402
+from patchprior.cli import _prefilter_and_sure, cli_dispatch  # noqa: E402
 from patchprior.denoise import _wiener_maps  # noqa: E402
 from patchprior.gmm import PSD_FLOOR, _mode_plan  # noqa: E402
+from patchprior.timing import LapTimer  # noqa: E402
 
 # The adapt manifest's result lines; the others are paths, flags and timings.
 _MANIFEST_RESULTS = ("sigma_tilde_sq", "objectives", "logliks", "log_priors", "alphas",
@@ -188,6 +193,9 @@ def main() -> None:
     lines += denoise_lines("adapted", noisy, adapted[0.0])
     lines += denoise_lines("fixed", noisy, fixed)
     lines += denoise_lines("partly folded", noisy, partly)
+    estimate = _prefilter_and_sure(argparse.Namespace(sigma=20.0, seed=0, probes=2), noisy,
+                                   generic, LapTimer())[0]
+    lines.append(("sure", repr(estimate)))
     rows = pp.extract_patches(noisy, 8)[::16]
     maps = [_wiener_maps(generic, beta) for beta in stages.betas]
     lines.append(("wiener", digest(*(rows @ shrink[j] + offsets[j]

@@ -170,12 +170,12 @@ class TestAdapt:
                       "--seed", "1", "--out", str(noisy)])
         out = tmp_path / "adapted.gmmp"
         runs = []
-        real_denoise = cli_module.denoise
+        real_hqs = cli_module._hqs
 
-        def counted_denoise(*args, **kwargs):
+        def counted_hqs(*args, **kwargs):
             runs.append(args)
-            return real_denoise(*args, **kwargs)
-        monkeypatch.setattr(cli_module, "denoise", counted_denoise)
+            return real_hqs(*args, **kwargs)
+        monkeypatch.setattr(cli_module, "_hqs", counted_hqs)
         rc = cli_dispatch(["adapt", str(workspace / "generic.gmmp"), str(noisy),
                            "--out", str(out), "--sigma-tilde", "sure",
                            "--sigma", "20"])
@@ -194,7 +194,7 @@ class TestAdapt:
     def test_bad_sure_mode_settings_fail_before_prefilter(self, workspace, tmp_path,
                                                           monkeypatch, bad):
         runs = []
-        monkeypatch.setattr(cli_module, "denoise", lambda *a, **k: runs.append(a))
+        monkeypatch.setattr(cli_module, "_hqs", lambda *a, **k: runs.append(a))
         rc = cli_dispatch(["adapt", str(workspace / "generic.gmmp"),
                            str(workspace / "clean.pgm"), "--out", str(tmp_path / "x.gmmp"),
                            "--sigma-tilde", "sure", "--sigma", "20", *bad])
@@ -361,12 +361,12 @@ class TestSure:
 
     def test_runs_prefilter_and_one_probe(self, workspace, noisy, monkeypatch):
         runs = []
-        real_denoise = cli_module.denoise
+        real_hqs = cli_module._hqs
 
-        def counted_denoise(*args, **kwargs):
+        def counted_hqs(*args, **kwargs):
             runs.append(args)
-            return real_denoise(*args, **kwargs)
-        monkeypatch.setattr(cli_module, "denoise", counted_denoise)
+            return real_hqs(*args, **kwargs)
+        monkeypatch.setattr(cli_module, "_hqs", counted_hqs)
         rc = cli_dispatch(["sure", str(noisy), "--sigma", "20",
                            "--model", str(workspace / "generic.gmmp")])
         assert rc == 0
@@ -422,27 +422,27 @@ THREAD_KEYS = {"PATCHPRIOR_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 # the stages' selection paths
 PREFILTER_HISTOGRAMS = {f"prefilter_mode_histogram_{stage}" for stage in range(1, 6)}
 PREFILTER_HISTOGRAMS.add("prefilter_mode_paths")
+# the HQS layers that the prefilter and, summed, the SURE probes time
+HQS_LAYERS = ("extract", "select", "shrink", "aggregate", "update")
+SURE_PHASES = ("prefilter", "sure", *(f"{run}_{layer}" for run in ("prefilter", "probe")
+                                      for layer in HQS_LAYERS))
 MANIFEST_KEYS = {command: keys | THREAD_KEYS for command, keys in {
     "train": {"corpus", "images", "patches", "k", "patch_size", "stride", "seed",
               "max_iters", "tol", "iterations_run", "logliks", "out",
               "time_extract_seconds", "time_fit_seconds"},
     "adapt": {"model", "image", "out", "rho", "sigma_tilde", "sigma_tilde_sq", "sigma",
               "iters", "stride", "seed", "probes", "objectives", "logliks", "log_priors",
-              "alphas", "counts", *PREFILTER_HISTOGRAMS,
+              "alphas", "counts", "probe_rescored", *PREFILTER_HISTOGRAMS,
               *(f"time_{name}_seconds" for name in (
-                  "read", "prefilter", "prefilter_extract", "prefilter_select",
-                  "prefilter_shrink", "prefilter_aggregate", "prefilter_update", "sure", "adapt",
-                  "estep", "stats", "mstep", "objective"))},
+                  "read", *SURE_PHASES, "adapt", "estep", "stats", "mstep", "objective"))},
     "denoise": {"input", "model", "out", "sigma", "betas", "mode_inflations", "ref",
                 "mode_paths", *(f"mode_histogram_{stage}" for stage in range(1, 6)),
                 *(f"time_{name}_seconds" for name in (
                     "read", "denoise", "extract", "select", "shrink", "aggregate",
                     "update"))},
-    "sure": {"input", "model", "sigma", "seed", "probes", "sigma_tilde_sq",
+    "sure": {"input", "model", "sigma", "seed", "probes", "sigma_tilde_sq", "probe_rescored",
              *PREFILTER_HISTOGRAMS,
-             *(f"time_{name}_seconds" for name in (
-                 "read", "prefilter", "prefilter_extract", "prefilter_select",
-                 "prefilter_shrink", "prefilter_aggregate", "prefilter_update", "sure"))},
+             *(f"time_{name}_seconds" for name in ("read", *SURE_PHASES))},
     "noise": {"input", "out", "sigma", "seed", "time_read_seconds", "time_noise_seconds"},
     "psnr": {"reference", "test", "psnr", "time_psnr_seconds"},
     "toy": {"seed", "rho", "out_dir", "points", "models", "time_trial_seconds"},
@@ -539,11 +539,16 @@ class TestManifests:
         for command in ("adapt", "sure"):
             assert manifests[command]["prefilter_mode_paths"] == mode_paths, command
         for command in ("adapt", "sure"):
-            layers = manifest_seconds(paths[command], [
-                f"prefilter_{layer}"
-                for layer in ("extract", "select", "shrink", "aggregate", "update")])
-            prefilter = float(manifests[command]["time_prefilter_seconds"])
-            assert sum(layers.values()) <= prefilter + 5 * _PRINTED
+            # the prefilter's layers within its lap, and the probes' within SURE's
+            for run, lap in (("prefilter", "prefilter"), ("probe", "sure")):
+                layers = manifest_seconds(paths[command],
+                                          [f"{run}_{layer}" for layer in HQS_LAYERS])
+                total = float(manifests[command][f"time_{lap}_seconds"])
+                assert sum(layers.values()) <= total + 5 * _PRINTED, (command, run)
+            # one probe: per stage it scored at most every patch again
+            rescored = [int(v) for v in manifests[command]["probe_rescored"].split(",")]
+            assert len(rescored) == 5 and all(0 <= v <= patches for v in rescored)
+        assert manifests["sure"]["probe_rescored"] == adapt["probe_rescored"]
 
         # sigma_tilde_sq is written in full by both commands that estimate it,
         # and the same seed gives the same estimate; stdout keeps 6 decimals

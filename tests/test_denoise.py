@@ -22,10 +22,10 @@ from patchprior import (
     psnr,
     select_modes,
 )
-from patchprior.denoise import _wiener_maps
+from patchprior.denoise import _hqs, _wiener_maps
 from patchprior.em import EmConfig, em_fit
 from patchprior.gmm import (PSD_FLOOR, _blocked_forms, _gamma, _merged_axes, _mode_plan,
-                            _scoring_layout)
+                            _reselect, _scoring_layout, _select)
 
 from synthimages import make_piecewise_image, make_smoke_image
 
@@ -332,6 +332,60 @@ class TestFoldSelection:
         screened.clear()
         assert np.array_equal(select_modes(prior, patches, 5.0), expect)
         assert rechecked == [2000] and screened == [np.float64]
+
+
+class TestCertifiedProbe:
+    """A SURE probe run from the prefilter's stage record scores only the
+    patches whose mode it cannot certify, and equals a plain denoise()."""
+
+    @pytest.mark.parametrize("probes", [1, 2])
+    @pytest.mark.parametrize("delta", [0.5, 50.0])
+    @pytest.mark.parametrize("kind", ["folding", "spread", "partly folded"])
+    def test_probe_equals_plain_denoise(self, kind, delta, probes):
+        folding = flat_prior(k=3, d=16)
+        prior = {"folding": folding, "spread": spread_prior(folding),
+                 "partly folded": partly_folded(folding)}[kind]
+        noisy = add_gaussian_noise(make_piecewise_image(24), 20.0, seed=0)
+        record = []
+        prefilter, scored = _hqs(noisy, 20.0, prior, record=record)
+        n = len(extract_patches(noisy, 4, 1))
+        assert scored == (n,) * 5 and len(record) == 5
+        assert prefilter.mode_paths == denoise(noisy, 20.0, prior).mode_paths
+        rng = np.random.default_rng(1)
+        rescored = np.zeros(5, dtype=int)
+        for _ in range(probes):
+            image = ImageBuffer(noisy.pixels + delta * rng.standard_normal(noisy.pixels.shape))
+            got, rows = _hqs(image, 20.0, prior, probe_of=record)
+            want = denoise(image, 20.0, prior)
+            assert np.array_equal(got.image.pixels, want.image.pixels)
+            assert len(got.mode_histograms) == len(want.mode_histograms)
+            for a, b in zip(got.mode_histograms, want.mode_histograms):
+                assert np.array_equal(a, b)
+            assert got.mode_paths == want.mode_paths
+            rescored += rows
+        if kind == "folding" and delta == 0.5:
+            assert rescored.sum() < probes * 5 * n  # rows certified
+        if delta == 50.0:
+            assert rescored.sum() > 0  # rows rescored
+
+    @pytest.mark.parametrize("covariance,path", [
+        (np.diag(np.linspace(20.0, 40.0, 16)), "screen"), (30.0 * np.eye(16), "fold")])
+    def test_near_ties_are_scored_again(self, covariance, path):
+        # scores 1e-8 to 1e-5 nats apart: a bound that ignored rounding would
+        # keep modes that a shift of 1e-7 can flip
+        prior, patches = near_tie(covariance)
+        plan = _mode_plan(prior, 5.0)
+        assert plan[0] == path
+        reach = 4.0 * np.abs(patches).max()
+        modes, bounds = _select(prior, patches, 5.0, plan, reach)
+        assert np.array_equal(modes, float64_modes(prior, patches, 5.0))
+        kept, rows = _reselect(prior, patches, 5.0, plan, modes, bounds, np.zeros(2000), reach)
+        assert np.array_equal(kept, modes)
+        moved = patches + 1e-7 * np.random.default_rng(9).standard_normal(patches.shape)
+        shift = np.linalg.norm(moved - patches, axis=1) * (1.0 + 1e-12)
+        got, rows = _reselect(prior, moved, 5.0, plan, modes, bounds, shift, reach)
+        assert np.array_equal(got, float64_modes(prior, moved, 5.0))
+        assert 0 < rows < 2000
 
 
 class TestWienerShrink:

@@ -112,6 +112,15 @@ class TestExtraction:
         ps[:] = -1.0
         assert img.pixels.min() == 0.0
 
+    @pytest.mark.parametrize("height,width,size", [(19, 13, 5), (6, 6, 6), (24, 31, 8)])
+    def test_window_norms_are_the_stride_one_row_norms(self, height, width, size):
+        # the SURE probe's certificate bounds how far each patch moved by these
+        pixels = np.random.default_rng(height + width).uniform(-300.0, 300.0, (height, width))
+        expect = np.linalg.norm(extract_patches(ImageBuffer(pixels), size, 1), axis=1)
+        got = patches_module._window_norms(pixels, size)
+        assert got.shape == expect.shape
+        assert np.allclose(got, expect, rtol=1e-14, atol=0.0)
+
     def test_rejects_patch_larger_than_image(self):
         img = ImageBuffer(np.zeros((5, 5)))
         with pytest.raises(ValueError):
