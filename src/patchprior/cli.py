@@ -10,6 +10,7 @@ so results can be traced back to exactly what produced them.
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import logging
 import os
@@ -118,12 +119,11 @@ def _prefilter_and_sure(args, noisy, prior, laps):
     prefilter, _ = _hqs(noisy, args.sigma, prior, record=record)
     laps.lap("prefilter")
     laps.seconds.update({f"prefilter_{k}": v for k, v in prefilter.seconds.items()})
-    probe_seconds, rescored = {}, np.zeros(len(record), dtype=np.int64)
+    probe_seconds, rescored = collections.Counter(), np.zeros(len(record), dtype=np.int64)
 
     def probe(image):
         result, rows = _hqs(image, args.sigma, prior, probe_of=record)
-        for layer, seconds in result.seconds.items():
-            probe_seconds[layer] = probe_seconds.get(layer, 0.0) + seconds
+        probe_seconds.update(result.seconds)
         rescored[:] += rows
         return result.image
 

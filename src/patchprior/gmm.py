@@ -462,54 +462,50 @@ def select_modes(gmm: Gmm, points, inflation: float) -> np.ndarray:
 def _select(gmm: Gmm, x, inflation: float, plan, reach=None):
     """``select_modes`` of checked rows x through ``plan``, a ``_mode_plan``.
 
-    Given ``reach``, a bound on the norm |x| of every row, it returns the
-    modes and the rows' ``_deficit_bounds``, from the intervals that
-    selection has already computed: on the screen, the certificate's
-    float32 form within its score bound; on the fold and for the screen's
-    re-checked rows, the float64 score within ``_score_error`` and the
-    screen's slack.  ``_reselect`` reads them."""
+    The fold is the screen with no row certified: both paths score the
+    rows left in the plan's float64 layout and take their argmax.  Given
+    ``reach``, a bound on the norm |x| of every row, it returns the modes
+    and the rows' ``_deficit_bounds``, from the intervals that selection
+    has already computed: for certified rows, the certificate's float32
+    form within its score bound; for the rest, the float64 score within
+    ``_score_error``.  ``_reselect`` reads them."""
     path, layout = plan
     n, d = x.shape
     centre, basis, base, fold = layout
-    if path == "fold":
-        scores = _layout_scores(x, layout)
-        modes = scores.argmax(axis=1)
-        if reach is None:
-            return modes
-        error = _score_error(gmm, inflation, centre, reach) + _SCREEN_SLACK
-        return modes, _deficit_bounds((base - error) - scores, error, modes)
     bounds = None if reach is None else (np.empty((base.size, n)), np.empty(n))
-    root_l = np.sqrt((1.0 / (gmm.eigenvalues + inflation)).sum(axis=1))
-    g32, g64 = _gamma(d + 4, _U32), _gamma(2 * d + 4, _U64)
-    mean_err = (g32 + g64) * _row_norms(gmm.means - centre)
     modes = np.empty(n, dtype=np.intp)
-    unsure = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo, centred, q in _blocked_forms(x, centre, basis.astype(np.float32), fold):
-            q = q.astype(np.float64)
-            b = q.shape[0]
-            # each score is within g32 q + t + slack of its float64 value,
-            # with e = E sqrt(L_k) and t = 2 e sqrt(q) + 3 e^2
-            e = ((g32 + g64) * _row_norms(centred)[:, None] + mean_err) * root_l
-            t = e * (2.0 * np.sqrt(q) + 3.0 * e)
-            upper = base + (g32 - 0.5) * q + t + _SCREEN_SLACK
-            win = upper.argmax(axis=1)
-            if bounds is not None:
-                error = g32 * q + t + _SCREEN_SLACK
-                bounds[0][:, lo:lo + b], bounds[1][lo:lo + b] = _deficit_bounds(
-                    0.5 * q - error, error, win)
-            at = np.arange(b), win
-            lower = upper[at] - 2.0 * (g32 * q[at] + t[at] + _SCREEN_SLACK)
-            upper[at] = -np.inf
-            sure = (lower > upper.max(axis=1)) & np.isfinite(q).all(axis=1)
-            modes[lo:lo + b] = win
-            unsure.append(lo + np.flatnonzero(~sure))
-    unsure = np.concatenate(unsure)
+    unsure = slice(None)  # the fold certifies no row
+    if path == "screen":
+        root_l = np.sqrt((1.0 / (gmm.eigenvalues + inflation)).sum(axis=1))
+        g32, g64 = _gamma(d + 4, _U32), _gamma(2 * d + 4, _U64)
+        mean_err = (g32 + g64) * _row_norms(gmm.means - centre)
+        unsure = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo, centred, q in _blocked_forms(x, centre, basis.astype(np.float32), fold):
+                q = q.astype(np.float64)
+                b = q.shape[0]
+                # each score is within g32 q + t + slack of its float64 value,
+                # with e = E sqrt(L_k) and t = 2 e sqrt(q) + 3 e^2
+                e = ((g32 + g64) * _row_norms(centred)[:, None] + mean_err) * root_l
+                t = e * (2.0 * np.sqrt(q) + 3.0 * e)
+                upper = base + (g32 - 0.5) * q + t + _SCREEN_SLACK
+                win = upper.argmax(axis=1)
+                if bounds is not None:
+                    error = g32 * q + t + _SCREEN_SLACK
+                    bounds[0][:, lo:lo + b], bounds[1][lo:lo + b] = _deficit_bounds(
+                        0.5 * q - error, error, win)
+                at = np.arange(b), win
+                lower = upper[at] - 2.0 * (g32 * q[at] + t[at] + _SCREEN_SLACK)
+                upper[at] = -np.inf
+                sure = (lower > upper.max(axis=1)) & np.isfinite(q).all(axis=1)
+                modes[lo:lo + b] = win
+                unsure.append(lo + np.flatnonzero(~sure))
+        unsure = np.concatenate(unsure)
     scores = _layout_scores(x[unsure], layout)
     modes[unsure] = scores.argmax(axis=1)
     if bounds is None:
         return modes
-    error = _score_error(gmm, inflation, centre, reach) + _SCREEN_SLACK
+    error = _score_error(gmm, inflation, centre, reach)
     bounds[0][:, unsure], bounds[1][unsure] = _deficit_bounds(
         (base - error) - scores, error, modes[unsure])
     return modes, bounds
@@ -523,11 +519,11 @@ def _score_error(gmm: Gmm, inflation: float, centre, reach) -> float:
     largest a_k, and not halved, which covers second-order terms.  It
     covers the plain bound too, whose terms are at most gamma_d a_k R^2,
     2 sqrt(d) gamma_{2d+4} a_k R^2 and d gamma_{2d+4}^2 a_k R^2, since
-    q <= a_k R^2 and L_k <= d a_k."""
+    q <= a_k R^2 and L_k <= d a_k.  The screen's slack is added."""
     d = gmm.dim
     radius = reach + np.linalg.norm(centre) + _row_norms(gmm.means - centre).max()
     scale = 1.0 / (gmm.eigenvalues[:, 0] + inflation).min()
-    return (2.0 * np.sqrt(d) + 2.0) * _gamma(2 * d + 12, _U64) * scale * radius ** 2
+    return (2.0 * np.sqrt(d) + 2.0) * _gamma(2 * d + 12, _U64) * scale * radius ** 2 + _SCREEN_SLACK
 
 
 def _deficit_bounds(below, error, modes):
@@ -560,17 +556,17 @@ def _reselect(gmm: Gmm, x, inflation: float, plan, modes, bounds, shift, reach):
     each exact deficit g_k = q_k / 2 moves by at most r_k: |W_k (x - p)|
     <= |x - p| / sqrt(lambda_k,min + inflation) for the whitening W_k.  A
     row keeps its mode m when base_m - (high + r_m)^2, lowered by
-    ``_score_error`` at ``reach``, a bound on |x_i|, and the screen's
-    slack, still beats base_k - max(low_k - r_k, 0)^2, raised by the
-    same, for every other k: then m is the strict argmax of the float64
-    scores of x_i, in any layout and blocking, so ``_select`` returns it
-    (its screen certifies only a float64 winner).  Every other row goes
-    through ``_select``.  r_k is raised by 2^-40 for the rounding of the
-    shift and of an eigenbasis that is orthogonal to rounding only."""
+    ``_score_error`` at ``reach``, a bound on |x_i|, still beats
+    base_k - max(low_k - r_k, 0)^2, raised by the same, for every other
+    k: then m is the strict argmax of the float64 scores of x_i, in any
+    layout and blocking, so ``_select`` returns it (its screen certifies
+    only a float64 winner).  Every other row goes through ``_select``.
+    r_k is raised by 2^-40 for the rounding of the shift and of an
+    eigenbasis that is orthogonal to rounding only."""
     low, high = bounds
     n = x.shape[0]
     centre, _, base, _ = plan[1]
-    slack = _score_error(gmm, inflation, centre, reach) + _SCREEN_SLACK
+    slack = _score_error(gmm, inflation, centre, reach)
     step = (1.0 + 2.0 ** -40) / np.sqrt(2.0 * (gmm.eigenvalues[:, 0] + inflation))
     r = np.multiply.outer(step, shift)
     at = modes, np.arange(n)

@@ -18,19 +18,18 @@ from .patches import ImageBuffer, _check_sigma, _integer
 
 __all__ = ["SureConfig", "estimate_sigma_tilde_sq"]
 
+# Probe step in gray levels: the one the true-MSE acceptance test validates.
+DELTA = 0.5
+# Lowest estimate returned: the adaptation step treats it as a variance.
+FLOOR = 1.0
+
 
 @dataclasses.dataclass(frozen=True)
 class SureConfig:
-    delta: float = 0.5
     seed: int = 0
-    floor: float = 1.0
     probes: int = 1
 
     def __post_init__(self):
-        if not 0 < self.delta < np.inf:
-            raise ValueError("delta must be positive and finite")
-        if not 0 <= self.floor < np.inf:
-            raise ValueError("floor must be nonnegative and finite")
         if _integer("probes", self.probes) < 1:
             raise ValueError("probes must be at least 1")
 
@@ -50,8 +49,8 @@ def estimate_sigma_tilde_sq(noisy: ImageBuffer, sigma: float, denoiser,
     maps an ImageBuffer to an ImageBuffer of the same shape and is called
     once on the noisy image and once per probe on a perturbed copy.  A
     caller that already holds ``denoiser(noisy)`` passes it as
-    ``baseline`` to skip the first call.  The estimate is floored (default
-    1.0) because the adaptation step treats it as a variance.
+    ``baseline`` to skip the first call.  Each probe steps ``DELTA`` gray
+    levels, and the estimate is floored at ``FLOOR``.
     """
     _check_sigma(sigma)
     config = config or SureConfig()
@@ -62,12 +61,12 @@ def estimate_sigma_tilde_sq(noisy: ImageBuffer, sigma: float, denoiser,
     divergence = 0.0
     for _ in range(config.probes):
         probe = rng.standard_normal(shape)
-        perturbed = ImageBuffer(noisy.pixels + config.delta * probe)
+        perturbed = ImageBuffer(noisy.pixels + DELTA * probe)
         shifted = _pixels(denoiser(perturbed), shape)
-        divergence += float((probe * (shifted - baseline)).sum()) / config.delta
+        divergence += float((probe * (shifted - baseline)).sum()) / DELTA
     divergence /= config.probes
     if not np.isfinite(divergence):
         raise ValueError("divergence probe produced a non-finite value")
     residual = float(((noisy.pixels - baseline) ** 2).mean())
     estimate = residual - sigma ** 2 + (2.0 * sigma ** 2 / n) * divergence
-    return max(config.floor, estimate)
+    return max(FLOOR, estimate)

@@ -386,7 +386,7 @@ def test_criterion_09_sure_tracks_true_mse(desk_prior):
     generic, _ = desk_prior
     start = time.perf_counter()
     smoke = make_smoke_image(256)
-    config = SureConfig(delta=0.5, seed=42, probes=2)
+    config = SureConfig(seed=42, probes=2)
     rels = {}
     for sigma in (20.0, 40.0, 60.0):
         schedule = HqsSchedule.default(sigma)

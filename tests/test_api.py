@@ -18,6 +18,7 @@ from patchprior import (
     Gmm,
     HqsSchedule,
     ImageBuffer,
+    SufficientStats,
     SureConfig,
     accumulate_patches,
     adaptation_mstep,
@@ -30,6 +31,7 @@ from patchprior import (
     sample_gmm,
     sufficient_stats,
 )
+from patchprior.toy import GENERIC_TRUTH, mean_error
 
 MODULES = ["patchprior"] + [f"patchprior.{m.name}"
                             for m in pkgutil.iter_modules(patchprior.__path__)]
@@ -101,7 +103,6 @@ def _mstep(n=3, rho=1.0, sigma_tilde_sq=0.0):
     lambda v: HqsSchedule.default(v),
     lambda v: HqsSchedule.default(20.0, (1.0, v)),
     _denoise,
-    lambda v: SureConfig(delta=v),
     lambda v: estimate_sigma_tilde_sq(ImageBuffer(np.zeros((4, 4))), v, lambda img: img),
     lambda v: add_gaussian_noise(ImageBuffer(np.zeros((4, 4))), v, seed=0),
     lambda v: AdaptationConfig(rho=v),
@@ -109,13 +110,12 @@ def _mstep(n=3, rho=1.0, sigma_tilde_sq=0.0):
     lambda v: _mstep(rho=v),
     lambda v: _mstep(sigma_tilde_sq=v),
     lambda v: EmConfig(n_components=1, tol=v),
-    lambda v: SureConfig(floor=v),
     lambda v: condition_psd(-np.eye(2), v),
     lambda v: component_log_densities(Gmm(np.ones(1), np.zeros((1, 2)), np.eye(2)[None]),
                                       np.zeros((3, 2)), v),
 ], ids=["schedule-betas", "schedule-sigma", "schedule-multipliers", "denoise-sigma",
-        "sure-delta", "sure-sigma", "noise-sigma", "adapt-rho", "adapt-sigma-tilde-sq",
-        "mstep-rho", "mstep-sigma-tilde-sq", "em-tol", "sure-floor",
+        "sure-sigma", "noise-sigma", "adapt-rho", "adapt-sigma-tilde-sq",
+        "mstep-rho", "mstep-sigma-tilde-sq", "em-tol",
         "condition-psd-floor", "score-inflation"])
 def test_nonfinite_parameters_rejected(build, value):
     with pytest.raises(ValueError, match="finite"):
@@ -135,11 +135,40 @@ def test_nonfinite_parameters_rejected(build, value):
     (lambda: _mstep(n=2.5), "n must be an integer"),
     (lambda: sample_gmm(Gmm(np.ones(1), np.zeros((1, 2)), np.eye(2)[None]), 2.5,
                         np.random.default_rng(0)), "n must be an integer"),
+    (lambda: sample_gmm(Gmm(np.ones(1), np.zeros((1, 2)), np.eye(2)[None]), 0,
+                        np.random.default_rng(0)), "n must be at least 1"),
+    (lambda: extract_patches(ImageBuffer(np.zeros((8, 8))), 3, 0), "stride must be positive"),
+    (lambda: HqsSchedule(betas=()), "at least one stage"),
 ], ids=["adapt-iterations", "em-components", "em-max-iters", "sure-probes",
         "patch-size", "extract-stride", "accumulate-stride", "stats-no-components",
-        "stats-zero-width", "mstep-n", "sample-n"])
+        "stats-zero-width", "mstep-n", "sample-n", "sample-zero", "extract-stride-zero",
+        "schedule-empty"])
 def test_nonintegral_counts_and_empty_widths_rejected(build, field):
     with pytest.raises(ValueError, match=field):
+        build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: component_log_densities(Gmm(np.ones(1), np.zeros((1, 2)), np.eye(2)[None]),
+                                     np.zeros((3, 3))), "points have dimension 3, model has 2"),
+    (lambda: condition_psd(np.ones((2, 3)), 1.0), "square matrix"),
+    (lambda: accumulate_patches(np.zeros(9), 3, 3), "patch matrix, got shape"),
+    (lambda: adaptation_mstep(Gmm(np.ones(1), np.zeros((1, 2)), np.eye(2)[None]),
+                              sufficient_stats(np.ones((3, 3)), np.ones((3, 1))), 3, 1.0),
+     "statistics do not match"),
+    (lambda: SufficientStats(np.ones(2), np.zeros((2, 3)), np.zeros((2, 3, 2))),
+     "statistic shapes are inconsistent"),
+    (lambda: SufficientStats(np.ones(2), np.zeros(3), np.zeros((2, 3, 3))),
+     "statistic shapes are inconsistent"),
+    (lambda: SufficientStats(np.array([2.0, -1.0]), np.zeros((2, 1)), np.zeros((2, 1, 1))),
+     "counts must be nonnegative"),
+    (lambda: mean_error(Gmm(np.ones(1), np.zeros((1, 2)), np.eye(2)[None]), GENERIC_TRUTH),
+     "component counts differ"),
+], ids=["points-dimension", "condition-psd-non-square", "accumulate-1d", "mstep-stats-shape",
+        "stats-second-moments-shape", "stats-means-rank", "stats-negative-counts",
+        "toy-components"])
+def test_malformed_arrays_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
         build()
 
 

@@ -144,6 +144,13 @@ class TestTrain:
         rc = cli_dispatch(["train", str(empty), "--out", str(tmp_path / "m.gmmp")])
         assert rc == 1
 
+    def test_corpus_that_is_not_a_directory_is_usage_error(self, workspace, tmp_path, capsys):
+        out = tmp_path / "m.gmmp"
+        rc = cli_dispatch(["train", str(workspace / "clean.pgm"), "--out", str(out)])
+        assert rc == 2
+        assert "is not a directory" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAdapt:
     def test_known_sigma_tilde(self, workspace, tmp_path):

@@ -682,3 +682,11 @@ class TestDenoise:
         img = ImageBuffer(np.zeros((10, 10)))
         with pytest.raises(ValueError):
             denoise(img, 0.0, flat_prior())
+
+    def test_nonfinite_stage_is_an_error(self):
+        # at sigma 1e-10 the data weight 1 / sigma^2 times a 1e300 pixel
+        # overflows, so the first stage's update (stage 0) is not finite
+        img = ImageBuffer(np.full((10, 10), 1e300))
+        with np.errstate(all="ignore"), pytest.raises(
+                FloatingPointError, match="^non-finite pixel values after stage 0$"):
+            denoise(img, 1e-10, flat_prior())

@@ -262,12 +262,41 @@ class TestRepeatedRows:
         assert np.allclose(model.means, want.means, rtol=1e-9, atol=1e-9)
         assert np.allclose(model.covariances, want.covariances, rtol=1e-9, atol=1e-9)
 
+    def test_rows_that_share_a_key_are_not_merged(self, monkeypatch):
+        # zero multipliers key each row by the sum of its words, so rows 0
+        # and 1, the same entries swapped, collide; then nothing is merged,
+        # not even the true repeat of row 0 in row 2
+        class ZeroDraws:
+            def integers(self, high, size, dtype):
+                return np.zeros(size, dtype=dtype)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: ZeroDraws())
+        x = np.array([[1.0, 2.0], [2.0, 1.0], [1.0, 2.0]])
+        rows, copies, firsts, index = gmm_module._distinct_rows(x)
+        assert rows is x and copies is None and firsts is None and index is None
+        monkeypatch.undo()
+        assert gmm_module._distinct_rows(x)[1].tolist() == [2.0, 1.0]
+
 
 class TestEdgeCases:
     def test_too_few_patches_raises(self):
         x = np.zeros((3, 2))
         with pytest.raises(InsufficientDataError):
             em_fit(x, EmConfig(n_components=5))
+
+    def test_starved_component_is_reseeded(self, caplog):
+        # every row belongs to components 0 and 2: component 1 has count 0
+        x = np.random.default_rng(15).normal(0.0, 1.0, (40, 3))
+        gamma = np.zeros((40, 3))
+        gamma[:30, 0] = gamma[30:, 2] = 1.0
+        with caplog.at_level("WARNING", logger="patchprior.em"):
+            model = em_module._mstep(x, sufficient_stats(x, gamma), np.random.default_rng(4))
+        assert np.array_equal(model.means[1], x[np.random.default_rng(4).integers(40)])
+        assert np.all(model.eigenvalues[1] == PSD_FLOOR)
+        # weights 30/40, 1/40 and 10/40 before they are renormalized
+        assert model.weights == pytest.approx(np.array([30.0, 1.0, 10.0]) / 41.0, rel=1e-15)
+        assert [r.getMessage() for r in caplog.records] == [
+            "component 1 starved, reseeded to a random patch"]
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, 1e300], ids=["nan", "inf", "1e300"])
     def test_nonfinite_patch_is_named_before_seeding(self, value, monkeypatch):

@@ -385,12 +385,24 @@ class TestGmmValidation:
         ("nonfinite covariances", "covariances contain non-finite values"),
         ("asymmetric", "asymmetric"),
         ("unnormalized", "weights sum to"),
+        ("weights of rank 2", "weights must be a nonempty 1-D array"),
+        ("means of another count", r"means must have shape \(2, d\), got \(3, 2\)"),
+        ("covariances of another shape", r"covariances must have shape \(2, 2, 2\)"),
+        ("negative weight", "weights must be nonnegative"),
     ])
     def test_factored_construction_runs_the_same_checks(self, case, match):
         weights, means = np.array([0.5, 0.5]), np.zeros((2, 2))
         covs = np.stack([np.eye(2), np.diag([1.0, 2.0])])
         factors = np.linalg.eigh(covs)
-        if case == "indefinite":
+        if case == "weights of rank 2":
+            weights = weights[:, None]
+        elif case == "means of another count":
+            means = np.zeros((3, 2))
+        elif case == "covariances of another shape":
+            covs = covs[:, :, :1]
+        elif case == "negative weight":
+            weights = np.array([1.5, -0.5])
+        elif case == "indefinite":
             covs[1, 1, 1] = -1e-3
             factors = np.linalg.eigh(covs)
         elif case == "nonfinite means":

@@ -1,5 +1,6 @@
 """Binary model file format: layout, round trips, corruption detection."""
 
+import os
 import zlib
 
 import numpy as np
@@ -23,6 +24,7 @@ from patchprior import (
     save_model,
 )
 from patchprior.gmm import PSD_FLOOR
+from patchprior.ioutil import atomic_write_bytes
 
 from synthimages import make_piecewise_image
 from test_em import assert_factors_are_eigh
@@ -131,6 +133,26 @@ class TestRoundTrip:
         for name in ("weights", "means", "covariances"):
             assert np.array_equal(getattr(back, name), getattr(model, name))
         assert_factors_are_eigh(back)
+
+    @pytest.mark.parametrize("failure", ["str-payload", "replace-after-temp-gone"])
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch, failure):
+        # a str payload fails in the write, and the temporary file beside
+        # the target is removed; a rename that fails after the temporary
+        # file is gone raises its own error, not the failed unlink's
+        path = tmp_path / "m.gmmp"
+        path.write_bytes(b"old")
+        if failure == "str-payload":
+            data, error = "new", TypeError
+        else:
+            def replace(src, dst):
+                os.unlink(src)
+                raise PermissionError("rename refused")
+            monkeypatch.setattr(os, "replace", replace)
+            data, error = b"new", PermissionError
+        with pytest.raises(error):
+            atomic_write_bytes(path, data)
+        assert path.read_bytes() == b"old"
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestLayout:
